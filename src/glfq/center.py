@@ -166,7 +166,7 @@ def hat_from_tilde(ctx, tilde_coeffs, lam, mu, n):
     }
 
 
-def generic_S(lam, mu, n=None, method="auto"):
+def generic_S(lam, mu, n=None):
     """Generic structure constants: Ahat_lam * Ahat_mu = sum S^nu Ahat_nu.
 
     Computed at n0 = |lam| + |mu| (the smallest ambient dimension where all
@@ -176,7 +176,7 @@ def generic_S(lam, mu, n=None, method="auto"):
     ctx = lam.ctx
     if n is None:
         n = lam.size + mu.size
-    tilde = invariant_product(lam, mu, n, method=method)
+    tilde = invariant_product(lam, mu, n)
     return hat_from_tilde(ctx, tilde, lam, mu, n)
 
 
@@ -464,7 +464,7 @@ def completed_class_size_poly(tau):
     return out
 
 
-def fh_polynomials(lam, mu, method="auto"):
+def fh_polynomials(lam, mu):
     """The polynomials p^nu(X) with
     C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_{nu^n}  for all n >= |lam|+|mu|.
 
@@ -484,7 +484,7 @@ def fh_polynomials(lam, mu, method="auto"):
     if _split_x1(lam)[1] or _split_x1(mu)[1]:
         raise ValueError("inputs must have no (X-1) parts after reduction")
     k, l = lam.size, mu.size
-    S = generic_S(lam, mu, method=method)
+    S = generic_S(lam, mu)
     gathered = {}
     for nu, S_nu in S.items():
         other, pi = _split_x1(nu)
@@ -523,14 +523,14 @@ def fh_polynomials(lam, mu, method="auto"):
     return GenericProduct(ctx, (lam, mu), rhs, S)
 
 
-def verify_fh(lam, mu, n_list, method="auto"):
-    """Evaluate the p^nu at X = q^n and compare against completed_product.
+def verify_fh(gp, n_list):
+    """Evaluate the p^nu of the GenericProduct gp (as returned by
+    fh_polynomials) at X = q^n and compare against completed_product.
 
     Returns a report dict with an "ok" flag and per-n diffs (empty when
     everything matches exactly)."""
-    ctx = lam.ctx
-    gp = fh_polynomials(lam, mu, method=method)
-    q = ctx.q
+    lam, mu = gp.lhs
+    q = gp.ctx.q
     report = {"ok": True, "n": {}, "degrees": {k: p.degree for k, p in gp.rhs.items()}}
     for n in n_list:
         if n < lam.size + mu.size:

@@ -137,7 +137,7 @@ def cmd_generic_product(args):
     mu = parse_polypartition(ctx, args.b)
     gp = center.fh_polynomials(lam, mu)
     if args.verify_at is not None:
-        report = center.verify_fh(lam, mu, [args.verify_at])
+        report = center.verify_fh(gp, [args.verify_at])
         status = "PASS" if report["ok"] else "FAIL"
         print("verification at n=%d: %s" % (args.verify_at, status),
               file=sys.stderr)
@@ -339,7 +339,7 @@ def _suite_fh(ctx, n, rng, samples):
                 ctx, ((linear_poly(ctx, a), Partition((1,))),))
             mu = Polypartition(
                 ctx, ((linear_poly(ctx, b), Partition((1,))),))
-            report = center.verify_fh(lam, mu, [2, 3])
+            report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])
             if not report["ok"]:
                 return False, "fh mismatch at a=%d b=%d" % (a, b)
     return True, "fh polynomials verified for degree-1 pairs, q=%d" % ctx.q
@@ -401,8 +401,6 @@ def _add_field_flags(p):
     p.add_argument("--q", type=int, help="field size (prime power)")
     p.add_argument("--p", type=int, help="characteristic (with --e)")
     p.add_argument("--e", type=int, default=1, help="extension degree")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker hint; results are deterministic regardless")
 
 
 def build_parser():

@@ -21,8 +21,12 @@ class Partition:
 
     def __init__(self, parts):
         parts = tuple(parts)
-        assert all(isinstance(x, int) and x > 0 for x in parts)
-        assert all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+        if not all(isinstance(x, int) and x > 0 for x in parts):
+            raise ValueError(
+                "partition parts must be positive integers: %r" % (parts,))
+        if not all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(
+                "partition parts must be non-increasing: %r" % (parts,))
         self.parts = parts
 
     @property

@@ -688,6 +688,10 @@ def type_census(ctx, x, check_orbits=True):
 
 
 def _invariant_product_orbits(ctx, lam, mu, n):
+    """Brute-force definition of invariant_product: the double sum over the
+    two type orbits, with every output coefficient checked constant on its
+    orbit.  Test oracle only; its cost grows like the product of the two
+    orbit sizes."""
     O1 = orbit_of_type(lam, n)
     O2 = orbit_of_type(mu, n)
     w = Fraction(1, len(O1) * len(O2))
@@ -782,30 +786,16 @@ def _invariant_product_classes(ctx, lam, mu, n):
     return {t: c for t, c in out.items() if c}
 
 
-def invariant_product(lam, mu, n, method="auto", check_symmetry=True):
+def invariant_product(lam, mu, n):
     """Structure constants of Atilde_lam * Atilde_mu in the tilde basis.
 
-    "orbits" performs the double orbit sum over partial isomorphisms and
-    asserts orbit-constancy of every output coefficient; "classes" conditions
-    on the middle dimension and reduces to completed conjugacy-class products
-    (the two are asserted equal on small inputs by the test suite)."""
+    Conditions on the middle dimension and reduces to completed
+    conjugacy-class products (_invariant_product_classes); the double orbit
+    sum _invariant_product_orbits is the brute-force definition, kept as the
+    test suite's oracle."""
     if lam.size > n or mu.size > n:
         raise ValueError("type size exceeds ambient dimension")
-    ctx = lam.ctx
-    if method == "auto":
-        work = orbit_size(lam, n) * orbit_size(mu, n)
-        method = "orbits" if work <= 3000000 and ctx.q <= 3 and n <= 3 else "classes"
-    if method == "orbits":
-        out = _invariant_product_orbits(ctx, lam, mu, n)
-        if check_symmetry and lam != mu:
-            sym = _invariant_product_orbits(ctx, mu, lam, n)
-            if sym != out:
-                raise AssertionError("invariant product is not symmetric")
-    elif method == "classes":
-        out = _invariant_product_classes(ctx, lam, mu, n)
-    else:
-        raise ValueError("unknown method %r" % method)
-    return out
+    return _invariant_product_classes(lam.ctx, lam, mu, n)
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_degree1_closed_forms_and_projections():
         assert poly(Fraction(7) ** 2) == 13 == 7 + (7 - 1)
         # at n = 3 the same class carries 2 q^2 - 1 = 97, not q^2 + (q - 1)
         assert poly(Fraction(7) ** 3) == 97 != 55
-        report = center.verify_fh(lam, mu, [2])
+        report = center.verify_fh(gp, [2])
         assert report["ok"], report
 
 
@@ -311,7 +311,7 @@ def test_structure_polynomials_match_class_products():
                 for b in units:
                     lam, mu = linear_type(ctx, a), linear_type(ctx, b)
                     gp = center.fh_polynomials(lam, mu)
-                    report = center.verify_fh(lam, mu, [2, 3, 4])
+                    report = center.verify_fh(gp, [2, 3, 4])
                     assert report["ok"], report
                     for nu, poly in gp.rhs.items():
                         for n in (2, 3, 4):

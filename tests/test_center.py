@@ -186,7 +186,7 @@ def test_generic_S_independent_of_ambient_dimension():
     ctx = make_field(2)
     lam = parse_polypartition(ctx, "{X+1:(1)}")
     at_n0 = center.generic_S(lam, lam)
-    at_n0_plus_1 = center.generic_S(lam, lam, n=3, method="classes")
+    at_n0_plus_1 = center.generic_S(lam, lam, n=3)
     assert at_n0 == at_n0_plus_1
 
 
@@ -210,7 +210,7 @@ def test_fh_polynomials_match_brute_force(q, lam_s, mu_s, n_list):
     ctx = make_field(q)
     lam = parse_polypartition(ctx, lam_s)
     mu = parse_polypartition(ctx, mu_s)
-    report = center.verify_fh(lam, mu, n_list)
+    report = center.verify_fh(center.fh_polynomials(lam, mu), n_list)
     assert report["ok"], report
     assert all(not diffs for diffs in report["n"].values())
     # structural sanity: no negative degrees and at least one output class
@@ -222,7 +222,7 @@ def test_fh_verify_rejects_small_n():
     ctx = make_field(3)
     lam = parse_polypartition(ctx, "{X+1:(1)}")
     with pytest.raises(ValueError):
-        center.verify_fh(lam, lam, [1])
+        center.verify_fh(center.fh_polynomials(lam, lam), [1])
 
 
 def test_generic_product_json_roundtrip():

@@ -129,6 +129,11 @@ def test_bad_polypartition_is_a_computation_error(capsys):
                        "--type", "oops")
     assert code == 1
     assert "error" in err
+    # a malformed partition is named in the message
+    code, _, err = run(capsys, "generic-product", "--q", "3",
+                       "--a", "{X+1:(2,0)}", "--b", "{X+1:(1)}")
+    assert code == 1
+    assert err.startswith("error: ") and "(2, 0)" in err
 
 
 @pytest.mark.parametrize("suite", ["assoc", "naive", "operators", "census",
@@ -146,11 +151,3 @@ def test_verify_deterministic_with_seed(capsys):
     _, out2, _ = run(capsys, "verify", "--suite", "assoc", "--seed", "7",
                      "--samples", "10")
     assert out1 == out2
-
-
-def test_threads_flag_is_accepted(capsys):
-    code, out, _ = run(
-        capsys, "count", "--q", "2", "--threads", "8", "--what", "subspaces",
-        "--n", "2", "--k", "1")
-    assert code == 0
-    assert out.strip() == "3"

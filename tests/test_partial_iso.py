@@ -253,13 +253,20 @@ def test_invariant_elem_census():
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2)])
 def test_invariant_product_engines_agree(q, n):
+    """The production engine against the double orbit sum: every ordered
+    pair of degree-1 types, and at q=2 every pair of {X+1:(1)} with a size-2
+    type in both orders plus each size-2 type squared."""
     ctx = make_field(q)
-    lam = parse_polypartition(ctx, "{X+1:(1)}")
-    for mu_s in ("{X+1:(1)}",):
-        mu = parse_polypartition(ctx, mu_s)
-        a = pi.invariant_product(lam, mu, n, method="orbits")
-        b = pi.invariant_product(lam, mu, n, method="classes")
-        assert a == b
+    deg1 = enumerate_polypartitions(ctx, 1)
+    pairs = [(lam, mu) for lam in deg1 for mu in deg1]
+    if q == 2:
+        unit = parse_polypartition(ctx, "{X+1:(1)}")
+        for nu in enumerate_polypartitions(ctx, 2):
+            pairs += [(unit, nu), (nu, unit), (nu, nu)]
+    for lam, mu in pairs:
+        got = pi.invariant_product(lam, mu, n)
+        assert pi._invariant_product_orbits(ctx, lam, mu, n) == got
+        assert pi.invariant_product(mu, lam, n) == got
 
 
 def test_phi_on_hat_elements():
