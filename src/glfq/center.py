@@ -19,55 +19,36 @@ from .conjtype import (
     class_orbit,
     class_size,
     complete,
-    empty_polypartition,
     format_polypartition,
     jordan_matrix,
+    num_free_families,
     pochhammer,
     reduce_polypartition,
     type_of,
 )
 from .fields import linear_poly
-from .partial_iso import invariant_product, num_free_families
+from .partial_iso import AlgElem, invariant_product
 
 
-class CentralVector:
+class CentralVector(AlgElem):
     """Sparse element of Z(C GL(n, F_q)): {size-n polypartition: coefficient}."""
 
-    __slots__ = ("ctx", "n", "coeffs")
+    __slots__ = ("ctx",)
 
-    def __init__(self, ctx, n, coeffs=None):
+    def __init__(self, ctx, n, terms=None):
+        if terms and any(mu.size != n for mu in terms):
+            raise ValueError("central vector of GL(%d) needs types of size %d" % (n, n))
         self.ctx = ctx
-        self.n = n
-        self.coeffs = {}
-        if coeffs:
-            for mu, c in coeffs.items():
-                assert mu.size == n
-                if c:
-                    self.coeffs[mu] = Fraction(c)
+        super().__init__(n, terms)
 
-    @property
-    def q(self):
-        return self.ctx.q
-
-    def __eq__(self, other):
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def scale(self, c):
-        c = Fraction(c)
-        return CentralVector(self.ctx, self.n, {m: c * x for m, x in self.coeffs.items()})
-
-    def __add__(self, other):
-        assert self.n == other.n
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return CentralVector(self.ctx, self.n, out)
+    def _like(self, terms):
+        return CentralVector(self.ctx, self.n, terms)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs.values())
+        return all(c.denominator == 1 for c in self.terms.values())
 
     def __repr__(self):
-        items = sorted(self.coeffs.items())
+        items = sorted(self.terms.items())
         return " + ".join("%s*C%s" % (c, m) for m, c in items) or "0"
 
 
@@ -337,10 +318,7 @@ def padded_unipotent_law(ctx, pi, m):
     u = sum(pi)
     out = {}
     for (d, core), cnt in _padding_profiles(ctx, pi).items():
-        nsurj = 1
-        for i in range(d):
-            nsurj *= q ** m - q ** i
-        wt = cnt * Fraction(nsurj, q ** (u * m))
+        wt = cnt * Fraction(num_free_families(q, m, d), q ** (u * m))
         if wt == 0:
             continue
         sigma = tuple(sorted(core + (1,) * (u + m - sum(core)), reverse=True))
@@ -549,9 +527,9 @@ def verify_fh(gp, n_list):
                 predicted[complete(nu, n)] = val
         actual = completed_product(lam, mu, n)
         diffs = {}
-        for key in set(predicted) | set(actual.coeffs):
+        for key in set(predicted) | set(actual.terms):
             a = predicted.get(key, Fraction(0))
-            b = actual.coeffs.get(key, Fraction(0))
+            b = actual.terms.get(key, Fraction(0))
             if a != b:
                 diffs[format_polypartition(key)] = (str(a), str(b))
         if diffs:

@@ -56,16 +56,6 @@ class SystemExit2(Exception):
     """Usage error detected after argparse (exit code 2)."""
 
 
-def _parse_matrix(ctx, s):
-    rows = []
-    for row in s.split(";"):
-        rows.append(tuple(ctx.elem_parse(e.strip()) for e in row.split(",")))
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise SystemExit2("matrix must be square")
-    return tuple(rows)
-
-
 def _frac_str(c):
     c = Fraction(c)
     return "%d/%d" % (c.numerator, c.denominator)
@@ -87,7 +77,9 @@ def _print_coeffs(coeffs, as_json):
 
 def cmd_type(args):
     ctx = _field_from_args(args)
-    g = _parse_matrix(ctx, args.mat)
+    g = linalg.mat_parse(ctx, args.mat)
+    if any(len(row) != len(g) for row in g):
+        raise SystemExit2("matrix must be square")
     if not linalg.is_invertible(ctx, g):
         raise SystemExit2("matrix is singular")
     print(format_polypartition(type_of(ctx, g)))
@@ -127,7 +119,7 @@ def cmd_class_product(args):
     lam = parse_polypartition(ctx, args.a)
     mu = parse_polypartition(ctx, args.b)
     out = center.completed_product(lam, mu, args.n)
-    _print_coeffs(out.coeffs, args.json)
+    _print_coeffs(out.terms, args.json)
     return 0
 
 
@@ -180,7 +172,7 @@ def cmd_degree1(args):
             _print_coeffs(out, False)
     else:
         out = degree1.project_degree1(ctx, a, b, args.n)
-        _print_coeffs(out.coeffs, args.json)
+        _print_coeffs(out.terms, args.json)
     return 0
 
 

@@ -7,10 +7,9 @@ computes the type of an invertible matrix, the exact class cardinality,
 the diagonal-1 completion, and whole-group censuses used as oracles.
 """
 
-import itertools
 from fractions import Fraction
 
-from . import fields, linalg
+from . import fields, linalg, subspaces
 from .fields import pdeg, poly_parse, poly_str
 
 
@@ -78,9 +77,12 @@ class Polypartition:
         items = sorted(entries.items() if isinstance(entries, dict) else entries,
                        key=lambda kv: (pdeg(kv[0]), kv[0]))
         for P, mu in items:
-            assert fields.is_monic(P) and P != fields.PX
-            assert isinstance(mu, Partition) and mu.parts
-        assert len({P for P, _ in items}) == len(items)
+            if not fields.is_monic(P) or P == fields.PX:
+                raise ValueError("label %r is not a monic polynomial other than X" % (P,))
+            if not (isinstance(mu, Partition) and mu.parts):
+                raise ValueError("label %r needs a non-empty Partition, got %r" % (P, mu))
+        if len({P for P, _ in items}) != len(items):
+            raise ValueError("polypartition labels must be distinct")
         self.ctx = ctx
         self.entries = tuple(items)
 
@@ -143,7 +145,10 @@ def parse_polypartition(ctx, s):
         P = poly_parse(ctx, poly_s)
         if not fields.is_irreducible(ctx, P) or P == fields.PX:
             raise ValueError("label %r is not an admissible irreducible" % poly_s)
-        parts = tuple(sorted((int(x) for x in part_s[1:-1].split(",")), reverse=True))
+        digits = part_s[1:-1].split(",")
+        if not all(x.isdecimal() for x in digits):
+            raise ValueError("bad partition in polypartition entry %r" % chunk)
+        parts = tuple(sorted((int(x) for x in digits), reverse=True))
         if P in entries:
             raise ValueError("duplicate label %r" % poly_s)
         entries[P] = Partition(parts)
@@ -242,9 +247,7 @@ def class_size(mu, n):
     if mu.size != n:
         raise ValueError("polypartition has size %d, expected %d" % (mu.size, n))
     q = mu.ctx.q
-    num = 1
-    for i in range(n):
-        num *= q ** n - q ** i
+    num = num_free_families(q, n, n)
     den = Fraction(q) ** (mu.size + 2 * mu.b())
     for P, part in mu.entries:
         d = pdeg(P)
@@ -255,11 +258,16 @@ def class_size(mu, n):
     return int(out)
 
 
-def gl_order(q, n):
+def num_free_families(q, n, k):
+    """(q^n - 1)(q^n - q) ... (q^n - q^{k-1}): the free k-families of (F_q)^n."""
     out = 1
-    for i in range(n):
+    for i in range(k):
         out *= q ** n - q ** i
     return out
+
+
+def gl_order(q, n):
+    return num_free_families(q, n, n)
 
 
 def complete(mu, n):
@@ -337,27 +345,12 @@ _GL_CACHE = {}
 
 
 def enumerate_gl(ctx, n):
-    """All invertible n x n matrices over F_q (cached)."""
+    """All invertible n x n matrices over F_q: the free n-families of
+    (F_q)^n, as rows (cached)."""
     key = (ctx.p, ctx.e, n)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-    out = []
-    vecs = list(itertools.product(ctx.elements(), repeat=n))
-
-    def rec(rows, rref_rows):
-        if len(rows) == n:
-            out.append(tuple(rows))
-            return
-        from .subspaces import reduce_against
-
-        for v in vecs:
-            if reduce_against(ctx, v, rref_rows) != (0,) * n:
-                nxt, _ = linalg.rref(ctx, list(rref_rows) + [v])
-                rec(rows + [v], tuple(r for r in nxt if any(r)))
-
-    rec([], ())
-    _GL_CACHE[key] = out
-    return out
+    if key not in _GL_CACHE:
+        _GL_CACHE[key] = subspaces.enumerate_completions(ctx, (), n, n)
+    return _GL_CACHE[key]
 
 
 _CENSUS_CACHE = {}

@@ -4,8 +4,11 @@ Elements of F_q are plain Python ints in [0, q).  For a prime field the
 encoding is the residue; for an extension field the int is the base-p
 digit vector of the coefficient representation with respect to the
 generator t, least significant digit = constant coefficient.  All field
-operations go through a FieldCtx, which precomputes small lookup tables
-(the library never enumerates fields with q > 16, so tables are cheap).
+operations go through a FieldCtx, which tabulates inverses and square
+roots (q entries each) and, for an extension field, the whole q x q
+product.  That table is built once per field and dominates start-up once q
+is in the hundreds.  Enumerations (subspaces, GL(n), classes) are only
+practical for small q; closed forms serve any q, prime q = 65521 included.
 
 Polynomials over F_q are tuples of element encodings in ascending degree
 with no trailing zeros (the zero polynomial is the empty tuple).
@@ -193,6 +196,9 @@ class FieldCtx:
         return "+".join(terms) if terms else "0"
 
     def elem_parse(self, s):
+        """Parse the element syntax.  A prime field reads an integer mod p;
+        an extension field reads a sum of c*t^i with integer coefficients c
+        in [0, p) and rejects any other coefficient."""
         s = s.replace(" ", "")
         if self.e == 1:
             return int(s) % self.p
@@ -211,6 +217,9 @@ class FieldCtx:
                 c, i = int(term), 0
             if i >= self.e:
                 raise ValueError("generator power out of range: %r" % s)
+            if not 0 <= c < self.p:
+                raise ValueError(
+                    "coefficient %d out of range [0, %d) in %r" % (c, self.p, s))
             digs[i] = (digs[i] + (-c if neg else c)) % self.p
         return self.encode(digs)
 
@@ -273,15 +282,6 @@ def is_monic(P):
     return len(P) > 0 and P[-1] == 1
 
 
-def padd(ctx, A, B):
-    if len(A) < len(B):
-        A, B = B, A
-    out = list(A)
-    for i, b in enumerate(B):
-        out[i] = ctx.add(out[i], b)
-    return pnorm(out)
-
-
 def psub(ctx, A, B):
     n = max(len(A), len(B))
     out = []
@@ -327,18 +327,6 @@ def pmod(ctx, A, B):
     return pdivmod(ctx, A, B)[1]
 
 
-def pmonic(ctx, A):
-    if not A or A[-1] == 1:
-        return A
-    return pscale(ctx, ctx.inv(A[-1]), A)
-
-
-def pgcd(ctx, A, B):
-    while B:
-        A, B = B, pmod(ctx, A, B)
-    return pmonic(ctx, A)
-
-
 def peval(ctx, P, x):
     r = 0
     for c in reversed(P):
@@ -352,17 +340,6 @@ def ppow(ctx, A, n):
         if n & 1:
             r = pmul(ctx, r, A)
         A = pmul(ctx, A, A)
-        n >>= 1
-    return r
-
-
-def ppow_mod(ctx, A, n, M):
-    r = pmod(ctx, (1,), M)
-    A = pmod(ctx, A, M)
-    while n:
-        if n & 1:
-            r = pmod(ctx, pmul(ctx, r, A), M)
-        A = pmod(ctx, pmul(ctx, A, A), M)
         n >>= 1
     return r
 

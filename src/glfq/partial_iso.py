@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from . import linalg, subspaces
 from .conjtype import (
-    Partition,
-    Polypartition,
     class_orbit,
     class_size,
     complete,
@@ -29,10 +27,10 @@ from .conjtype import (
     enumerate_gl,
     gl_order,
     jordan_matrix,
+    num_free_families,
     pochhammer,
     type_of,
 )
-from .fields import linear_poly
 from .ranklaw import dim_sum_law
 
 
@@ -177,32 +175,6 @@ def count_F(q, k_plus, k, k1):
     return out
 
 
-def _extend_basis(ctx, rows, sup):
-    """One fixed completion of `rows` into a basis of the subspace `sup`."""
-    out = list(rows)
-    rref_rows = rows
-    n = sup.ambient
-    for v in sup.basis:
-        if len(out) == sup.dim:
-            break
-        if subspaces.reduce_against(ctx, v, rref_rows) != (0,) * n:
-            out.append(v)
-            R, _ = linalg.rref(ctx, out)
-            rref_rows = tuple(r for r in R if any(r))
-    assert len(out) == sup.dim
-    return tuple(out)
-
-
-def _column_space_vectors(ctx, M):
-    """All vectors of the column space of the square matrix M, as tuples."""
-    k = len(M)
-    basis = tuple(r for r in linalg.rref(ctx, linalg.transpose(M))[0] if any(r))
-    out = []
-    for coeffs in itertools.product(ctx.elements(), repeat=len(basis)):
-        out.append(linalg.row_combine(ctx, coeffs, basis, k))
-    return out
-
-
 def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True):
     """Extensions of x with right space W_plus; the left space is free (or
     constrained inside `left_inside`).
@@ -236,18 +208,17 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
         raise ValueError("W_plus must contain the right space")
     if k_plus == k:
         return [x]
-    F_plus = _extend_basis(ctx, x.W.basis, W_plus)
+    F_plus = subspaces.extend_basis(ctx, x.W, W_plus)
     if k:
         E = linalg.mat_mul(
             ctx, linalg.transpose(linalg.inverse(ctx, x.g1)), x.V.basis
         )
         G = linalg.mat_mul(ctx, x.g1, x.g2)
         if strict:
-            cols = _column_space_vectors(
-                ctx, linalg.mat_sub(ctx, G, linalg.identity(k))
-            )
+            GmI = linalg.mat_sub(ctx, G, linalg.identity(k))
+            cols = subspaces.from_rows(ctx, linalg.transpose(GmI), k).vectors(ctx)
         else:
-            cols = [v for v in itertools.product(ctx.elements(), repeat=k)]
+            cols = subspaces.full_subspace(k).vectors(ctx)
     else:
         E, G, cols = (), (), [()]
     completions = subspaces.enumerate_completions(ctx, E, k_plus, n, within=left_inside)
@@ -305,16 +276,7 @@ def is_trivial_extension(ctx, small, big, method="type"):
     if not is_extension(ctx, small, big):
         return False
     if method == "type":
-        extra = big.dim - small.dim
-        t = piso_type(ctx, small)
-        xm1 = linear_poly(ctx, 1)
-        entries = dict(t.entries)
-        old = entries.get(xm1, Partition(()))
-        if extra:
-            entries[xm1] = Partition(
-                tuple(sorted(old.parts + (1,) * extra, reverse=True))
-            )
-        return piso_type(ctx, big) == Polypartition(ctx, entries)
+        return piso_type(ctx, big) == complete(piso_type(ctx, small), big.dim)
     if method == "quotient":
         n = big.n
         redV = lambda v: subspaces.reduce_against(ctx, v, small.V.basis)
@@ -337,7 +299,8 @@ def is_trivial_extension(ctx, small, big, method="type"):
 
 
 class AlgElem:
-    """Sparse rational linear combination of partial isomorphisms."""
+    """Sparse rational linear combination of partial isomorphisms; the
+    one sparse {key: Fraction} vector type of the library."""
 
     __slots__ = ("n", "terms")
 
@@ -349,29 +312,27 @@ class AlgElem:
                 if c:
                     self.terms[t] = Fraction(c)
 
+    def _like(self, terms):
+        """A vector of the same kind and ambient data with other terms."""
+        return type(self)(self.n, terms)
+
     def __eq__(self, other):
         return self.n == other.n and self.terms == other.terms
 
     def __add__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("cannot add vectors of different ambient dimension")
         out = dict(self.terms)
         for t, c in other.terms.items():
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s
-            elif t in out:
-                del out[t]
-        return AlgElem(self.n, out)
+            out[t] = out.get(t, 0) + c
+        return self._like(out)
 
     def scale(self, c):
         c = Fraction(c)
-        return AlgElem(self.n, {t: c * x for t, x in self.terms.items()})
+        return self._like({t: c * x for t, x in self.terms.items()})
 
     def mass(self):
         return sum(self.terms.values(), Fraction(0))
-
-    def degree(self):
-        return max((t.dim for t in self.terms), default=0)
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda tc: tc[0])
@@ -387,10 +348,6 @@ def basis_elem(x):
 
 
 _PRODUCT_CACHE = {}
-
-
-def clear_product_cache():
-    _PRODUCT_CACHE.clear()
 
 
 def _basis_product(ctx, a, b, cache=True):
@@ -435,6 +392,18 @@ def product(ctx, x, y):
     return AlgElem(x.n, out)
 
 
+def _average_extensions(x, extend):
+    """Per-term uniform average: each term t of x becomes the mean of the
+    partial isomorphisms extend(t)."""
+    out = {}
+    for t, c in x.terms.items():
+        exts = extend(t)
+        w = c / len(exts)
+        for e in exts:
+            out[e] = out.get(e, 0) + w
+    return AlgElem(x.n, out)
+
+
 def op_R_to(ctx, x, W_plus, strict=False):
     """R_W^{W+}: per-term uniform average of right-fixed trivial extensions.
 
@@ -445,55 +414,28 @@ def op_R_to(ctx, x, W_plus, strict=False):
     the strict operators and fails for the compatible ones (smallest
     counterexample: the empty partial isomorphism extended through a line
     at n = 2, q = 2)."""
-    out = {}
-    for t, c in x.terms.items():
-        exts = trivial_extensions_fixed_right(ctx, t, W_plus, strict=strict)
-        w = c / len(exts)
-        for e in exts:
-            out[e] = out.get(e, 0) + w
-    return AlgElem(x.n, out)
+    return _average_extensions(
+        x, lambda t: trivial_extensions_fixed_right(ctx, t, W_plus, strict=strict))
 
 
 def op_L_to(ctx, x, V_plus, strict=False):
     """L_V^{V+}: per-term uniform average of left-fixed trivial extensions
     (same two variants as op_R_to; strict=False matches the product:
     L_V^{V+}(x) = id_{V+} * x)."""
-    out = {}
-    for t, c in x.terms.items():
-        exts = trivial_extensions_fixed_left(ctx, t, V_plus, strict=strict)
-        w = c / len(exts)
-        for e in exts:
-            out[e] = out.get(e, 0) + w
-    return AlgElem(x.n, out)
+    return _average_extensions(
+        x, lambda t: trivial_extensions_fixed_left(ctx, t, V_plus, strict=strict))
 
 
 def op_R(ctx, X, x, strict=False):
     """Generalized extension operator R^X: enlarge each right space to W+X."""
-    out = AlgElem(x.n)
-    for t, c in x.terms.items():
-        target = subspaces.subspace_sum(ctx, t.W, X)
-        out = out + op_R_to(ctx, AlgElem(x.n, {t: c}), target, strict=strict)
-    return out
+    return _average_extensions(x, lambda t: trivial_extensions_fixed_right(
+        ctx, t, subspaces.subspace_sum(ctx, t.W, X), strict=strict))
 
 
 def op_L(ctx, X, x, strict=False):
     """Generalized extension operator L^X: enlarge each left space to V+X."""
-    out = AlgElem(x.n)
-    for t, c in x.terms.items():
-        target = subspaces.subspace_sum(ctx, t.V, X)
-        out = out + op_L_to(ctx, AlgElem(x.n, {t: c}), target, strict=strict)
-    return out
-
-
-def op_LR(ctx, V_plus, W_plus, x, strict=False):
-    """LR: per-term uniform average of both-fixed trivial extensions."""
-    out = {}
-    for t, c in x.terms.items():
-        exts = trivial_extensions_both_fixed(ctx, t, V_plus, W_plus, strict=strict)
-        w = c / len(exts)
-        for e in exts:
-            out[e] = out.get(e, 0) + w
-    return AlgElem(x.n, out)
+    return _average_extensions(x, lambda t: trivial_extensions_fixed_left(
+        ctx, t, subspaces.subspace_sum(ctx, t.V, X), strict=strict))
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +443,10 @@ def op_LR(ctx, V_plus, W_plus, x, strict=False):
 # ---------------------------------------------------------------------------
 
 
-class PairAlgElem:
+class PairAlgElem(AlgElem):
     """Sparse element of C[GL(n) x GL(n)^opp], keyed by matrix pairs."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for t, c in terms.items():
-                if c:
-                    self.terms[t] = Fraction(c)
-
-    def __eq__(self, other):
-        return self.n == other.n and self.terms == other.terms
+    __slots__ = ()
 
     def mul(self, ctx, other):
         """(g1, g2)(h1, h2) = (g1h1, h2g2), matrices composing in reverse."""
@@ -526,9 +457,6 @@ class PairAlgElem:
                 s = out.get(key, 0) + ca * cb
                 out[key] = s
         return PairAlgElem(self.n, out)
-
-    def __repr__(self):
-        return "PairAlgElem(%d, %d terms)" % (self.n, len(self.terms))
 
 
 def pi_n(ctx, x):
@@ -543,51 +471,11 @@ def pi_n(ctx, x):
 
 
 # ---------------------------------------------------------------------------
-# the two-sided group action
-# ---------------------------------------------------------------------------
-
-
-def act_piso(ctx, k, x, l):
-    """k . x . l = (k^{-1}(V) | k g1 l^{-1} <-> l g2 k^{-1} | l^{-1}(W))."""
-    if x.dim == 0:
-        return x
-    kinv = linalg.inverse(ctx, k)
-    linv = linalg.inverse(ctx, l)
-    E = linalg.mat_mul(ctx, x.V.basis, linalg.transpose(kinv))
-    F = linalg.mat_mul(ctx, x.W.basis, linalg.transpose(linv))
-    return canonical_piso(ctx, E, F, x.g1, x.g2)
-
-
-def act_left(ctx, k, x):
-    return act_piso(ctx, k, x, linalg.identity(x.n))
-
-
-def act_right(ctx, x, l):
-    return act_piso(ctx, linalg.identity(x.n), x, l)
-
-
-def act_elem(ctx, k, x, l):
-    out = {}
-    for t, c in x.terms.items():
-        u = act_piso(ctx, k, t, l)
-        out[u] = out.get(u, 0) + c
-    return AlgElem(x.n, out)
-
-
-# ---------------------------------------------------------------------------
 # type orbits and invariant elements
 # ---------------------------------------------------------------------------
 
 _ORBIT_CACHE = {}
 _ALL_CACHE = {}
-
-
-def num_free_families(q, n, k):
-    """(q^n - 1)(q^n - q) ... (q^n - q^{k-1})."""
-    out = 1
-    for i in range(k):
-        out *= q ** n - q ** i
-    return out
 
 
 def card_iso(q, n):
@@ -655,34 +543,31 @@ def orbit_of_type(mu, n):
 
 def invariant_elem(ctx, mu, n, normalization="tilde"):
     """The invariant class of type mu: "tilde" averages the orbit to mass 1,
-    "hat" divides the plain orbit sum A by the square root of its cardinality
-    (= the free-family count), "raw" is the plain sum A itself."""
+    "hat" divides the plain orbit sum by the square root of its cardinality
+    (= the free-family count)."""
     orbit = orbit_of_type(mu, n)
     if normalization == "tilde":
         c = Fraction(1, len(orbit))
     elif normalization == "hat":
         c = Fraction(num_free_families(ctx.q, n, mu.size), len(orbit))
-    elif normalization == "raw":
-        c = Fraction(num_free_families(ctx.q, n, mu.size) ** 2, len(orbit))
     else:
         raise ValueError("unknown normalization %r" % normalization)
     return AlgElem(n, {x: c for x in orbit})
 
 
-def type_census(ctx, x, check_orbits=True):
+def type_census(ctx, x):
     """Expand an invariant element in the tilde basis: returns {type: c} with
-    x = sum c_mu Atilde_mu.  With check_orbits, asserts that the coefficient
-    is constant on each type orbit and that whole orbits are present."""
+    x = sum c_mu Atilde_mu.  Raises AssertionError unless the coefficient is
+    constant on each type orbit and whole orbits are present."""
     buckets = {}
     for t, c in x.terms.items():
         buckets.setdefault(piso_type(ctx, t), []).append(c)
     out = {}
     for mu, coeffs in buckets.items():
-        if check_orbits:
-            if len(set(coeffs)) != 1:
-                raise AssertionError("coefficient not constant on orbit %r" % mu)
-            if len(coeffs) != orbit_size(mu, x.n):
-                raise AssertionError("incomplete orbit %r" % mu)
+        if len(set(coeffs)) != 1:
+            raise AssertionError("coefficient not constant on orbit %r" % mu)
+        if len(coeffs) != orbit_size(mu, x.n):
+            raise AssertionError("incomplete orbit %r" % mu)
         out[mu] = sum(coeffs, Fraction(0))
     return out
 
@@ -701,7 +586,7 @@ def _invariant_product_orbits(ctx, lam, mu, n):
             for t, c in _basis_product(ctx, a, b, cache=False).items():
                 acc[t] = acc.get(t, 0) + c
     elem = AlgElem(n, {t: w * c for t, c in acc.items()})
-    return type_census(ctx, elem, check_orbits=True)
+    return type_census(ctx, elem)
 
 
 def _supported_automorphisms(ctx, nu, S, m, fix_class=False):
@@ -713,18 +598,11 @@ def _supported_automorphisms(ctx, nu, S, m, fix_class=False):
     average that is invariant under conjugation fixing S)."""
     s = S.dim
     assert nu.size == s
-    comp_rows = []
-    rref = S.basis
-    for v in linalg.identity(m):
-        if subspaces.reduce_against(ctx, v, rref) != (0,) * m:
-            comp_rows.append(v)
-            R, _ = linalg.rref(ctx, list(rref) + comp_rows)
-            rref = tuple(r for r in R if any(r))
-    assert len(comp_rows) == m - s
+    rows_basis = subspaces.extend_basis(ctx, S, subspaces.full_subspace(m))
+    comp_rows = rows_basis[s:]
     reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, s)
     out = []
     svecs = S.vectors(ctx)
-    rows_basis = tuple(S.basis) + tuple(comp_rows)
     Binv = linalg.inverse(ctx, linalg.transpose(rows_basis))
     for u in reps:
         # N on S: u in the canonical basis of S; N on the complement basis:
@@ -848,15 +726,9 @@ def naive_extensions(ctx, V, g, V_plus):
     automorphisms of V_plus restricting to g whose type only adds parts 1 to
     the (X - 1) partition.  Brute force over GL(dim V_plus)."""
     k_plus = V_plus.dim
-    extra = k_plus - V.dim
-    if extra == 0:
+    if k_plus == V.dim:
         return [g]
-    xm1 = linear_poly(ctx, 1)
-    base = type_of(ctx, g) if V.dim else empty_polypartition(ctx)
-    entries = dict(base.entries)
-    old = entries.get(xm1, Partition(()))
-    entries[xm1] = Partition(tuple(sorted(old.parts + (1,) * extra, reverse=True)))
-    target = Polypartition(ctx, entries)
+    target = complete(type_of(ctx, g), k_plus)
     base_imgs = [
         linalg.row_combine(ctx, linalg.mat_vec(ctx, g, V.coords(v)), V.basis, V.ambient)
         for v in V.basis

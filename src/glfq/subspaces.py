@@ -139,24 +139,34 @@ def enumerate_completions(ctx, basis_rows, k_plus, n, within=None):
     """All ways to extend basis_rows (rank k, rows in (F_q)^n) by k_plus - k
     further vectors keeping the family free; appended vectors range over
     `within` (default: the full space).  Count:
-    prod_{i=k}^{k_plus-1} (|within| - q^i)."""
+    prod_{i=k}^{k_plus-1} (|within| - q^i).  With no rows and k_plus = n
+    these are the invertible n x n matrices, rows in lexicographic order."""
     k = len(basis_rows)
     if not (k <= k_plus <= n):
         raise ValueError("need k <= k_plus <= n")
-    if linalg.rank(ctx, basis_rows) != k and k > 0:
+    R, piv = linalg.rref(ctx, basis_rows)
+    if len(piv) != k:
         raise ValueError("input rows are not independent")
     pool = within.vectors(ctx) if within is not None else full_subspace(n).vectors(ctx)
-    results = []
+    return list(_free_families(ctx, list(basis_rows), R[:k], pool, k_plus))
 
-    def rec(rows, rref_rows):
-        if len(rows) == k_plus:
-            results.append(tuple(rows))
-            return
-        for v in pool:
-            if reduce_against(ctx, v, rref_rows) != (0,) * n:
-                nxt, _ = linalg.rref(ctx, list(rref_rows) + [v])
-                rec(rows + [v], tuple(r for r in nxt if any(r)))
 
-    start_rref = tuple(r for r in linalg.rref(ctx, basis_rows)[0] if any(r)) if k else ()
-    rec(list(basis_rows), start_rref)
-    return results
+def extend_basis(ctx, sub, sup):
+    """One fixed completion of the canonical basis of sub into a basis of
+    the subspace sup containing it: the first free completion whose new
+    rows are taken from the canonical basis of sup."""
+    return next(_free_families(ctx, list(sub.basis), sub.basis, sup.basis, sup.dim))
+
+
+def _free_families(ctx, rows, rref_rows, pool, size):
+    """Depth-first, in pool order: every extension of the free family rows
+    (spanning the RREF rows rref_rows) by vectors of pool to `size` rows
+    that keeps the family free."""
+    if len(rows) == size:
+        yield tuple(rows)
+        return
+    zero = (0,) * len(pool[0])
+    for v in pool:
+        if reduce_against(ctx, v, rref_rows) != zero:
+            R, piv = linalg.rref(ctx, rref_rows + (v,))
+            yield from _free_families(ctx, rows + [v], R[: len(piv)], pool, size)

@@ -111,7 +111,7 @@ def test_transport_mass(q, nu_s, n):
     ctx = make_field(q)
     nu = parse_polypartition(ctx, nu_s)
     vec = center.transport(nu, n)
-    mass = sum(c * class_size(tau, n) for tau, c in vec.coeffs.items())
+    mass = sum(c * class_size(tau, n) for tau, c in vec.terms.items())
     assert mass == num_free_families(q, n, nu.size)
 
 
@@ -127,7 +127,7 @@ def test_transport_single_class_matches_pi_scalar(q, nu_s, n):
     ctx = make_field(q)
     nu = parse_polypartition(ctx, nu_s)
     vec = center.transport(nu, n)
-    assert set(vec.coeffs) == {complete(nu, n)}
+    assert set(vec.terms) == {complete(nu, n)}
     assert vec == center.pi_expansion(ctx, {nu: Fraction(1)}, n)
 
 
@@ -250,7 +250,7 @@ def test_central_vector_algebra():
     ctx = make_field(2)
     mu = complete(parse_polypartition(ctx, "{X+1:(2)}"), 2)
     a = center.CentralVector(ctx, 2, {mu: Fraction(1, 2)})
-    assert (a + a).coeffs == {mu: Fraction(1)}
+    assert (a + a).terms == {mu: Fraction(1)}
     assert a.scale(2).is_integral()
     assert not a.is_integral()
-    assert (a + a.scale(-1)).coeffs == {}
+    assert (a + a.scale(-1)).terms == {}

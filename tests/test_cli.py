@@ -134,6 +134,22 @@ def test_bad_polypartition_is_a_computation_error(capsys):
                        "--a", "{X+1:(2,0)}", "--b", "{X+1:(1)}")
     assert code == 1
     assert err.startswith("error: ") and "(2, 0)" in err
+    # empty and non-integer partitions name the bad entry
+    for entry in ("X+1:()", "X+1:(a)", "X+1:(1,,1)"):
+        code, _, err = run(capsys, "class-size", "--q", "2", "--n", "2",
+                           "--type", "{%s}" % entry)
+        assert code == 1
+        assert err.startswith("error: ") and repr(entry) in err
+
+
+def test_out_of_range_extension_literal_is_rejected(capsys):
+    code, _, err = run(capsys, "degree1", "--q", "4", "--a", "3", "--b", "t")
+    assert code == 1
+    assert err.startswith("error: ") and "'3'" in err
+    # prime fields keep reading integers mod p
+    code, out, _ = run(capsys, "degree1", "--q", "3", "--a", "5", "--b", "2")
+    assert code == 0
+    assert out == run(capsys, "degree1", "--q", "3", "--a", "2", "--b", "2")[1]
 
 
 @pytest.mark.parametrize("suite", ["assoc", "naive", "operators", "census",
@@ -151,3 +167,28 @@ def test_verify_deterministic_with_seed(capsys):
     _, out2, _ = run(capsys, "verify", "--suite", "assoc", "--seed", "7",
                      "--samples", "10")
     assert out1 == out2
+
+
+# The stdout of these suites depends on enumeration and dict orders (the
+# GL(n) enumeration, the accumulation order inside naive_product), so it is
+# pinned byte for byte.
+NAIVE_DEFAULT_STDOUT = (
+    "suite naive: PASS (counterexample found: (((Span((1, 0),), ((2,),)), "
+    "(Span((1, 0),), ((2,),)), (Span((1, 0), (0, 1)), ((1, 0), (0, 1)))), "
+    "{(Span((1, 0), (0, 1)), ((1, 0), (0, 1))): Fraction(1, 1)}, "
+    "{(Span((1, 0), (0, 1)), ((1, 0), (0, 1))): Fraction(1, 3), "
+    "(Span((1, 0), (0, 1)), ((1, 2), (0, 1))): Fraction(1, 3), "
+    "(Span((1, 0), (0, 1)), ((1, 1), (0, 1))): Fraction(1, 3)}))\n"
+)
+
+
+def test_verify_naive_default_stdout(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "naive")
+    assert code == 0
+    assert out == NAIVE_DEFAULT_STDOUT
+
+
+def test_verify_extensions_default_stdout(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "extensions")
+    assert code == 0
+    assert out == "suite extensions: PASS (114 extension counts match at (n=2, q=2))\n"

@@ -19,7 +19,7 @@ from glfq.conjtype import (
     reduce_polypartition,
     type_of,
 )
-from glfq.fields import linear_poly, make_field
+from glfq.fields import PX, linear_poly, make_field
 
 
 def test_partition_basics():
@@ -98,3 +98,17 @@ def test_class_size_multiplicative_over_labels():
     rhs = gl_order(2, 3)
     assert lhs == rhs
     assert class_size(a, 1) == 1 and class_size(b, 2) == 2
+
+
+def test_polypartition_validation_raises_value_error():
+    # explicit checks, so they also run under python -O
+    ctx = make_field(3)
+    with pytest.raises(ValueError):
+        Polypartition(ctx, {PX: Partition((1,))})
+    with pytest.raises(ValueError):
+        Polypartition(ctx, {linear_poly(ctx, 1): Partition(())})
+    with pytest.raises(ValueError):
+        Polypartition(ctx, {(2, 2): Partition((1,))})  # not monic
+    with pytest.raises(ValueError):
+        Polypartition(ctx, ((linear_poly(ctx, 1), Partition((1,))),
+                            (linear_poly(ctx, 1), Partition((2,)))))

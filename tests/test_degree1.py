@@ -7,7 +7,7 @@ import pytest
 
 from glfq import center, degree1
 from glfq.conjtype import Partition, Polypartition, class_size, complete
-from glfq.fields import linear_poly, make_field
+from glfq.fields import is_irreducible, linear_poly, make_field
 
 
 def units(ctx):
@@ -49,6 +49,25 @@ def test_classify_total_and_exclusive(q):
     assert seen == EXPECTED_TAGS[q]
     with pytest.raises(ValueError):
         degree1.classify(ctx, 0, 1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2)])
+def test_irreducible_quadratics_criterion_vs_direct_scan(p, e):
+    # the discriminant/trace criterion against direct irreducibility of each
+    # X^2 + cX + b, and the cardinality (q+1)/2 - [b square] (odd q), q/2
+    # (even q), for every unit b
+    ctx = make_field(p, e)
+    q = ctx.q
+    for b in units(ctx):
+        direct = tuple(
+            c for c in ctx.elements() if is_irreducible(ctx, (b, c, 1)))
+        assert degree1.irreducible_quadratics_I(ctx, b) == direct
+        if p == 2:
+            expected = q // 2
+        else:
+            expected = (q + 1) // 2 - (1 if ctx.is_square(b) else 0)
+        assert len(direct) == expected
 
 
 def test_irreducible_quadratics_examples():
@@ -108,7 +127,7 @@ def test_projection_matches_brute_force(q, a, b, n):
     ctx = make_field(q)
     got = degree1.project_degree1(ctx, a, b, n, verify=True)
     assert got.is_integral()
-    mass = sum(c * class_size(tau, n) for tau, c in got.coeffs.items())
+    mass = sum(c * class_size(tau, n) for tau, c in got.terms.items())
     lam_up = complete(linear_type(ctx, a), n)
     mu_up = complete(linear_type(ctx, b), n)
     assert mass == class_size(lam_up, n) * class_size(mu_up, n)
@@ -117,7 +136,7 @@ def test_projection_matches_brute_force(q, a, b, n):
 def test_projection_with_unit_factor_is_the_other_class():
     ctx = make_field(3)
     got = degree1.project_degree1(ctx, 1, 2, 3, verify=False)
-    assert got.coeffs == {complete(linear_type(ctx, 2), 3): Fraction(1)}
+    assert got.terms == {complete(linear_type(ctx, 2), 3): Fraction(1)}
 
 
 def test_projection_input_validation():

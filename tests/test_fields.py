@@ -105,3 +105,19 @@ def test_linear_poly_root():
     ctx = make_field(5)
     for a in ctx.elements():
         assert peval(ctx, linear_poly(ctx, a), a) == 0
+
+
+def test_elem_parse_rejects_out_of_range_extension_coefficients():
+    ctx4 = make_field(2, 2)
+    assert ctx4.elem_parse("t+1") == 3
+    assert ctx4.elem_parse("1") == 1
+    for text in ("3", "2", "2*t", "t+2", "-3"):
+        with pytest.raises(ValueError, match="out of range"):
+            ctx4.elem_parse(text)
+    ctx9 = make_field(3, 2)
+    assert ctx9.elem_parse("2*t+2") == 8
+    with pytest.raises(ValueError):
+        ctx9.elem_parse("3*t")
+    # prime fields reduce integer literals mod p
+    assert make_field(5).elem_parse("7") == 2
+    assert make_field(5).elem_parse("-1") == 4

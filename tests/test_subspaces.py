@@ -77,3 +77,17 @@ def test_completions_within():
     assert len(got) == 2 ** 2 - 2
     for fam in got:
         assert all(W.contains_vector(ctx, v) for v in fam)
+
+
+def test_extend_basis_completes_a_subspace_basis():
+    ctx = make_field(3)
+    n = 4
+    for S in subspaces.enumerate_subspaces(ctx, n, 1):
+        for sup in subspaces.enumerate_subspaces(ctx, n, 3, containing=S):
+            rows = subspaces.extend_basis(ctx, S, sup)
+            assert rows[:1] == S.basis
+            assert all(r in sup.basis for r in rows[1:])
+            assert subspaces.from_rows(ctx, rows, n) == sup
+            assert linalg.rank(ctx, rows) == 3
+    with pytest.raises(ValueError):
+        subspaces.enumerate_completions(ctx, [(1, 0, 0, 0), (2, 0, 0, 0)], 3, n)
