@@ -423,7 +423,8 @@ def completed_class_size_poly(tau):
     ctx = tau.ctx
     q = ctx.q
     other, pi = _split_x1(tau)
-    assert 1 not in pi, "tau must be reduced (no parts 1 on X - 1)"
+    if 1 in pi:
+        raise ValueError("type %r is not reduced: it has parts 1 on X - 1" % tau)
     t = tau.size
     ell = len(pi)
     s = t - ell

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import fields, linalg, subspaces
 from .fields import pdeg, poly_parse, poly_str
+from .memo import memo
 
 
 class Partition:
@@ -341,34 +342,23 @@ def enumerate_polypartitions(ctx, n):
 # censuses and class orbits (brute-force oracles)
 # ---------------------------------------------------------------------------
 
-_GL_CACHE = {}
-
-
+@memo
 def enumerate_gl(ctx, n):
     """All invertible n x n matrices over F_q: the free n-families of
     (F_q)^n, as rows (cached)."""
-    key = (ctx.p, ctx.e, n)
-    if key not in _GL_CACHE:
-        _GL_CACHE[key] = subspaces.enumerate_completions(ctx, (), n, n)
-    return _GL_CACHE[key]
+    return subspaces.enumerate_completions(ctx, (), n, n)
 
 
-_CENSUS_CACHE = {}
-
-
+@memo
 def census(ctx, n):
     """Bucket the whole of GL(n, F_q) by conjugacy type.
 
-    Returns {polypartition: count}; cached by (p, e, n).
+    Returns {polypartition: count}; cached.
     """
-    key = (ctx.p, ctx.e, n)
-    if key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[key]
     buckets = {}
     for g in enumerate_gl(ctx, n):
         t = type_of(ctx, g)
         buckets[t] = buckets.get(t, 0) + 1
-    _CENSUS_CACHE[key] = buckets
     return buckets
 
 
@@ -410,15 +400,10 @@ def _multiplicative_generator(ctx):
     raise AssertionError("no multiplicative generator found")
 
 
-_ORBIT_CACHE = {}
-
-
+@memo
 def class_orbit(mu, n):
     """All elements of the conjugacy class C_{mu^n}, by BFS under conjugation
-    by standard generators starting from the Jordan representative."""
-    key = (mu.ctx.p, mu.ctx.e, mu.entries, n)
-    if key in _ORBIT_CACHE:
-        return _ORBIT_CACHE[key]
+    by standard generators starting from the Jordan representative (cached)."""
     ctx = mu.ctx
     start = jordan_matrix(complete(mu, n))
     gens = [(g, linalg.inverse(ctx, g)) for g in gl_generators(ctx, n)]
@@ -435,5 +420,4 @@ def class_orbit(mu, n):
         frontier = nxt
     out = sorted(seen)
     assert len(out) == class_size(complete(mu, n), n)
-    _ORBIT_CACHE[key] = out
     return out

@@ -150,17 +150,15 @@ def _square_roots(ctx, x):
         d for d in ctx.elements() if d != 0 and ctx.mul(d, d) == x))
 
 
-def project_degree1(ctx, a, b, n, verify="auto"):
+def project_degree1(ctx, a, b, n):
     """C_{{X-a:(1)}^n} * C_{{X-b:(1)}^n} as an integer CentralVector.
 
     Unit factors are trivial (the completed class of {X-1:(1)} is the
     identity class); otherwise the degree-1 closed form is pushed through
     the exact expansion of each lifted basis element over completed classes
-    (center.transport) and rescaled by the class cardinalities.
-
-    verify: "auto" checks against the brute-force class product when the
-    classes are small enough to enumerate quickly; True forces the check,
-    False skips it."""
+    (center.transport) and rescaled by the class cardinalities.  The result
+    is checked against the brute-force class product whenever the smaller
+    class has at most 200000 elements."""
     if n < 2:
         raise ValueError("need n >= 2")
     if a == 0 or b == 0:
@@ -181,10 +179,7 @@ def project_degree1(ctx, a, b, n, verify="auto"):
         coeffs = {tau: c for tau, c in coeffs.items() if c}
         result = center.CentralVector(ctx, n, coeffs)
     assert result.is_integral()
-    if verify is True or (
-        verify == "auto"
-        and min(class_size(lam_up, n), class_size(mu_up, n)) <= 200000
-    ):
+    if min(class_size(lam_up, n), class_size(mu_up, n)) <= 200000:
         brute = center.completed_product(
             _single(ctx, a, (1,)), _single(ctx, b, (1,)), n)
         assert result.terms == brute.terms

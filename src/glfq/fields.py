@@ -15,7 +15,8 @@ with no trailing zeros (the zero polynomial is the empty tuple).
 """
 
 import itertools
-from functools import lru_cache
+
+from .memo import memo
 
 
 def _is_prime(n):
@@ -133,9 +134,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of 0 in F_q")
         return self._inv[a]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
@@ -200,8 +198,16 @@ class FieldCtx:
         an extension field reads a sum of c*t^i with integer coefficients c
         in [0, p) and rejects any other coefficient."""
         s = s.replace(" ", "")
+
+        def integer(lit):
+            try:
+                return int(lit)
+            except ValueError:
+                raise ValueError("bad field element %r: %r is not an integer"
+                                 % (s, lit)) from None
+
         if self.e == 1:
-            return int(s) % self.p
+            return integer(s) % self.p
         digs = [0] * self.e
         for term in s.replace("-", "+-").split("+"):
             if not term:
@@ -211,10 +217,10 @@ class FieldCtx:
                 term = term[1:]
             if "t" in term:
                 coef, _, rest = term.partition("t")
-                c = int(coef.rstrip("*")) if coef else 1
-                i = int(rest[1:]) if rest.startswith("^") else 1
+                c = integer(coef.rstrip("*")) if coef else 1
+                i = integer(rest[1:]) if rest.startswith("^") else 1
             else:
-                c, i = int(term), 0
+                c, i = integer(term), 0
             if i >= self.e:
                 raise ValueError("generator power out of range: %r" % s)
             if not 0 <= c < self.p:
@@ -238,7 +244,7 @@ def make_field(p, e=1):
     return _make_field(p, e)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _make_field(p, e):
     if not _is_prime(p):
         raise ValueError("p = %d is not prime" % p)
@@ -247,16 +253,11 @@ def _make_field(p, e):
     if e == 1:
         return FieldCtx(p, 1)
     fp = make_field(p, 1)
-    for tail in _tuples_ascending(p, e):
+    for tail in itertools.product(range(p), repeat=e):
         cand = tail + (1,)
         if is_irreducible(fp, cand):
             return FieldCtx(p, e, modulus=cand)
     raise AssertionError("unreachable: irreducibles of every degree exist")
-
-
-def _tuples_ascending(p, k):
-    """All k-tuples over [0,p) in lexicographic order."""
-    return itertools.product(range(p), repeat=k)
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +345,16 @@ def ppow(ctx, A, n):
     return r
 
 
-_IRR_CACHE = {}
-
-
+@memo
 def enumerate_irreducibles(ctx, d):
     """All monic irreducibles of degree d over ctx, sorted lexicographically
     by ascending coefficient vector.  Includes X itself at degree 1."""
     assert d >= 1
-    key = (ctx.p, ctx.e, ctx.modulus, d)
-    if key in _IRR_CACHE:
-        return _IRR_CACHE[key]
     out = []
-    for tail in _tuples_ascending(ctx.q, d):
+    for tail in itertools.product(range(ctx.q), repeat=d):
         cand = tail + (1,)
         if _irreducible_by_trial_division(ctx, cand):
             out.append(cand)
-    _IRR_CACHE[key] = out
     return out
 
 

@@ -31,6 +31,7 @@ from .conjtype import (
     pochhammer,
     type_of,
 )
+from .memo import memo
 from .ranklaw import dim_sum_law
 
 
@@ -158,10 +159,8 @@ def count_E(q, n, k_plus, k, k1):
     fixed vector; see trivial_extensions_fixed_right)."""
     if not (0 <= k1 <= k <= k_plus <= n):
         raise ValueError("need 0 <= k1 <= k <= k_plus <= n")
-    out = q ** ((k - k1) * (k_plus - k))
-    for i in range(k, k_plus):
-        out *= q ** n - q ** i
-    return out
+    return (q ** ((k - k1) * (k_plus - k)) * num_free_families(q, n, k_plus)
+            // num_free_families(q, n, k))
 
 
 def count_F(q, k_plus, k, k1):
@@ -169,10 +168,7 @@ def count_F(q, k_plus, k, k1):
     again gives the compatible-extension count)."""
     if not (0 <= k1 <= k <= k_plus):
         raise ValueError("need 0 <= k1 <= k <= k_plus")
-    out = q ** ((k - k1) * (k_plus - k))
-    for i in range(k, k_plus):
-        out *= q ** k_plus - q ** i
-    return out
+    return count_E(q, k_plus, k_plus, k, k1)
 
 
 def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True):
@@ -347,20 +343,12 @@ def basis_elem(x):
     return AlgElem(x.n, {x: Fraction(1)})
 
 
-_PRODUCT_CACHE = {}
-
-
-def _basis_product(ctx, a, b, cache=True):
+@memo(limit=200000)
+def _basis_product(ctx, a, b):
     """Product of two basis elements, as a dict piso -> Fraction (mass 1).
 
     Averages over compatible (not strict) extensions to the middle space;
     this is what makes the product associative."""
-    key = (ctx.p, ctx.e, a, b)
-    hit = _PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(_PRODUCT_CACHE) >= 200000:
-        _PRODUCT_CACHE.clear()
     M = subspaces.subspace_sum(ctx, a.W, b.V)
     right = trivial_extensions_fixed_right(ctx, a, M, strict=False)
     left = trivial_extensions_fixed_left(ctx, b, M, strict=False)
@@ -374,9 +362,10 @@ def _basis_product(ctx, a, b, cache=True):
                 Va, eb.W, mat_mul(ctx, eb.g1, a1), mat_mul(ctx, a2, eb.g2)
             )
             out[t] = out.get(t, 0) + w
-    if cache:
-        _PRODUCT_CACHE[key] = out
     return out
+
+
+_PRODUCT_CACHE = _basis_product.cache
 
 
 def product(ctx, x, y):
@@ -474,20 +463,15 @@ def pi_n(ctx, x):
 # type orbits and invariant elements
 # ---------------------------------------------------------------------------
 
-_ORBIT_CACHE = {}
-_ALL_CACHE = {}
-
 
 def card_iso(q, n):
     """Cardinality of I(n, F_q): sum over degrees of squared family counts."""
     return sum(num_free_families(q, n, k) ** 2 for k in range(n + 1))
 
 
+@memo
 def all_pisos(ctx, n):
     """The full basis I(n, F_q), deterministic order, cached."""
-    key = (ctx.p, ctx.e, n)
-    if key in _ALL_CACHE:
-        return _ALL_CACHE[key]
     out = [empty_piso(n)]
     for k in range(1, n + 1):
         subs = subspaces.enumerate_subspaces(ctx, n, k)
@@ -498,7 +482,6 @@ def all_pisos(ctx, n):
                     for g2 in gl:
                         out.append(PartialIso(V, W, g1, g2))
     assert len(out) == card_iso(ctx.q, n)
-    _ALL_CACHE[key] = out
     return out
 
 
@@ -513,15 +496,13 @@ def orbit_size(mu, n):
     ) if k else 1
 
 
+@memo
 def orbit_of_type(mu, n):
     """All partial isomorphisms of type mu in (F_q)^n (the GL x GL orbit)."""
     k = mu.size
     if k > n:
         raise ValueError("type size exceeds ambient dimension")
     ctx = mu.ctx
-    key = (ctx.p, ctx.e, mu.entries, n)
-    if key in _ORBIT_CACHE:
-        return _ORBIT_CACHE[key]
     if k == 0:
         out = [empty_piso(n)]
     else:
@@ -537,7 +518,6 @@ def orbit_of_type(mu, n):
                     for g2 in g2s:
                         out.append(PartialIso(V, W, g1, g2))
     assert len(out) == orbit_size(mu, n)
-    _ORBIT_CACHE[key] = out
     return out
 
 
@@ -576,14 +556,14 @@ def _invariant_product_orbits(ctx, lam, mu, n):
     """Brute-force definition of invariant_product: the double sum over the
     two type orbits, with every output coefficient checked constant on its
     orbit.  Test oracle only; its cost grows like the product of the two
-    orbit sizes."""
+    orbit sizes, so it bypasses the product memo."""
     O1 = orbit_of_type(lam, n)
     O2 = orbit_of_type(mu, n)
     w = Fraction(1, len(O1) * len(O2))
     acc = {}
     for a in O1:
         for b in O2:
-            for t, c in _basis_product(ctx, a, b, cache=False).items():
+            for t, c in _basis_product.__wrapped__(ctx, a, b).items():
                 acc[t] = acc.get(t, 0) + c
     elem = AlgElem(n, {t: w * c for t, c in acc.items()})
     return type_census(ctx, elem)

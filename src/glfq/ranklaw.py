@@ -12,23 +12,17 @@ from fractions import Fraction
 from .conjtype import pochhammer
 
 
-def _poch_q(q, m):
-    """(q^{-1})_m.  Out-of-range (negative) m marks an impossible
-    configuration; callers that may hit it check supports beforehand."""
-    assert m >= 0
-    return pochhammer(Fraction(1, q), m)
-
-
 def rank_law(d, q, a, c):
     """P_{d,q}[X_a = c]: probability that a uniform a-tuple of vectors of
     (F_q)^d has rank c."""
     if not (0 <= c <= min(a, d)):
         return Fraction(0)
+    qi = Fraction(1, q)
     return (
         Fraction(q) ** ((d - c) * (c - a))
-        * _poch_q(q, a)
-        * _poch_q(q, d)
-        / (_poch_q(q, c) * _poch_q(q, a - c) * _poch_q(q, d - c))
+        * pochhammer(qi, a)
+        * pochhammer(qi, d)
+        / (pochhammer(qi, c) * pochhammer(qi, a - c) * pochhammer(qi, d - c))
     )
 
 
@@ -57,18 +51,19 @@ def dim_sum_law(n, q, j, k, l, m):
         raise ValueError("need j <= min(k,l) <= max(k,l) <= n")
     if not (max(k, l) <= m <= min(n, k + l - j)):
         return Fraction(0)
+    qi = Fraction(1, q)
     return (
         Fraction(q) ** ((k + l - j - m) * (m - n))
-        * _poch_q(q, n - k)
-        * _poch_q(q, n - l)
-        * _poch_q(q, k - j)
-        * _poch_q(q, l - j)
+        * pochhammer(qi, n - k)
+        * pochhammer(qi, n - l)
+        * pochhammer(qi, k - j)
+        * pochhammer(qi, l - j)
         / (
-            _poch_q(q, k + l - j - m)
-            * _poch_q(q, n - m)
-            * _poch_q(q, n - j)
-            * _poch_q(q, m - k)
-            * _poch_q(q, m - l)
+            pochhammer(qi, k + l - j - m)
+            * pochhammer(qi, n - m)
+            * pochhammer(qi, n - j)
+            * pochhammer(qi, m - k)
+            * pochhammer(qi, m - l)
         )
     )
 
@@ -81,10 +76,11 @@ def count_constrained_subspaces(j, k, l, m, q):
         raise ValueError("need j <= min(k,l) and sup(k,l) <= m")
     if k + l - j - m < 0:
         return 0
+    qi = Fraction(1, q)
     out = (
         Fraction(q) ** ((m - l) * (l - j))
-        * _poch_q(q, k - j)
-        / (_poch_q(q, m - l) * _poch_q(q, k + l - j - m))
+        * pochhammer(qi, k - j)
+        / (pochhammer(qi, m - l) * pochhammer(qi, k + l - j - m))
     )
     assert out.denominator == 1
     return int(out)

@@ -156,7 +156,7 @@ def test_completed_class_size_poly(q, tau_s):
 def test_completed_class_size_poly_requires_reduced_input():
     ctx = make_field(2)
     tau = parse_polypartition(ctx, "{X+1:(2,1)}")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"\{X\+1:\(2,1\)\}"):
         center.completed_class_size_poly(tau)
 
 

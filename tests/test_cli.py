@@ -152,6 +152,17 @@ def test_out_of_range_extension_literal_is_rejected(capsys):
     assert out == run(capsys, "degree1", "--q", "3", "--a", "2", "--b", "2")[1]
 
 
+@pytest.mark.parametrize("q,mat,literal", [
+    ("3", "1,;0,1", "''"),
+    ("4", "t,1;0,x", "'x'"),
+])
+def test_malformed_matrix_entry_is_named(capsys, q, mat, literal):
+    code, _, err = run(capsys, "type", "--q", q, "--mat", mat)
+    assert code == 1
+    assert err.startswith("error: ") and literal in err
+    assert "invalid literal" not in err
+
+
 @pytest.mark.parametrize("suite", ["assoc", "naive", "operators", "census",
                                    "ranklaw", "pi", "extensions", "degree1",
                                    "fh", "phi"])

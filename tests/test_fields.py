@@ -36,7 +36,7 @@ def test_field_axioms(p, e):
 
 
 def test_make_field_rejects_composite_characteristic():
-    with pytest.raises((AssertionError, ValueError)):
+    with pytest.raises(ValueError):
         make_field(4)
 
 
