@@ -460,8 +460,10 @@ def fh_polynomials(lam, mu):
     q = ctx.q
     lam = reduce_polypartition(lam)[0]
     mu = reduce_polypartition(mu)[0]
-    if _split_x1(lam)[1] or _split_x1(mu)[1]:
-        raise ValueError("inputs must have no (X-1) parts after reduction")
+    bad = [t for t in (lam, mu) if _split_x1(t)[1]]
+    if bad:
+        raise ValueError("inputs must have no (X-1) parts after reduction: %s"
+                         % ", ".join(map(format_polypartition, bad)))
     k, l = lam.size, mu.size
     S = generic_S(lam, mu)
     gathered = {}

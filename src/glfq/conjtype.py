@@ -205,10 +205,11 @@ def type_of(ctx, g):
     assert n == m
     if n == 0:
         return empty_polypartition(ctx)
-    if not linalg.is_invertible(ctx, g):
+    cp = linalg.charpoly(ctx, g)
+    if not cp[0]:  # det g = +-cp[0]
         raise ValueError("type_of requires an invertible matrix")
     entries = {}
-    for P, mult in fields.factor(ctx, linalg.charpoly(ctx, g)):
+    for P, mult in fields.factor(ctx, cp):
         d = pdeg(P)
         Pg = linalg.apply_poly(ctx, P, g)
         cols = []
@@ -378,26 +379,12 @@ def gl_generators(ctx, n):
                 rows = [list(r) for r in linalg.identity(n)]
                 rows[i][j] = 1
                 gens.append(linalg.mat(rows))
-    c = _multiplicative_generator(ctx)
+    c = ctx.primitive_element()
     if c != 1:
         rows = [list(r) for r in linalg.identity(n)]
         rows[0][0] = c
         gens.append(linalg.mat(rows))
     return gens
-
-
-def _multiplicative_generator(ctx):
-    q = ctx.q
-    for c in range(1, q):
-        seen, x = set(), 1
-        while True:
-            x = ctx.mul(x, c)
-            if x in seen:
-                break
-            seen.add(x)
-        if len(seen) == q - 1:
-            return c
-    raise AssertionError("no multiplicative generator found")
 
 
 @memo

@@ -4,11 +4,14 @@ Elements of F_q are plain Python ints in [0, q).  For a prime field the
 encoding is the residue; for an extension field the int is the base-p
 digit vector of the coefficient representation with respect to the
 generator t, least significant digit = constant coefficient.  All field
-operations go through a FieldCtx, which tabulates inverses and square
-roots (q entries each) and, for an extension field, the whole q x q
-product.  That table is built once per field and dominates start-up once q
-is in the hundreds.  Enumerations (subspaces, GL(n), classes) are only
-practical for small q; closed forms serve any q, prime q = 65521 included.
+operations go through a FieldCtx.  A prime field computes mod p.  An
+extension field writes each nonzero element as a power of its smallest
+primitive element g and keeps three tables of O(q) entries, built once:
+the powers of g, their logs, and the Zech logs log(1 + g^k); every
+operation is then a few table lookups.  Both kinds build a table of square
+roots (q entries) on the first call of sqrt only.  Enumerations
+(subspaces, GL(n), classes) are only practical for small q; closed forms
+serve any q, prime q = 65521 and q = 2^12 included.
 
 Polynomials over F_q are tuples of element encodings in ascending degree
 with no trailing zeros (the zero polynomial is the empty tuple).
@@ -38,16 +41,20 @@ class FieldCtx:
     """
 
     def __init__(self, p, e, modulus=None):
-        assert _is_prime(p), "p must be prime"
-        assert e >= 1
+        if not _is_prime(p):
+            raise ValueError("p = %d is not prime" % p)
+        if e < 1:
+            raise ValueError("e must be >= 1, got %d" % e)
         self.p = p
         self.e = e
         self.q = p ** e
         self.modulus = modulus  # ascending coeff tuple over F_p, monic, len e+1
         if e == 1:
-            assert modulus is None
-        else:
-            assert modulus is not None and len(modulus) == e + 1 and modulus[-1] == 1
+            if modulus is not None:
+                raise ValueError("a prime field takes no modulus")
+        elif modulus is None or len(modulus) != e + 1 or modulus[-1] != 1:
+            raise ValueError("F_%d needs a monic modulus of degree %d, got %r"
+                             % (self.q, e, modulus))
         self._build_tables()
 
     # -- encoding helpers ------------------------------------------------
@@ -66,84 +73,128 @@ class FieldCtx:
             a = a * self.p + (d % self.p)
         return a
 
+    def _schoolbook_mul(self, a, b):
+        """a * b by multiplying digit vectors and reducing modulo the
+        modulus; it and _schoolbook_pow only build the extension tables."""
+        p, e, mod = self.p, self.e, self.modulus
+        db = [(j, y) for j, y in enumerate(self.digits(b)) if y]
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(self.digits(a)):
+            if x:
+                for j, y in db:
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        for i in range(len(prod) - 1, e - 1, -1):
+            c = prod[i]
+            if c:
+                prod[i] = 0
+                for j in range(e):
+                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
+        return self.encode(prod[:e])
+
+    def _schoolbook_pow(self, a, n):
+        r = 1
+        while n:
+            if n & 1:
+                r = self._schoolbook_mul(r, a)
+            a = self._schoolbook_mul(a, a)
+            n >>= 1
+        return r
+
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._mul = None
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-        else:
-            mod = self.modulus
-            mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                da = self.digits(a)
-                for b in range(a, q):
-                    db = self.digits(b)
-                    prod = [0] * (2 * e - 1)
-                    for i, x in enumerate(da):
-                        if x:
-                            for j, y in enumerate(db):
-                                prod[i + j] = (prod[i + j] + x * y) % p
-                    # reduce modulo the defining polynomial
-                    for i in range(len(prod) - 1, e - 1, -1):
-                        c = prod[i]
-                        if c:
-                            prod[i] = 0
-                            for j in range(e):
-                                prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-                    v = self.encode(prod[:e])
-                    mul[a][b] = v
-                    mul[b][a] = v
-            self._mul = mul
-            inv = [0] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if mul[a][b] == 1:
-                        inv[a] = b
-                        break
-            self._inv = inv
-        # square roots: smallest root wins
-        roots = [None] * q
-        for a in range(q - 1, -1, -1):
-            roots[self.mul(a, a)] = a
-        self._sqrt = roots
+        """For an extension field, the powers of the smallest primitive
+        element g (twice over, so a sum of two logs needs no reduction),
+        their logs, and the Zech logs zech[k] = log(1 + g^k), None where
+        1 + g^k = 0.  A prime field needs no table."""
+        p, q = self.p, self.q
+        self._sqrt = None  # built on the first sqrt call
+        if self.e == 1:
+            return
+        g = self._smallest_primitive(self._schoolbook_pow)
+        powers, x = [], 1
+        for _ in range(q - 1):
+            powers.append(x)
+            x = self._schoolbook_mul(x, g)
+        log = [None] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        # 1 + x adds 1 to the constant digit (mod p); log[0] is None
+        self._zech = [log[x - x % p + (x + 1) % p] for x in powers]
+        self._exp = powers + powers
+        self._log = log
+        # -1 = g^half: (q - 1)/2 for odd q, 0 in characteristic 2
+        self._half = (q - 1) // 2 if p != 2 else 0
+
+    def _smallest_primitive(self, power):
+        """The smallest encoding of multiplicative order q - 1, given
+        power(a, k) = a^k: g qualifies iff g^((q-1)/r) != 1 for every
+        prime r dividing q - 1."""
+        q1 = self.q - 1
+        cofactors = [q1 // r for r in range(2, q1 + 1) if q1 % r == 0 and _is_prime(r)]
+        return next(g for g in range(1, self.q)
+                    if all(power(g, k) != 1 for k in cofactors))
+
+    def primitive_element(self):
+        """The smallest encoding that generates the multiplicative group;
+        for an extension field it is the base of the log tables."""
+        return self._smallest_primitive(self.pow)
 
     # -- element arithmetic ----------------------------------------------
+    # An extension-field element a != 0 is g^log[a]: mul adds logs, and add
+    # uses g^i + g^j = g^(i + zech[j - i]).
 
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        return self.encode([(x + y) % p for x, y in zip(self.digits(a), self.digits(b))])
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a negative index wraps mod q - 1, the length of _zech
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        p = self.p
-        return self.encode([(x - y) % p for x, y in zip(self.digits(a), self.digits(b))])
+        if not b:
+            return a
+        nb = self._exp[self._log[b] + self._half]  # -b
+        if not a:
+            return nb
+        log = self._log
+        la = log[a]
+        z = self._zech[log[nb] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a):
-        return self.sub(0, a)
+        if self.e == 1:
+            return -a % self.p
+        return self._exp[self._log[a] + self._half] if a else 0
 
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        return self._mul[a][b]
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_q")
-        return self._inv[a]
+        if self.e == 1:
+            return pow(a, self.p - 2, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a, n):
         if n < 0:
             a, n = self.inv(a), -n
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        if self.e == 1:
+            return pow(a, n, self.p)
+        if not a:
+            return 0 if n else 1
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def elements(self):
         return range(self.q)
@@ -160,6 +211,11 @@ class FieldCtx:
 
     def sqrt(self, a):
         """A square root of a, or None; the smaller encoding of the two roots."""
+        if self._sqrt is None:
+            roots = [None] * self.q
+            for r in range(self.q - 1, -1, -1):
+                roots[self.mul(r, r)] = r
+            self._sqrt = roots
         return self._sqrt[a]
 
     def abs_trace(self, a):
@@ -172,7 +228,9 @@ class FieldCtx:
         for _ in range(self.e):
             t = self.add(t, x)
             x = self.pow(x, self.p)
-        assert t < self.p
+        if t >= self.p:
+            raise AssertionError("absolute trace of %s is %s, outside the prime field"
+                                 % (self.elem_str(a), self.elem_str(t)))
         return t
 
     # -- element text syntax ----------------------------------------------
@@ -246,12 +304,8 @@ def make_field(p, e=1):
 
 @memo
 def _make_field(p, e):
-    if not _is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if e == 1:
-        return FieldCtx(p, 1)
+    if e <= 1:
+        return FieldCtx(p, e)
     fp = make_field(p, 1)
     for tail in itertools.product(range(p), repeat=e):
         cand = tail + (1,)
@@ -349,7 +403,8 @@ def ppow(ctx, A, n):
 def enumerate_irreducibles(ctx, d):
     """All monic irreducibles of degree d over ctx, sorted lexicographically
     by ascending coefficient vector.  Includes X itself at degree 1."""
-    assert d >= 1
+    if d < 1:
+        raise ValueError("degree must be >= 1, got %d" % d)
     out = []
     for tail in itertools.product(range(ctx.q), repeat=d):
         cand = tail + (1,)
@@ -408,7 +463,9 @@ def factor(ctx, P):
     check = (1,)
     for Q, m in out:
         check = pmul(ctx, check, ppow(ctx, Q, m))
-    assert check == P
+    if check != P:
+        raise AssertionError("factor: the factors of %s multiply back to %s"
+                             % (poly_str(ctx, P), poly_str(ctx, check)))
     return out
 
 

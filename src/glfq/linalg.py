@@ -29,10 +29,6 @@ def transpose(A):
     return tuple(zip(*A)) if A else ()
 
 
-def mat_add(ctx, A, B):
-    return tuple(tuple(ctx.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_sub(ctx, A, B):
     return tuple(tuple(ctx.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
@@ -203,14 +199,14 @@ def charpoly(ctx, A):
 
 
 def apply_poly(ctx, P, A):
-    """P(A) for a square matrix A."""
+    """P(A) for a square matrix A, by Horner's rule."""
     n, _ = shape(A)
     R = zeros(n, n)
     for c in reversed(P):
         R = mat_mul(ctx, R, A)
         if c:
-            cI = tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
-            R = mat_add(ctx, R, cI)
+            R = tuple(row[:i] + (ctx.add(row[i], c),) + row[i + 1:]
+                      for i, row in enumerate(R))
     return R
 
 

@@ -34,6 +34,24 @@ def test_type_rejects_singular_matrix(capsys):
     assert "singular" in err
 
 
+def test_class_size_at_q_4096(capsys):
+    code, out, _ = run(
+        capsys, "class-size", "--q", "4096", "--n", "3", "--type", "{X+1:(2,1)}")
+    assert code == 0
+    q = 4096
+    assert int(out) == (q ** 3 - 1) * (q + 1)  # the transvections of GL(3, q)
+
+
+def test_generic_product_names_inputs_with_unipotent_parts(capsys):
+    code, out, err = run(
+        capsys, "generic-product", "--q", "2", "--a", "{X+1:(2)}",
+        "--b", "{X^2+X+1:(1)}")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == (
+        "error: inputs must have no (X-1) parts after reduction: {X+1:(2)}")
+
+
 def test_census_json_consistent_with_class_size(capsys):
     code, out, _ = run(capsys, "census", "--q", "2", "--n", "2", "--json")
     assert code == 0

@@ -112,3 +112,11 @@ def test_polypartition_validation_raises_value_error():
     with pytest.raises(ValueError):
         Polypartition(ctx, ((linear_poly(ctx, 1), Partition((1,))),
                             (linear_poly(ctx, 1), Partition((2,)))))
+
+
+@pytest.mark.parametrize("p,e,text", [
+    (3, 1, "1,2;2,1"), (2, 2, "t,1;t+1,t"), (2, 1, "0,0,0;0,1,0;0,0,1")])
+def test_type_of_rejects_singular_matrix(p, e, text):
+    ctx = make_field(p, e)
+    with pytest.raises(ValueError, match="type_of requires an invertible matrix"):
+        type_of(ctx, linalg.mat_parse(ctx, text))

@@ -1,10 +1,17 @@
 """Field arithmetic, polynomial helpers, and irreducibility."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glfq.fields import (
+    FieldCtx,
     enumerate_irreducibles,
     factor,
     is_irreducible,
@@ -121,3 +128,165 @@ def test_elem_parse_rejects_out_of_range_extension_coefficients():
     # prime fields reduce integer literals mod p
     assert make_field(5).elem_parse("7") == 2
     assert make_field(5).elem_parse("-1") == 4
+
+
+class SchoolbookField:
+    """Reference arithmetic on base-p digit vectors modulo ctx.modulus,
+    computed afresh on every call without any of the field's tables."""
+
+    def __init__(self, ctx):
+        self.p, self.e, self.q, self.mod = ctx.p, ctx.e, ctx.q, ctx.modulus
+
+    def digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.e)]
+
+    def encode(self, digs):
+        return sum(d % self.p * self.p ** i for i, d in enumerate(digs))
+
+    def add(self, a, b):
+        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def sub(self, a, b):
+        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def mul(self, a, b):
+        e = self.e
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * e - 2, e - 1, -1):  # X^e = -(mod[0] + ... + mod[e-1] X^(e-1))
+            c, prod[i] = prod[i], 0
+            for j in range(e):
+                prod[i - e + j] -= c * self.mod[j]
+        return self.encode(prod[:e])
+
+    def inv(self, a):  # a^(q-2) by repeated multiplication
+        r = 1
+        for _ in range(self.q - 2):
+            r = self.mul(r, a)
+        return r
+
+
+SMALL_EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
+                    (7, 2), (2, 6), (3, 4)]
+
+
+@pytest.mark.parametrize("p,e", SMALL_EXTENSIONS)
+def test_extension_field_matches_schoolbook_exhaustively(p, e):
+    ctx = make_field(p, e)
+    ref = SchoolbookField(ctx)
+    for a, b in itertools.product(ctx.elements(), repeat=2):
+        assert ctx.add(a, b) == ref.add(a, b), (a, b)
+        assert ctx.sub(a, b) == ref.sub(a, b), (a, b)
+        assert ctx.mul(a, b) == ref.mul(a, b), (a, b)
+    for a in ctx.elements():
+        assert ctx.neg(a) == ref.neg(a)
+        if a:
+            assert ctx.inv(a) == ref.inv(a)
+    with pytest.raises(ZeroDivisionError):
+        ctx.inv(0)
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (2, 9), (2, 10)])
+def test_extension_field_matches_schoolbook_sampled(p, e):
+    ctx = make_field(p, e)
+    ref = SchoolbookField(ctx)
+    rng = random.Random(p ** e)
+    for _ in range(20000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        assert ctx.add(a, b) == ref.add(a, b), (a, b)
+        assert ctx.sub(a, b) == ref.sub(a, b), (a, b)
+        assert ctx.mul(a, b) == ref.mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("p,e", FIELDS + SMALL_EXTENSIONS)
+def test_sqrt_is_smallest_root(p, e):
+    ctx = make_field(p, e)
+    for a in ctx.elements():
+        roots = [r for r in ctx.elements() if ctx.mul(r, r) == a]
+        assert ctx.sqrt(a) == (roots[0] if roots else None)
+
+
+@pytest.mark.parametrize("p,e", FIELDS + SMALL_EXTENSIONS)
+def test_primitive_element_is_smallest_generator(p, e):
+    ctx = make_field(p, e)
+
+    def order(a):
+        k, x = 1, a
+        while x != 1:
+            k, x = k + 1, ctx.mul(x, a)
+        return k
+
+    g = ctx.primitive_element()
+    assert order(g) == ctx.q - 1
+    assert all(order(a) < ctx.q - 1 for a in range(1, g))
+
+
+def _field_axioms_hold(ctx, a, b, c):
+    assert ctx.add(a, b) == ctx.add(b, a)
+    assert ctx.mul(a, b) == ctx.mul(b, a)
+    assert ctx.add(ctx.add(a, b), c) == ctx.add(a, ctx.add(b, c))
+    assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
+    assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+    assert ctx.add(a, 0) == a and ctx.mul(a, 1) == a and ctx.mul(a, 0) == 0
+    assert ctx.add(a, ctx.neg(a)) == 0
+    assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
+    assert ctx.add(ctx.sub(a, b), b) == a
+    if a:
+        assert ctx.mul(a, ctx.inv(a)) == 1
+        assert ctx.pow(a, -3) == ctx.inv(ctx.mul(a, ctx.mul(a, a)))
+    assert ctx.pow(a, ctx.q) == a  # Frobenius fixes F_q
+
+
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 6), (2, 12)])
+def test_field_axioms_property(p, e):
+    ctx = make_field(p, e)
+    elems = st.integers(min_value=0, max_value=ctx.q - 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(elems, elems, elems)
+    def check(a, b, c):
+        _field_axioms_hold(ctx, a, b, c)
+
+    check()
+
+
+def test_make_field_2_12_keeps_the_smallest_modulus():
+    ctx = make_field(2, 12)
+    # X^12 + X^9 + 1: the smallest coefficient vector, constant term first
+    assert ctx.modulus == (1,) + (0,) * 8 + (1, 0, 0, 1)
+    assert is_irreducible(make_field(2), ctx.modulus)
+
+
+def test_field_checks_raise_value_errors():
+    with pytest.raises(ValueError, match="not prime"):
+        FieldCtx(4, 1)
+    with pytest.raises(ValueError, match="e must be >= 1"):
+        FieldCtx(2, 0)
+    with pytest.raises(ValueError, match="no modulus"):
+        FieldCtx(3, 1, modulus=(0, 1))
+    with pytest.raises(ValueError, match="monic modulus of degree 2"):
+        FieldCtx(2, 2, modulus=(1, 1))
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        enumerate_irreducibles(make_field(2), 0)
+
+
+def test_field_checks_survive_optimized_mode():
+    code = (
+        "from glfq.fields import FieldCtx, enumerate_irreducibles, make_field\n"
+        "for call in (lambda: FieldCtx(2, 2, modulus=(1, 1)),\n"
+        "             lambda: enumerate_irreducibles(make_field(2), 0)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('no ValueError under -O')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
