@@ -80,9 +80,11 @@ def cmd_type(args):
     g = linalg.mat_parse(ctx, args.mat)
     if any(len(row) != len(g) for row in g):
         raise SystemExit2("matrix must be square")
-    if not linalg.is_invertible(ctx, g):
-        raise SystemExit2("matrix is singular")
-    print(format_polypartition(type_of(ctx, g)))
+    try:
+        mu = type_of(ctx, g)
+    except ValueError:
+        raise SystemExit2("matrix is singular") from None
+    print(format_polypartition(mu))
     return 0
 
 
@@ -99,11 +101,16 @@ def cmd_census(args):
     total = 0
     rows = []
     for mu in sorted(buckets, key=format_polypartition):
-        cnt = buckets[mu]
-        assert cnt == class_size(mu, args.n)
+        cnt, size = buckets[mu], class_size(mu, args.n)
+        if cnt != size:
+            raise AssertionError("census counts %d of type %s, class_size %d"
+                                 % (cnt, format_polypartition(mu), size))
         total += cnt
         rows.append((format_polypartition(mu), cnt))
-    assert total == gl_order(ctx.q, args.n)
+    order = gl_order(ctx.q, args.n)
+    if total != order:
+        raise AssertionError("census counts %d elements, |GL(%d, F_%d)| = %d"
+                             % (total, args.n, ctx.q, order))
     if args.json:
         print(json.dumps(
             [{"type": t, "size": c} for t, c in rows], indent=2))
@@ -179,12 +186,16 @@ def cmd_degree1(args):
 def cmd_count(args):
     ctx = _field_from_args(args)
     q = ctx.q
-    if args.what == "E":
-        print(partial_iso.count_E(q, args.n, args.kplus, args.k, args.k1))
-    elif args.what == "F":
-        print(partial_iso.count_F(q, args.kplus, args.k, args.k1))
-    else:
-        print(subspaces.num_subspaces(q, args.n, args.k))
+    try:
+        if args.what == "E":
+            out = partial_iso.count_E(q, args.n, args.kplus, args.k, args.k1)
+        elif args.what == "F":
+            out = partial_iso.count_F(q, args.kplus, args.k, args.k1)
+        else:
+            out = subspaces.num_subspaces(q, args.n, args.k)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
+    print(out)
     return 0
 
 

@@ -134,11 +134,6 @@ def inverse(ctx, A):
     return tuple(row[n:] for row in R)
 
 
-def is_invertible(ctx, A):
-    n, m = shape(A)
-    return n == m and rank(ctx, A) == n
-
-
 def kernel_basis(ctx, A):
     """RREF row basis of the right kernel {x : A x = 0}."""
     m, n = shape(A)

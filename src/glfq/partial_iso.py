@@ -158,7 +158,8 @@ def count_E(q, n, k_plus, k, k1):
     shape (the two notions coincide exactly when the composite has no
     fixed vector; see trivial_extensions_fixed_right)."""
     if not (0 <= k1 <= k <= k_plus <= n):
-        raise ValueError("need 0 <= k1 <= k <= k_plus <= n")
+        raise ValueError("need 0 <= k1 <= k <= k_plus <= n, got k1=%d, k=%d, "
+                         "k_plus=%d, n=%d" % (k1, k, k_plus, n))
     return (q ** ((k - k1) * (k_plus - k)) * num_free_families(q, n, k_plus)
             // num_free_families(q, n, k))
 
@@ -167,7 +168,8 @@ def count_F(q, k_plus, k, k1):
     """Number of strict trivial extensions with both spaces fixed (k1 = 0
     again gives the compatible-extension count)."""
     if not (0 <= k1 <= k <= k_plus):
-        raise ValueError("need 0 <= k1 <= k <= k_plus")
+        raise ValueError("need 0 <= k1 <= k <= k_plus, got k1=%d, k=%d, k_plus=%d"
+                         % (k1, k, k_plus))
     return count_E(q, k_plus, k_plus, k, k1)
 
 
@@ -577,7 +579,9 @@ def _supported_automorphisms(ctx, nu, S, m, fix_class=False):
     restriction is frozen to the Jordan representative (valid inside an
     average that is invariant under conjugation fixing S)."""
     s = S.dim
-    assert nu.size == s
+    if nu.size != s:
+        raise ValueError("type %r has size %d, but the subspace has dimension %d"
+                         % (nu, nu.size, s))
     rows_basis = subspaces.extend_basis(ctx, S, subspaces.full_subspace(m))
     comp_rows = rows_basis[s:]
     reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, s)
@@ -611,10 +615,16 @@ def _invariant_product_classes(ctx, lam, mu, n):
     A runs over automorphisms of the middle space that restrict to type lam
     on V = Span(e_1..e_k) and act as the identity on the quotient by V (the
     restriction may be frozen to the Jordan form since everything else is
-    averaged); B runs over the same set for W, which itself runs over the
-    l-dimensional subspaces with V + W = middle space.  The law of m is the
-    dimension-of-sum law.  Cross-checked exactly against the double orbit
-    sum in the test suite."""
+    averaged); B runs over the same set for an l-dimensional W with
+    V + W = middle space.  The law of m is the dimension-of-sum law.
+
+    Orbit lemma: conjugation by the g in GL(m) fixing V pointwise maps the
+    A onto themselves and the B for W onto the B for gW, and keeps the type
+    of B A, so the counts depend on W only through its orbit.  The orbits
+    are indexed by U = V cap W in Gr(d, V), d = k + l - m, and have the
+    same size q^((k-d)(m-k)), which cancels in the average: W runs over
+    U + Span(e_{k+1}..e_m) only.  Cross-checked exactly against the double
+    orbit sum and against the sum over every W in the test suite."""
     k, l = lam.size, mu.size
     q = ctx.q
     out = {}
@@ -626,13 +636,14 @@ def _invariant_product_classes(ctx, lam, mu, n):
             e = empty_polypartition(ctx)
             out[e] = out.get(e, Fraction(0)) + pm
             continue
-        V = subspaces.from_rows(ctx, linalg.identity(m)[:k], m)
+        ident = linalg.identity(m)
+        V = subspaces.from_rows(ctx, ident[:k], m)
         A_list = _supported_automorphisms(ctx, lam, V, m, fix_class=True)
         counts = {}
         total = 0
-        for W in subspaces.enumerate_subspaces(ctx, m, l):
-            if subspaces.subspace_sum(ctx, V, W).dim != m:
-                continue
+        for U in subspaces.enumerate_subspaces(ctx, k, k + l - m):
+            W = subspaces.from_rows(
+                ctx, tuple(row + (0,) * (m - k) for row in U.basis) + ident[k:], m)
             B_list = _supported_automorphisms(ctx, mu, W, m)
             for A in A_list:
                 for B in B_list:

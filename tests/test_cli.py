@@ -82,6 +82,18 @@ def test_generic_product_verified(capsys):
     assert data["rhs"] and data["S"]
 
 
+@pytest.mark.parametrize("a", ["{X+1:(2)}", "{X+1:(1,1)}"])
+def test_generic_product_size_two_at_q3(capsys, a):
+    # k = 2, l = 1 at q=3: the middle-space sum runs over the four lines of
+    # V = (F_3)^2 when m = 2
+    code, out, err = run(
+        capsys, "generic-product", "--q", "3", "--a", a, "--b", "{X+1:(1)}",
+        "--verify-at", "3")
+    assert code == 0
+    assert "verification at n=3: PASS" in err
+    assert out
+
+
 def test_generic_product_rejects_unipotent_input(capsys):
     code, _, err = run(
         capsys, "generic-product", "--q", "2",
@@ -119,6 +131,29 @@ def test_count_subcommand(capsys):
         "3", "--k", "1", "--k1", "0")
     assert code == 0
     assert int(out.strip()) > 0
+
+
+@pytest.mark.parametrize("what,argv,message", [
+    ("E", ("--n", "4"),
+     "need 0 <= k1 <= k <= k_plus <= n, got k1=1, k=2, k_plus=1, n=4"),
+    ("F", (), "need 0 <= k1 <= k <= k_plus, got k1=1, k=2, k_plus=1"),
+])
+def test_count_range_error_names_values(capsys, what, argv, message):
+    code, out, err = run(
+        capsys, "count", "--q", "4", "--what", what, *argv, "--k", "2",
+        "--kplus", "1", "--k1", "1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "usage error: " + message
+
+
+def test_census_mismatch_is_a_computation_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "class_size", lambda mu, n: 0)
+    code, out, err = run(capsys, "census", "--q", "2", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: census counts ")
+    assert err.strip().endswith(", class_size 0")
 
 
 def test_ranklaw_subcommand(capsys):

@@ -47,7 +47,7 @@ def test_jordan_matrix_has_its_type(p, e, n):
     ctx = make_field(p, e)
     for mu in enumerate_polypartitions(ctx, n):
         J = jordan_matrix(mu)
-        assert linalg.is_invertible(ctx, J)
+        assert linalg.rank(ctx, J) == n
         assert type_of(ctx, J) == mu
 
 

@@ -35,7 +35,7 @@ def test_inverse(p, e):
     while found < 30:
         n = rng.randint(1, 4)
         A = random_matrix(ctx, rng, n)
-        if not linalg.is_invertible(ctx, A):
+        if linalg.rank(ctx, A) != n:
             continue
         found += 1
         B = linalg.inverse(ctx, A)
@@ -76,7 +76,7 @@ def test_charpoly_determinant_and_trace():
         det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
         tr = ctx.add(a, d)
         assert cp == (det, ctx.neg(tr), 1)
-        assert linalg.is_invertible(ctx, A) == (peval(ctx, cp, 0) != 0)
+        assert (linalg.rank(ctx, A) == 2) == (peval(ctx, cp, 0) != 0)
 
 
 def test_kernel_basis():

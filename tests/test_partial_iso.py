@@ -9,10 +9,13 @@ from glfq import linalg, partial_iso as pi, subspaces
 from glfq.conjtype import (
     Partition,
     Polypartition,
+    empty_polypartition,
     enumerate_polypartitions,
     parse_polypartition,
+    type_of,
 )
 from glfq.fields import linear_poly, make_field
+from glfq.ranklaw import dim_sum_law
 
 
 def identity_elem(ctx, n, S):
@@ -267,6 +270,53 @@ def test_invariant_product_engines_agree(q, n):
         got = pi.invariant_product(lam, mu, n)
         assert pi._invariant_product_orbits(ctx, lam, mu, n) == got
         assert pi.invariant_product(mu, lam, n) == got
+
+
+def classes_over_every_w(ctx, lam, mu, n):
+    """The middle-dimension engine without its orbit reduction: for each
+    middle dimension m, W runs over every l-dimensional subspace of
+    (F_q)^m with V + W = (F_q)^m."""
+    k, l = lam.size, mu.size
+    out = {}
+    for m in range(max(k, l), min(n, k + l) + 1):
+        pm = dim_sum_law(n, ctx.q, 0, k, l, m)
+        if pm == 0:
+            continue
+        if m == 0:
+            e = empty_polypartition(ctx)
+            out[e] = out.get(e, Fraction(0)) + pm
+            continue
+        V = subspaces.from_rows(ctx, linalg.identity(m)[:k], m)
+        A_list = pi._supported_automorphisms(ctx, lam, V, m, fix_class=True)
+        counts = {}
+        total = 0
+        for W in subspaces.enumerate_subspaces(ctx, m, l):
+            if subspaces.subspace_sum(ctx, V, W).dim != m:
+                continue
+            B_list = pi._supported_automorphisms(ctx, mu, W, m)
+            for A in A_list:
+                for B in B_list:
+                    t = type_of(ctx, linalg.mat_mul(ctx, B, A))
+                    counts[t] = counts.get(t, 0) + 1
+                    total += 1
+        for t, c in counts.items():
+            out[t] = out.get(t, Fraction(0)) + pm * Fraction(c, total)
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("q,n,left,right", [(2, 3, (1, 2), (1, 2)), (3, 2, (2,), (1,))])
+def test_invariant_product_orbit_reduction(q, n, left, right):
+    """The sum over one W per intersection U of V and W against the sum over
+    every W, where d = k + l - m >= 1 gives several U: every ordered pair of
+    types of size 1 and 2 at q=2, n=3 (m=3 with k=l=2 has three U), and
+    every size-2 type times a size-1 type at q=3, n=2."""
+    ctx = make_field(q)
+    lams = [lam for k in left for lam in enumerate_polypartitions(ctx, k)]
+    mus = [mu for l in right for mu in enumerate_polypartitions(ctx, l)]
+    for lam in lams:
+        for mu in mus:
+            assert pi.invariant_product(lam, mu, n) == classes_over_every_w(
+                ctx, lam, mu, n)
 
 
 def test_phi_on_hat_elements():
