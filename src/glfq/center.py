@@ -27,7 +27,15 @@ from .conjtype import (
     type_of,
 )
 from .fields import linear_poly
-from .partial_iso import AlgElem, invariant_product
+from .partial_iso import AlgElem, invariant_product, invariant_product_work
+
+# fh_polynomials refuses a product whose invariant_product would make more
+# type_of calls than this (several minutes at 0.3 ms or more a call)
+MAX_TYPE_OF_CALLS = 10 ** 6
+
+
+class WorkCapExceeded(ValueError):
+    """fh_polynomials was asked for a product above MAX_TYPE_OF_CALLS."""
 
 
 class CentralVector(AlgElem):
@@ -455,7 +463,10 @@ def fh_polynomials(lam, mu):
 
     and expanding each Pi_n(Ahat_nu) by the padded-unipotent law gives, per
     reduced output type, a ratio of Laurent polynomials in X = q^n whose
-    exact quotient is asserted to be a genuine polynomial."""
+    exact quotient is asserted to be a genuine polynomial.  Raises
+    WorkCapExceeded, before any enumeration, when the invariant product at
+    n0 = |lam| + |mu| of the reduced types would make more than
+    MAX_TYPE_OF_CALLS type_of calls."""
     ctx = lam.ctx
     q = ctx.q
     lam = reduce_polypartition(lam)[0]
@@ -465,7 +476,11 @@ def fh_polynomials(lam, mu):
         raise ValueError("inputs must have no (X-1) parts after reduction: %s"
                          % ", ".join(map(format_polypartition, bad)))
     k, l = lam.size, mu.size
-    S = generic_S(lam, mu)
+    work = invariant_product_work(lam, mu, k + l)
+    if work > MAX_TYPE_OF_CALLS:
+        raise WorkCapExceeded("this product needs %d type_of calls, above the cap of %d"
+                              % (work, MAX_TYPE_OF_CALLS))
+    S = generic_S(lam, mu, k + l)
     gathered = {}
     for nu, S_nu in S.items():
         other, pi = _split_x1(nu)

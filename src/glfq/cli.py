@@ -134,7 +134,10 @@ def cmd_generic_product(args):
     ctx = _field_from_args(args)
     lam = parse_polypartition(ctx, args.a)
     mu = parse_polypartition(ctx, args.b)
-    gp = center.fh_polynomials(lam, mu)
+    try:
+        gp = center.fh_polynomials(lam, mu)
+    except center.WorkCapExceeded as exc:
+        raise SystemExit2(str(exc)) from None
     if args.verify_at is not None:
         report = center.verify_fh(gp, [args.verify_at])
         status = "PASS" if report["ok"] else "FAIL"

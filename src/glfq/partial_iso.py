@@ -125,7 +125,10 @@ def canonical_piso(ctx, E, F, A, B):
     E and F are row bases of the two spaces (not necessarily RREF), A is the
     matrix of g1 with respect to (E, F) and B the matrix of g2 with respect
     to (F, E), both acting on coordinate columns.  Rewrites everything in
-    the RREF bases.
+    the RREF bases: with D E and C F in RREF, mat(g1) = (D A^T C^{-1})^T
+    and mat(g2) = D^{-T} B C^T.  Neither inverse has to be computed: an
+    RREF basis is the identity at its pivot columns, so C^{-1} is F read at
+    the pivots of Span(F) and D^{-1} is E read at the pivots of Span(E).
     """
     k = len(E)
     n = len(E[0]) if k else 0
@@ -199,6 +202,16 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     resulting product is associative, whereas averaging over strict
     extensions is not associative once q > 2 (colinear counterexamples
     exist in dimension 2).
+
+    The extensions are built directly in canonical coordinates, in the
+    order canonical_piso(E+, F+, I, [[G, P], [0, I]]) would give them, F+
+    being the fixed basis of W+ and E+ running over the completions of E.
+    With C F+ and D E+ in RREF, C^{-1} is F+ read at the pivots of W+ and
+    D^{-1} is E+ read at the pivots of V+ = Span(E+) (the rows' canonical
+    coordinates), so C comes from one inversion per call, D from the row
+    reduction that gives V+, once per completion, and then
+    mat(g1+) = (D C^{-1})^T (independent of P) and
+    mat(g2+) = D^{-T} [[G, P], [0, I]] C^T.
     """
     n, k = x.n, x.dim
     k_plus = W_plus.dim
@@ -220,13 +233,20 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     else:
         E, G, cols = (), (), [()]
     completions = subspaces.enumerate_completions(ctx, E, k_plus, n, within=left_inside)
-    ident = linalg.identity(k_plus)
-    lower = tuple((0,) * k + ident[i][k:] for i in range(k, k_plus))
+    mat_mul, transpose = linalg.mat_mul, linalg.transpose
+    C_inv = tuple(W_plus.coords(f) for f in F_plus)
+    Ct = transpose(linalg.inverse(ctx, C_inv))
+    lower = tuple((0,) * k + row[k:] for row in linalg.identity(k_plus)[k:])
     out = []
     for E_plus in completions:
+        RV, pivV, D = linalg.rref(ctx, E_plus, transform=True)
+        V_plus = subspaces.Subspace(n, RV, pivV)
+        g1 = transpose(mat_mul(ctx, D, C_inv))
+        D_inv_t = transpose(tuple(V_plus.coords(e) for e in E_plus))
         for choice in itertools.product(cols, repeat=k_plus - k):
             upper = tuple(G[i] + tuple(c[i] for c in choice) for i in range(k))
-            out.append(canonical_piso(ctx, E_plus, F_plus, ident, upper + lower))
+            g2 = mat_mul(ctx, mat_mul(ctx, D_inv_t, upper + lower), Ct)
+            out.append(PartialIso(V_plus, W_plus, g1, g2))
     return out
 
 
@@ -350,21 +370,27 @@ def _basis_product(ctx, a, b):
     """Product of two basis elements, as a dict piso -> Fraction (mass 1).
 
     Averages over compatible (not strict) extensions to the middle space;
-    this is what makes the product associative."""
+    this is what makes the product associative.  Each composite is counted
+    as an int and the counts are divided by |right| |left| once.  When
+    a.W == b.V the middle space is a.W itself, each factor is its own only
+    extension, and the product is the single composite, built at once."""
+    mat_mul = linalg.mat_mul
+    if a.W == b.V:
+        t = PartialIso(a.V, b.W, mat_mul(ctx, b.g1, a.g1), mat_mul(ctx, a.g2, b.g2))
+        return {t: Fraction(1)}
     M = subspaces.subspace_sum(ctx, a.W, b.V)
     right = trivial_extensions_fixed_right(ctx, a, M, strict=False)
     left = trivial_extensions_fixed_left(ctx, b, M, strict=False)
-    w = Fraction(1, len(right) * len(left))
-    out = {}
-    mat_mul = linalg.mat_mul
+    counts = {}
     for ea in right:
         Va, a1, a2 = ea.V, ea.g1, ea.g2
         for eb in left:
             t = PartialIso(
                 Va, eb.W, mat_mul(ctx, eb.g1, a1), mat_mul(ctx, a2, eb.g2)
             )
-            out[t] = out.get(t, 0) + w
-    return out
+            counts[t] = counts.get(t, 0) + 1
+    total = len(right) * len(left)
+    return {t: Fraction(c, total) for t, c in counts.items()}
 
 
 _PRODUCT_CACHE = _basis_product.cache
@@ -483,7 +509,10 @@ def all_pisos(ctx, n):
                 for g1 in gl:
                     for g2 in gl:
                         out.append(PartialIso(V, W, g1, g2))
-    assert len(out) == card_iso(ctx.q, n)
+    if len(out) != card_iso(ctx.q, n):
+        raise AssertionError("all_pisos built %d partial isomorphisms, "
+                             "|I(%d, F_%d)| = %d"
+                             % (len(out), n, ctx.q, card_iso(ctx.q, n)))
     return out
 
 
@@ -519,7 +548,10 @@ def orbit_of_type(mu, n):
                 for W in subs:
                     for g2 in g2s:
                         out.append(PartialIso(V, W, g1, g2))
-    assert len(out) == orbit_size(mu, n)
+    if len(out) != orbit_size(mu, n):
+        raise AssertionError("orbit of type %r in dimension %d has %d elements, "
+                             "orbit_size says %d"
+                             % (mu, n, len(out), orbit_size(mu, n)))
     return out
 
 
@@ -665,6 +697,22 @@ def invariant_product(lam, mu, n):
     if lam.size > n or mu.size > n:
         raise ValueError("type size exceeds ambient dimension")
     return _invariant_product_classes(lam.ctx, lam, mu, n)
+
+
+def invariant_product_work(lam, mu, n):
+    """The exact number of type_of calls invariant_product(lam, mu, n)
+    makes, in closed form and without enumerating: for each middle
+    dimension m of positive probability, |A_list| |B_list| #U with
+    |A_list| = q^(k(m-k)), |B_list| = class_size(mu, l) q^(l(m-l)) and
+    #U = [k choose k+l-m]_q."""
+    k, l = lam.size, mu.size
+    q = lam.ctx.q
+    work = 0
+    for m in range(max(k, l), min(n, k + l) + 1):
+        if m and dim_sum_law(n, q, 0, k, l, m):
+            work += (q ** (k * (m - k)) * class_size(mu, l) * q ** (l * (m - l))
+                     * subspaces.num_subspaces(q, k, k + l - m))
+    return work
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,9 @@ def full_subspace(n):
 
 
 def subspace_sum(ctx, A, B):
-    assert A.ambient == B.ambient
+    if A.ambient != B.ambient:
+        raise ValueError("cannot add subspaces of (F_q)^%d and (F_q)^%d"
+                         % (A.ambient, B.ambient))
     return from_rows(ctx, A.basis + B.basis, A.ambient)
 
 

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from glfq import cli
+from glfq import center, cli, partial_iso
+from glfq.conjtype import parse_polypartition
+from glfq.fields import make_field
 
 
 def run(capsys, *argv):
@@ -94,12 +96,44 @@ def test_generic_product_size_two_at_q3(capsys, a):
     assert out
 
 
-def test_generic_product_rejects_unipotent_input(capsys):
-    code, _, err = run(
+def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 100)
+    monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
+    code, out, err = run(
         capsys, "generic-product", "--q", "2",
-        "--a", "{X+1:(2)}", "--b", "{X+1:(2)}")
-    assert code == 1
-    assert "error" in err
+        "--a", "{X^2+X+1:(1)}", "--b", "{X^2+X+1:(1)}")
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: this product needs 610 type_of calls, "
+                   "above the cap of 100\n")
+
+
+@pytest.mark.parametrize("q,a,b", [
+    # the two slowest products known to finish (about 17 s and 10 s on a
+    # 2-vCPU VM), then the largest generic-product requests of perfbench
+    (3, "{X+1:(2)}", "{X+1:(2)}"),
+    (3, "{X^2+1:(1)}", "{X^2+1:(1)}"),
+    (2, "{X^2+X+1:(1)}", "{X^2+X+1:(1)}"),
+    (7, "{X+1:(1)}", "{X+6:(1)}"),
+])
+def test_documented_slow_products_stay_below_cap(q, a, b):
+    ctx = make_field(q)
+    lam, mu = parse_polypartition(ctx, a), parse_polypartition(ctx, b)
+    work = partial_iso.invariant_product_work(lam, mu, lam.size + mu.size)
+    assert 0 < work <= center.MAX_TYPE_OF_CALLS // 10
+
+
+def test_generic_product_rejects_unipotent_input(capsys):
+    # the (X-1) check comes before the cost cap: {X+1:(3)} x {X+1:(3)} at
+    # q = 2 would be far above the cap, yet it is refused as bad input
+    for a in ("{X+1:(2)}", "{X+1:(3)}"):
+        code, _, err = run(capsys, "generic-product", "--q", "2", "--a", a, "--b", a)
+        assert code == 1
+        assert err == ("error: inputs must have no (X-1) parts after reduction: "
+                       "%s, %s\n" % (a, a))
 
 
 def test_degree1_closed_form_json(capsys):

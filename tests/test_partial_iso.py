@@ -1,5 +1,6 @@
 """Partial isomorphisms, trivial extensions, and the averaged product."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -95,6 +96,107 @@ def test_extension_counts_all_shapes(q, n):
             both = pi.trivial_extensions_both_fixed(
                 ctx, x, W_plus, W_plus, strict=True)
             assert len(both) == pi.count_F(q, k_plus, k, k1)
+
+
+def extensions_via_canonical_piso(ctx, x, W_plus, left_inside=None, strict=True):
+    """trivial_extensions_fixed_right without its canonical-coordinate
+    build: one canonical_piso (two row reductions with transform) per
+    completion E+ and matrix P."""
+    n, k = x.n, x.dim
+    k_plus = W_plus.dim
+    if k_plus == k:
+        return [x]
+    F_plus = subspaces.extend_basis(ctx, x.W, W_plus)
+    if k:
+        E = linalg.mat_mul(
+            ctx, linalg.transpose(linalg.inverse(ctx, x.g1)), x.V.basis)
+        G = linalg.mat_mul(ctx, x.g1, x.g2)
+        if strict:
+            GmI = linalg.mat_sub(ctx, G, linalg.identity(k))
+            cols = subspaces.from_rows(ctx, linalg.transpose(GmI), k).vectors(ctx)
+        else:
+            cols = subspaces.full_subspace(k).vectors(ctx)
+    else:
+        E, G, cols = (), (), [()]
+    completions = subspaces.enumerate_completions(ctx, E, k_plus, n, within=left_inside)
+    ident = linalg.identity(k_plus)
+    lower = tuple((0,) * k + ident[i][k:] for i in range(k, k_plus))
+    out = []
+    for E_plus in completions:
+        for choice in itertools.product(cols, repeat=k_plus - k):
+            upper = tuple(G[i] + tuple(c[i] for c in choice) for i in range(k))
+            out.append(pi.canonical_piso(ctx, E_plus, F_plus, ident, upper + lower))
+    return out
+
+
+def pair_sum_product(ctx, a, b):
+    """_basis_product without its shortcut or integer counts: a Fraction
+    added per pair of extensions, both sides built by canonical_piso."""
+    M = subspaces.subspace_sum(ctx, a.W, b.V)
+    right = extensions_via_canonical_piso(ctx, a, M, strict=False)
+    left = [pi.rev(y) for y in extensions_via_canonical_piso(
+        ctx, pi.rev(b), M, strict=False)]
+    w = Fraction(1, len(right) * len(left))
+    out = {}
+    for ea in right:
+        for eb in left:
+            t = pi.PartialIso(ea.V, eb.W, linalg.mat_mul(ctx, eb.g1, ea.g1),
+                              linalg.mat_mul(ctx, ea.g2, eb.g2))
+            out[t] = out.get(t, 0) + w
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_extensions_match_canonical_piso_build(q, n):
+    """The canonical-coordinate build gives the same list, in the same
+    order, as one canonical_piso per extension: up to eight sampled
+    partial isomorphisms of each dimension, every k+, up to three W+ each,
+    both variants, with and without a left space constraint."""
+    ctx = make_field(2, 2) if q == 4 else make_field(q)
+    rng = random.Random(q * 10 + n)
+    by_dim = {}
+    for x in pi.all_pisos(ctx, n):
+        by_dim.setdefault(x.dim, []).append(x)
+    sample = [x for k in sorted(by_dim)
+              for x in rng.sample(by_dim[k], min(len(by_dim[k]), 8))]
+    checked = 0
+    for x in sample:
+        for k_plus in range(x.dim, n + 1):
+            W_pluses = subspaces.enumerate_subspaces(ctx, n, k_plus, containing=x.W)
+            V_pluses = subspaces.enumerate_subspaces(ctx, n, k_plus, containing=x.V)
+            for W_plus in rng.sample(W_pluses, min(len(W_pluses), 3)):
+                for left_inside in (None, rng.choice(V_pluses)):
+                    for strict in (True, False):
+                        got = pi.trivial_extensions_fixed_right(
+                            ctx, x, W_plus, left_inside=left_inside, strict=strict)
+                        want = extensions_via_canonical_piso(
+                            ctx, x, W_plus, left_inside=left_inside, strict=strict)
+                        assert got == want
+                        assert [repr(t) for t in got] == [repr(t) for t in want]
+                        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("q,n,pairs", [(2, 2, None), (3, 2, 2000), (2, 3, 2000)])
+def test_basis_product_matches_pair_sum(q, n, pairs):
+    """_basis_product (its a.W == b.V shortcut and its integer counts)
+    against the Fraction-per-pair sum over canonical_piso extensions: every
+    pair at (2, 2), seeded pairs elsewhere."""
+    ctx = make_field(q)
+    basis = pi.all_pisos(ctx, n)
+    if pairs is None:
+        todo = [(a, b) for a in basis for b in basis]
+    else:
+        rng = random.Random(7)
+        todo = [(rng.choice(basis), rng.choice(basis)) for _ in range(pairs)]
+    shortcuts = 0
+    for a, b in todo:
+        got = pi._basis_product.__wrapped__(ctx, a, b)
+        want = pair_sum_product(ctx, a, b)
+        assert got == want
+        assert list(got) == list(want)
+        shortcuts += a.W == b.V
+    assert 0 < shortcuts < len(todo) - 50
 
 
 def test_empty_piso_idempotent_but_not_a_unit():
@@ -319,6 +421,29 @@ def test_invariant_product_orbit_reduction(q, n, left, right):
                 ctx, lam, mu, n)
 
 
+@pytest.mark.parametrize("q,a,b,n", [
+    (2, "{X+1:(1)}", "{X+1:(1)}", 2),
+    (2, "{X^2+X+1:(1)}", "{X+1:(1)}", 3),
+    (2, "{X+1:(2)}", "{X+1:(1,1)}", 3),
+    (3, "{X+2:(1)}", "{X+1:(1)}", 2),
+    (3, "{X+1:(2)}", "{X+1:(1)}", 3),
+    (2, "{X+1:(1)}", "{}", 2),
+])
+def test_invariant_product_work_counts_type_of_calls(monkeypatch, q, a, b, n):
+    ctx = make_field(q)
+    lam, mu = parse_polypartition(ctx, a), parse_polypartition(ctx, b)
+    calls = []
+
+    def counted(ctx, A):
+        calls.append(A)
+        return type_of(ctx, A)
+
+    monkeypatch.setattr(pi, "type_of", counted)
+    pi.invariant_product(lam, mu, n)
+    assert calls
+    assert pi.invariant_product_work(lam, mu, n) == len(calls)
+
+
 def test_phi_on_hat_elements():
     ctx = make_field(2)
     for size in (0, 1, 2):
@@ -326,6 +451,19 @@ def test_phi_on_hat_elements():
             big = pi.invariant_elem(ctx, mu, 3, normalization="hat")
             small = pi.invariant_elem(ctx, mu, 2, normalization="hat")
             assert pi.phi(ctx, big, 2) == small
+
+
+def test_enumeration_size_checks_raise(monkeypatch):
+    # explicit raises, not asserts: they hold under python -O as well
+    ctx = make_field(2)
+    monkeypatch.setattr(pi, "card_iso", lambda q, n: 7)
+    with pytest.raises(AssertionError,
+                       match=r"built 2 partial isomorphisms, \|I\(1, F_2\)\| = 7"):
+        pi.all_pisos.__wrapped__(ctx, 1)
+    mu = parse_polypartition(ctx, "{X+1:(1)}")
+    monkeypatch.setattr(pi, "orbit_size", lambda mu, n: 5)
+    with pytest.raises(AssertionError, match="has 9 elements, orbit_size says 5"):
+        pi.orbit_of_type.__wrapped__(mu, 2)
 
 
 def test_num_free_families():

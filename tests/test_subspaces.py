@@ -1,6 +1,9 @@
 """Subspace enumeration and canonical forms."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -91,3 +94,22 @@ def test_extend_basis_completes_a_subspace_basis():
             assert linalg.rank(ctx, rows) == 3
     with pytest.raises(ValueError):
         subspaces.enumerate_completions(ctx, [(1, 0, 0, 0), (2, 0, 0, 0)], 3, n)
+
+
+def test_subspace_sum_checks_ambient_dimension_under_optimized_mode():
+    code = (
+        "from glfq import subspaces\n"
+        "from glfq.fields import make_field\n"
+        "try:\n"
+        "    subspaces.subspace_sum(make_field(2), subspaces.full_subspace(2),\n"
+        "                           subspaces.full_subspace(3))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no ValueError under -O')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "cannot add subspaces of (F_q)^2 and (F_q)^3"
