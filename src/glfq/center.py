@@ -29,13 +29,19 @@ from .conjtype import (
 from .fields import linear_poly
 from .partial_iso import AlgElem, invariant_product, invariant_product_work
 
-# fh_polynomials refuses a product whose invariant_product would make more
-# type_of calls than this (several minutes at 0.3 ms or more a call)
+# A request that would make more type_of calls than this is refused before
+# it enumerates anything (several minutes at 0.3 ms or more a call)
 MAX_TYPE_OF_CALLS = 10 ** 6
 
 
 class WorkCapExceeded(ValueError):
-    """fh_polynomials was asked for a product above MAX_TYPE_OF_CALLS."""
+    """A request would make more than MAX_TYPE_OF_CALLS type_of calls."""
+
+
+def _check_work(calls):
+    if calls > MAX_TYPE_OF_CALLS:
+        raise WorkCapExceeded("this product needs %d type_of calls, above the cap of %d"
+                              % (calls, MAX_TYPE_OF_CALLS))
 
 
 class CentralVector(AlgElem):
@@ -70,7 +76,9 @@ def completed_product(lam, mu, n, representative=None):
     c^nu = #{g : type(g h0) = nu} * card(other class) / card(C_nu),
     which is the same class constant by invariance of type under conjugation.
     Support completeness is certified by the mass identity
-    sum_nu c^nu card(C_nu) = card(C_{lam^n}) card(C_{mu^n})."""
+    sum_nu c^nu card(C_nu) = card(C_{lam^n}) card(C_{mu^n}).  Raises
+    WorkCapExceeded, before enumerating, when the enumerated class has more
+    than MAX_TYPE_OF_CALLS elements (one type_of call each)."""
     if lam.size > n or mu.size > n:
         raise ValueError("type size exceeds n")
     ctx = lam.ctx
@@ -81,8 +89,12 @@ def completed_product(lam, mu, n, representative=None):
         lam, mu = mu, lam
         lam_n, mu_n = mu_n, lam_n
         size_lam, size_mu = size_mu, size_lam
+    _check_work(size_lam)
     h0 = jordan_matrix(mu_n) if representative is None else representative
-    assert type_of(ctx, h0) == mu_n
+    if type_of(ctx, h0) != mu_n:
+        raise AssertionError("the representative has type %s, not %s"
+                             % (format_polypartition(type_of(ctx, h0)),
+                                format_polypartition(mu_n)))
     counts = {}
     for g in class_orbit(lam, n):
         t = type_of(ctx, linalg.mat_mul(ctx, h0, g))
@@ -91,11 +103,15 @@ def completed_product(lam, mu, n, representative=None):
     mass = 0
     for t, c in counts.items():
         size_t = class_size(t, n)
-        coeff = Fraction(c * size_mu, size_t)
-        assert coeff.denominator == 1
-        out[t] = int(coeff)
-        mass += int(coeff) * size_t
-    assert mass == size_lam * size_mu
+        coeff, rem = divmod(c * size_mu, size_t)
+        if rem:
+            raise AssertionError("coefficient of %s is %d/%d, not an integer"
+                                 % (format_polypartition(t), c * size_mu, size_t))
+        out[t] = coeff
+        mass += coeff * size_t
+    if mass != size_lam * size_mu:
+        raise AssertionError("class product has mass %d, not %d * %d"
+                             % (mass, size_lam, size_mu))
     return CentralVector(ctx, n, out)
 
 
@@ -109,9 +125,11 @@ def class_convolution(lam, mu, n):
             counts[t] = counts.get(t, 0) + 1
     out = {}
     for t, c in counts.items():
-        coeff = Fraction(c, class_size(t, n))
-        assert coeff.denominator == 1
-        out[t] = int(coeff)
+        coeff, rem = divmod(c, class_size(t, n))
+        if rem:
+            raise AssertionError("coefficient of %s is %d/%d, not an integer"
+                                 % (format_polypartition(t), c, class_size(t, n)))
+        out[t] = coeff
     return CentralVector(ctx, n, out)
 
 
@@ -169,39 +187,78 @@ def generic_S(lam, mu, n=None):
     return hat_from_tilde(ctx, tilde, lam, mu, n)
 
 
-class StructPoly:
-    """Polynomial in X with rational coefficients, ascending order;
-    semantics X = q^n."""
+class Laurent:
+    """Laurent polynomial in X = q^n with exact coefficients, held as
+    {exponent: nonzero coefficient}.  Immutable; the polynomial case reads
+    its ascending coefficients from coeffs."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+    def __init__(self, terms=None):
+        self.terms = {p: c for p, c in terms.items() if c} if terms else {}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for p, c in other.terms.items():
+            out[p] = out.get(p, 0) + c
+        return Laurent(out)
+
+    def __mul__(self, other):
+        if not isinstance(other, Laurent):
+            return Laurent({p: c * other for p, c in self.terms.items()})
+        out = {}
+        for p, c in self.terms.items():
+            for p2, c2 in other.terms.items():
+                out[p + p2] = out.get(p + p2, 0) + c * c2
+        return Laurent(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Exact quotient by long division from the top.  An exact quotient
+        has no exponent below min(self) - min(other): the division stops
+        there and raises AssertionError if a remainder is left."""
+        b = other.terms
+        if not b:
+            raise ValueError("division of %r by the zero Laurent polynomial" % self)
+        top_b, low = max(b), min(self.terms, default=0) - min(b)
+        out, rem = {}, dict(self.terms)
+        while rem:
+            e = max(rem) - top_b
+            if e < low:
+                raise AssertionError("%r is not divisible by %r" % (self, other))
+            c = out[e] = Fraction(rem[e + top_b], b[top_b])
+            for p, cb in b.items():
+                rem[e + p] = rem.get(e + p, 0) - c * cb
+                if not rem[e + p]:
+                    del rem[e + p]
+        return Laurent(out)
 
     def __call__(self, x):
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        x = Fraction(x)
+        return sum((c * x ** p for p, c in self.terms.items()), Fraction(0))
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return max(self.terms)  # ValueError for the zero polynomial
 
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs
+    @property
+    def coeffs(self):
+        """Ascending coefficients (c_0, ..., c_degree) of a polynomial."""
+        if min(self.terms, default=0) < 0:
+            raise ValueError("%r has negative powers of X" % self)
+        return tuple(self.terms.get(i, 0) for i in range(max(self.terms, default=-1) + 1))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                parts.append("%s*X^%d" % (c, i) if i else str(c))
-        return " + ".join(parts)
+        return " + ".join(
+            "%s*X^%d" % (c, p) if p else str(c)
+            for p, c in sorted(self.terms.items())) or "0"
 
 
 class GenericProduct:
@@ -274,19 +331,13 @@ def _padding_profiles(ctx, pi):
     core + (1^(u + m - |core|)).  The core does not depend on m because the
     ranks of (N - I)^j for j >= 1 are determined by U and Y alone:
     rank (N-I)^j = rank [ (U-I)^j | (U-I)^{j-1} Y ]."""
-    q = ctx.q
     u = sum(pi)
     if u == 0:
         return {(0, ()): 1}
-    U = [[0] * u for _ in range(u)]
-    pos = 0
-    for part in pi:
-        for i in range(part):
-            U[pos + i][pos + i] = 1
-            if i + 1 < part:
-                U[pos + i][pos + i + 1] = 1
-        pos += part
-    Nm = linalg.mat_sub(ctx, tuple(tuple(r) for r in U), linalg.identity(u))
+    # the profile counts are invariant under conjugating U, so any matrix of
+    # unipotent type pi will do
+    U = jordan_matrix(Polypartition(ctx, ((linear_poly(ctx, 1), Partition(pi)),)))
+    Nm = linalg.mat_sub(ctx, U, linalg.identity(u))
     pows = [linalg.identity(u)]
     while any(any(r) for r in pows[-1]):
         pows.append(linalg.mat_mul(ctx, pows[-1], Nm))
@@ -294,118 +345,84 @@ def _padding_profiles(ctx, pi):
     out = {}
     for d in range(u + 1):
         for Y in subspaces.enumerate_subspaces(ctx, u, d):
-            ranks = []
-            j = 1
-            while True:
+            ranks, j = [], 1
+            while not ranks or ranks[-1]:
                 Pj = pows[j] if j < len(pows) else zero
                 Pjm1 = pows[j - 1] if j - 1 < len(pows) else zero
                 cols = [list(r) for r in linalg.transpose(Pj)]
                 for y in Y.basis:
                     cols.append(list(linalg.mat_vec(ctx, Pjm1, y)))
-                r = linalg.rank(ctx, tuple(tuple(c) for c in cols))
-                ranks.append(r)
-                if r == 0:
-                    break
+                ranks.append(linalg.rank(ctx, tuple(tuple(c) for c in cols)))
                 j += 1
             # ranks[j-1] - ranks[j] is the number of Jordan blocks of size
             # >= j + 1; conjugating gives the padded type minus its parts 1
             drops = [c for c in (ranks[i - 1] - ranks[i] for i in range(1, len(ranks))) if c > 0]
-            width = drops[0] if drops else 0
-            lam = tuple(sum(1 for c in drops if c >= i) for i in range(1, width + 1))
-            core = tuple(sorted((x + 1 for x in lam), reverse=True))
-            key = (d, core)
-            out[key] = out.get(key, 0) + 1
+            core = tuple(x + 1 for x in Partition(tuple(drops)).conjugate().parts)
+            out[d, core] = out.get((d, core), 0) + 1
     return out
 
 
-def padded_unipotent_law(ctx, pi, m):
-    """The exact law of the unipotent type of [[U, P], [0, I_m]] with U of
-    type pi and P uniform over all |pi| x m matrices, as
-    {partition of |pi| + m: probability}."""
+def _transport_poly(nu):
+    """Pi_n(Ahat_nu) for every n >= |nu| at once, as {reduced tau: Laurent
+    weight w(X)} with Pi_n(Ahat_nu) = sum_tau w(q^n) C_{tau^n} / card C_{tau^n}.
+
+    The padding P is a uniform |nu| x (n - |nu|) block; a profile (d, core)
+    of _padding_profiles has probability
+    cnt * prod_{i<d} (q^{n-k} - q^i) / q^{u (n-k)} with q^{n-k} = X q^{-k},
+    and the lift carries num_free_families(q, n, k) in front."""
+    ctx = nu.ctx
     q = ctx.q
+    k = nu.size
+    other, pi = _split_x1(nu)
     u = sum(pi)
-    out = {}
+    law = {}
     for (d, core), cnt in _padding_profiles(ctx, pi).items():
-        wt = cnt * Fraction(num_free_families(q, m, d), q ** (u * m))
-        if wt == 0:
-            continue
-        sigma = tuple(sorted(core + (1,) * (u + m - sum(core)), reverse=True))
-        out[sigma] = out.get(sigma, Fraction(0)) + wt
-    assert sum(out.values()) == 1
-    return out
+        wt = Laurent({-u: cnt * q ** (k * u)})
+        for i in range(d):
+            wt = wt * Laurent({1: Fraction(1, q ** k), 0: -(q ** i)})
+        entries = list(other)
+        if core:
+            entries.append((linear_poly(ctx, 1), Partition(core)))
+        tau = Polypartition(ctx, tuple(sorted(entries)))
+        law[tau] = law[tau] + wt if tau in law else wt
+    total = sum(law.values(), Laurent())
+    if total != Laurent({0: 1}):
+        raise AssertionError("padding law of %s sums to %r, not 1"
+                             % (format_polypartition(nu), total))
+    nf = num_free_poly(q, k)
+    return {tau: nf * wt for tau, wt in law.items()}
 
 
 def transport(nu, n):
-    """The exact expansion of Pi_n(Ahat_nu) in completed classes.
-
-    Pi_n(Ahat_nu) = sum_sigma num_free_families * P[sigma] * C_tau / card C_tau
-    with tau = nu' + (X-1: sigma).  Returns a rational CentralVector.  For nu
-    without parts 1 on (X-1) and n = |nu| this is pi_scalar's single class;
-    in general the (X-1) block of the composite spreads over several types."""
+    """The exact expansion of Pi_n(Ahat_nu) in completed classes: the
+    weights of _transport_poly at X = q^n.  Returns a rational CentralVector.
+    For nu without parts 1 on (X-1) and n = |nu| this is pi_scalar's single
+    class; in general the (X-1) block of the composite spreads over several
+    types."""
     ctx = nu.ctx
-    k = nu.size
-    if k > n:
+    if nu.size > n:
         raise ValueError("type size exceeds n")
-    other, pi = _split_x1(nu)
-    nf = num_free_families(ctx.q, n, k)
+    x = Fraction(ctx.q) ** n
     out = {}
-    for sigma, pr in padded_unipotent_law(ctx, pi, n - k).items():
-        entries = list(other)
-        if sigma:
-            entries.append((linear_poly(ctx, 1), Partition(sigma)))
-        tau = Polypartition(ctx, tuple(sorted(entries)))
-        out[tau] = out.get(tau, Fraction(0)) + Fraction(nf, class_size(tau, n)) * pr
+    for tau, wt in _transport_poly(nu).items():
+        # profiles whose Y is larger than the padding weigh 0 at this n; a
+        # tau left with none of them has zero weight and does not fit in n
+        w = wt(x)
+        if w:
+            tau = complete(tau, n)
+            out[tau] = w / class_size(tau, n)
     return CentralVector(ctx, n, out)
 
 
 # ---------------------------------------------------------------------------
-# Symbolic (Laurent in X = q^n) versions of the same quantities.
-
-def _laur_mul(a, b):
-    out = {}
-    for p, c in a.items():
-        for p2, c2 in b.items():
-            out[p + p2] = out.get(p + p2, Fraction(0)) + c * c2
-    return {p: c for p, c in out.items() if c}
-
-
-def _laur_add(a, b, scale=1):
-    out = dict(a)
-    for p, c in b.items():
-        out[p] = out.get(p, Fraction(0)) + scale * c
-    return {p: c for p, c in out.items() if c}
-
-
-def _laur_div(a, b):
-    """Exact division of Laurent polynomials; raises if not exact."""
-    if not a:
-        return {}
-    assert b, "division by zero"
-    top_b = max(b)
-    out = {}
-    rem = dict(a)
-    while rem:
-        top_r = max(rem)
-        c = rem[top_r] / b[top_b]
-        out[top_r - top_b] = c
-        for p, cb in b.items():
-            np = top_r - top_b + p
-            rem[np] = rem.get(np, Fraction(0)) - c * cb
-            if rem[np] == 0:
-                del rem[np]
-    return out
-
-
-def _laur_eval(a, x):
-    return sum((c * Fraction(x) ** p for p, c in a.items()), Fraction(0))
-
+# Symbolic (Laurent in X = q^n) versions of the class sizes.
 
 def num_free_poly(q, k):
     """num_free_families(q, n, k) as a polynomial in X = q^n:
     prod_{j<k} (X - q^j)."""
-    out = {0: Fraction(1)}
+    out = Laurent({0: 1})
     for j in range(k):
-        out = _laur_mul(out, {1: Fraction(1), 0: Fraction(-q ** j)})
+        out = out * Laurent({1: 1, 0: -(q ** j)})
     return out
 
 
@@ -445,9 +462,9 @@ def completed_class_size_poly(tau):
     z_other = Fraction(1)
     for poly, part in other:
         z_other *= _centralizer_order(q ** (len(poly) - 1), part)
-    out = {2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)}
+    out = Laurent({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
     for j in range(t):
-        out = _laur_mul(out, {0: Fraction(1), -1: Fraction(-(q ** j))})
+        out = out * Laurent({0: 1, -1: -(q ** j)})
     return out
 
 
@@ -461,12 +478,12 @@ def fh_polynomials(lam, mu):
         C_{lam^n} C_{mu^n} = card C_{lam^n} card C_{mu^n}
                              / (nf_k nf_l) * sum_nu S^nu Pi_n(Ahat_nu),
 
-    and expanding each Pi_n(Ahat_nu) by the padded-unipotent law gives, per
-    reduced output type, a ratio of Laurent polynomials in X = q^n whose
-    exact quotient is asserted to be a genuine polynomial.  Raises
-    WorkCapExceeded, before any enumeration, when the invariant product at
-    n0 = |lam| + |mu| of the reduced types would make more than
-    MAX_TYPE_OF_CALLS type_of calls."""
+    and expanding each Pi_n(Ahat_nu) by the padded-unipotent law
+    (_transport_poly) gives, per reduced output type, a ratio of Laurent
+    polynomials in X = q^n whose exact quotient is checked to be a genuine
+    polynomial.  Raises WorkCapExceeded, before any enumeration, when the
+    invariant product at n0 = |lam| + |mu| of the reduced types would make
+    more than MAX_TYPE_OF_CALLS type_of calls."""
     ctx = lam.ctx
     q = ctx.q
     lam = reduce_polypartition(lam)[0]
@@ -476,46 +493,24 @@ def fh_polynomials(lam, mu):
         raise ValueError("inputs must have no (X-1) parts after reduction: %s"
                          % ", ".join(map(format_polypartition, bad)))
     k, l = lam.size, mu.size
-    work = invariant_product_work(lam, mu, k + l)
-    if work > MAX_TYPE_OF_CALLS:
-        raise WorkCapExceeded("this product needs %d type_of calls, above the cap of %d"
-                              % (work, MAX_TYPE_OF_CALLS))
+    _check_work(invariant_product_work(lam, mu, k + l))
     S = generic_S(lam, mu, k + l)
     gathered = {}
     for nu, S_nu in S.items():
-        other, pi = _split_x1(nu)
-        m = nu.size
-        nf_nu = num_free_poly(q, m)
-        for (d, core), cnt in _padding_profiles(ctx, pi).items():
-            # weight of one Y of dimension d at padding size n - m:
-            # prod_{i<d} (q^{n-m} - q^i) / q^{u (n-m)} with q^{n-m} = X q^{-m}
-            u = sum(pi)
-            wt = {0: Fraction(cnt)}
-            for i in range(d):
-                wt = _laur_mul(wt, {1: Fraction(1, q ** m), 0: Fraction(-(q ** i))})
-            wt = _laur_mul(wt, {-u: Fraction(q ** (m * u))})
-            entries = list(other)
-            if core:
-                entries.append((linear_poly(ctx, 1), Partition(core)))
-            key = Polypartition(ctx, tuple(sorted(entries)))
-            term = _laur_mul(_laur_mul(nf_nu, wt), {0: S_nu})
-            gathered[key] = _laur_add(gathered.get(key, {}), term)
+        for tau, wt in _transport_poly(nu).items():
+            wt = wt * S_nu
+            gathered[tau] = gathered[tau] + wt if tau in gathered else wt
     # scale by card C_{lam^n} card C_{mu^n} / (nf_k nf_l) / card C_{tau^n}
-    scale = _laur_div(
-        _laur_mul(completed_class_size_poly(lam), completed_class_size_poly(mu)),
-        _laur_mul(num_free_poly(q, k), num_free_poly(q, l)),
-    )
+    scale = ((completed_class_size_poly(lam) * completed_class_size_poly(mu))
+             / (num_free_poly(q, k) * num_free_poly(q, l)))
     rhs = {}
-    for key, laurent in gathered.items():
-        laurent = _laur_div(
-            _laur_mul(laurent, scale), completed_class_size_poly(key)
-        )
-        if not laurent:
+    for tau, wt in gathered.items():
+        poly = wt * scale / completed_class_size_poly(tau)
+        if not poly:
             continue
-        if min(laurent) < 0:
-            raise AssertionError("negative powers survive for %r" % (key,))
-        top = max(laurent)
-        rhs[key] = StructPoly([laurent.get(i, 0) for i in range(top + 1)])
+        if min(poly.terms) < 0:
+            raise AssertionError("negative powers survive for %r" % (tau,))
+        rhs[tau] = poly
     return GenericProduct(ctx, (lam, mu), rhs, S)
 
 

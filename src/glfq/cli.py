@@ -134,10 +134,7 @@ def cmd_generic_product(args):
     ctx = _field_from_args(args)
     lam = parse_polypartition(ctx, args.a)
     mu = parse_polypartition(ctx, args.b)
-    try:
-        gp = center.fh_polynomials(lam, mu)
-    except center.WorkCapExceeded as exc:
-        raise SystemExit2(str(exc)) from None
+    gp = center.fh_polynomials(lam, mu)
     if args.verify_at is not None:
         report = center.verify_fh(gp, [args.verify_at])
         status = "PASS" if report["ok"] else "FAIL"
@@ -495,7 +492,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, center.WorkCapExceeded) as exc:
+        # a request refused for its cost is answered like a usage error
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, AssertionError) as exc:

@@ -23,7 +23,7 @@ partial-isomorphism engine for every pair of units and q in {2, 3, 4, 5}.
 from fractions import Fraction
 
 from . import center
-from .conjtype import Partition, Polypartition, class_size
+from .conjtype import Partition, Polypartition, class_size, format_polypartition
 from .fields import linear_poly
 
 
@@ -44,8 +44,9 @@ class Degree1Case:
         self.b = b
         self.tag = tag
         self.delta = delta
-        if delta is not None:
-            assert ctx.mul(delta, delta) == ctx.mul(a, b)
+        if delta is not None and ctx.mul(delta, delta) != ctx.mul(a, b):
+            raise AssertionError("delta = %s does not square to ab = %s"
+                                 % (ctx.elem_str(delta), ctx.elem_str(ctx.mul(a, b))))
 
     def __repr__(self):
         return "Degree1Case(a=%r, b=%r, tag=%r, delta=%r)" % (
@@ -112,7 +113,7 @@ def degree1_product(ctx, a, b):
     Single uniform formula (module docstring); the case dispatch of classify
     only affects how the terms group, never the result.  All coefficients
     have denominator dividing 2q^2."""
-    case = classify(ctx, a, b)
+    classify(ctx, a, b)  # rejects non-units
     q = ctx.q
     out = {}
 
@@ -137,9 +138,10 @@ def degree1_product(ctx, a, b):
     if a == b:
         add(_single(ctx, a, (2,)), w)
         add(_single(ctx, a, (1, 1)), -w)
-    for coeff in out.values():
-        assert (2 * q * q) % coeff.denominator == 0
-    assert case.tag is not None
+    for pp, coeff in out.items():
+        if (2 * q * q) % coeff.denominator:
+            raise AssertionError("coefficient %s of %s has a denominator not dividing 2q^2"
+                                 % (coeff, format_polypartition(pp)))
     return out
 
 
@@ -176,11 +178,13 @@ def project_degree1(ctx, a, b, n):
         for nu, s in degree1_product(ctx, a, b).items():
             for tau, c in center.transport(nu, n).terms.items():
                 coeffs[tau] = coeffs.get(tau, Fraction(0)) + s * c * scale
-        coeffs = {tau: c for tau, c in coeffs.items() if c}
         result = center.CentralVector(ctx, n, coeffs)
-    assert result.is_integral()
+    if not result.is_integral():
+        raise AssertionError("projected product is not integral: %r" % result)
     if min(class_size(lam_up, n), class_size(mu_up, n)) <= 200000:
         brute = center.completed_product(
             _single(ctx, a, (1,)), _single(ctx, b, (1,)), n)
-        assert result.terms == brute.terms
+        if result.terms != brute.terms:
+            raise AssertionError("projected product %r differs from the class product %r"
+                                 % (result, brute))
     return result

@@ -1,8 +1,11 @@
-"""Completed-class products, the padded-unipotent transport law, and the
-symbolic structure polynomials in X = q^n."""
+"""Completed-class products, the padded-unipotent transport law, the
+Laurent polynomials in X = q^n and the symbolic structure polynomials."""
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,8 +100,16 @@ def brute_padded_law(ctx, pi, m):
     (3, (2,), 1),
 ])
 def test_padded_unipotent_law_vs_enumeration(q, pi, m):
+    # the padding law behind transport and fh_polynomials, read through
+    # transport: a probability P of sigma is the weight
+    # num_free_families * P / card C_sigma of the unipotent class sigma
     ctx = make_field(q)
-    assert center.padded_unipotent_law(ctx, pi, m) == brute_padded_law(ctx, pi, m)
+    k, n = sum(pi), sum(pi) + m
+    want = {}
+    for sigma, pr in brute_padded_law(ctx, pi, m).items():
+        tau = unipotent_type(ctx, sigma)
+        want[tau] = num_free_families(q, n, k) * pr / class_size(tau, n)
+    assert center.transport(unipotent_type(ctx, pi), n).terms == want
 
 
 @pytest.mark.parametrize("q,nu_s,n", [
@@ -150,7 +161,7 @@ def test_completed_class_size_poly(q, tau_s):
     poly = center.completed_class_size_poly(tau)
     for n in range(tau.size, tau.size + 3):
         want = class_size(complete(tau, n), n)
-        assert center._laur_eval(poly, Fraction(q) ** n) == want
+        assert poly(Fraction(q) ** n) == want
 
 
 def test_completed_class_size_poly_requires_reduced_input():
@@ -165,8 +176,7 @@ def test_num_free_poly_evaluates_to_counts():
         for k in range(4):
             poly = center.num_free_poly(q, k)
             for n in range(k, k + 3):
-                assert (center._laur_eval(poly, Fraction(q) ** n)
-                        == num_free_families(q, n, k))
+                assert poly(Fraction(q) ** n) == num_free_families(q, n, k)
 
 
 def test_generic_S_known_values_q2():
@@ -238,12 +248,59 @@ def test_generic_product_json_roundtrip():
         assert all("/" in c for c in d["poly"])
 
 
-def test_struct_poly_basics():
-    p = center.StructPoly([Fraction(-1), Fraction(2, 7)])
+def test_laurent_basics():
+    p = center.Laurent({0: Fraction(-1), 1: Fraction(2, 7)})
     assert p.degree == 1
-    assert p(Fraction(49)) == 13
-    assert p == center.StructPoly([-1, Fraction(2, 7), 0])
-    assert center.StructPoly([]).degree == -1
+    assert p(49) == 13
+    assert p == center.Laurent({0: -1, 1: Fraction(2, 7), 2: 0})
+    assert p.coeffs == (Fraction(-1), Fraction(2, 7))
+    assert center.Laurent({2: 3}).coeffs == (0, 0, 3)
+    assert center.Laurent().coeffs == ()
+    assert p + p * -1 == center.Laurent()
+    r = center.Laurent({-2: 5, 0: Fraction(1, 3), 3: -4})
+    assert r.degree == 3
+    assert r(2) == Fraction(5, 4) + Fraction(1, 3) - 32
+    with pytest.raises(ValueError, match="negative powers"):
+        r.coeffs
+    for a in (p, r, p * r):
+        assert (a * a) / a == a
+
+
+def test_laurent_division_raises_at_once():
+    one = center.Laurent({0: 1})
+    x_minus_1 = center.Laurent({1: 1, 0: -1})
+    with pytest.raises(AssertionError, match=r"1 is not divisible by -1 \+ 1\*X\^1"):
+        one / x_minus_1
+    with pytest.raises(AssertionError, match="not divisible"):
+        (x_minus_1 * x_minus_1 + one) / x_minus_1
+    with pytest.raises(ValueError, match="zero Laurent polynomial"):
+        one / center.Laurent({0: 0})
+    assert center.Laurent() / x_minus_1 == center.Laurent()
+
+
+def test_completed_product_checks_representative_under_optimized_mode():
+    # a representative of the wrong class once gave a wrong product under -O
+    code = (
+        "from glfq import center\n"
+        "from glfq.conjtype import complete, jordan_matrix, parse_polypartition\n"
+        "from glfq.fields import make_field\n"
+        "ctx = make_field(3)\n"
+        "lam = parse_polypartition(ctx, '{X+1:(1)}')\n"
+        "mu = parse_polypartition(ctx, '{X+2:(1)}')\n"
+        "try:\n"
+        "    center.completed_product(lam, mu, 2,\n"
+        "                             representative=jordan_matrix(complete(lam, 2)))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('no AssertionError under -O')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "the representative has type {X+1:(1);X+2:(1)}, not {X+2:(1,1)}")
 
 
 def test_central_vector_algebra():

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,35 @@ def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
     assert out == ""
     assert err == ("usage error: this product needs 610 type_of calls, "
                    "above the cap of 100\n")
+
+
+def test_class_product_refuses_work_above_cap(capsys, monkeypatch):
+    # C_{X+1:(1)} in GL(9, F_5) has 190,734,765,625 elements; the closed-form
+    # count is refused before any enumeration
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(center, "class_orbit", enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "class-product", "--q", "5", "--n", "9",
+        "--a", "{X+1:(1)}", "--b", "{X+1:(1)}")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: this product needs 190734765625 type_of calls, "
+                   "above the cap of 1000000\n")
+
+
+def test_generic_product_verify_at_refuses_work_above_cap(capsys):
+    # the polynomials fit the cap; the class product at n = 6 does not
+    code, out, err = run(
+        capsys, "generic-product", "--q", "5", "--a", "{X+2:(1)}",
+        "--b", "{X+3:(1)}", "--verify-at", "6")
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: this product needs 12206250 type_of calls, "
+                   "above the cap of 1000000\n")
 
 
 @pytest.mark.parametrize("q,a,b", [
