@@ -38,10 +38,12 @@ class WorkCapExceeded(ValueError):
     """A request would make more than MAX_TYPE_OF_CALLS type_of calls."""
 
 
-def _check_work(calls):
+def check_work(what, calls):
+    """Refuse a request (a "product" or a "census") that needs more than
+    MAX_TYPE_OF_CALLS type_of calls."""
     if calls > MAX_TYPE_OF_CALLS:
-        raise WorkCapExceeded("this product needs %d type_of calls, above the cap of %d"
-                              % (calls, MAX_TYPE_OF_CALLS))
+        raise WorkCapExceeded("this %s needs %d type_of calls, above the cap of %d"
+                              % (what, calls, MAX_TYPE_OF_CALLS))
 
 
 class CentralVector(AlgElem):
@@ -89,7 +91,7 @@ def completed_product(lam, mu, n, representative=None):
         lam, mu = mu, lam
         lam_n, mu_n = mu_n, lam_n
         size_lam, size_mu = size_mu, size_lam
-    _check_work(size_lam)
+    check_work("product", size_lam)
     h0 = jordan_matrix(mu_n) if representative is None else representative
     if type_of(ctx, h0) != mu_n:
         raise AssertionError("the representative has type %s, not %s"
@@ -493,7 +495,7 @@ def fh_polynomials(lam, mu):
         raise ValueError("inputs must have no (X-1) parts after reduction: %s"
                          % ", ".join(map(format_polypartition, bad)))
     k, l = lam.size, mu.size
-    _check_work(invariant_product_work(lam, mu, k + l))
+    check_work("product", invariant_product_work(lam, mu, k + l))
     S = generic_S(lam, mu, k + l)
     gathered = {}
     for nu, S_nu in S.items():

@@ -95,9 +95,16 @@ def cmd_class_size(args):
     return 0
 
 
+def _census(ctx, n):
+    """census(ctx, n), refused before enumerating when |GL(n, F_q)| is above
+    the type_of cap."""
+    center.check_work("census", gl_order(ctx.q, n))
+    return census(ctx, n)
+
+
 def cmd_census(args):
     ctx = _field_from_args(args)
-    buckets = census(ctx, args.n)
+    buckets = _census(ctx, args.n)
     total = 0
     rows = []
     for mu in sorted(buckets, key=format_polypartition):
@@ -287,7 +294,7 @@ def _suite_extensions(ctx, n, rng, samples):
 
 
 def _suite_census(ctx, n, rng, samples):
-    buckets = census(ctx, n)
+    buckets = _census(ctx, n)
     total = 0
     for mu, cnt in buckets.items():
         if cnt != class_size(mu, n):

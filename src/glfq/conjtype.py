@@ -199,10 +199,14 @@ def type_of(ctx, g):
 
     For each irreducible factor P of the characteristic polynomial, the
     dimensions d_j = dim ker P(g)^j grow by deg(P) times the conjugate
-    partition of mu(P); transposing the increments recovers mu(P).
+    partition of mu(P); transposing the increments recovers mu(P).  A
+    factor of multiplicity 1 has mu(P) = (1).  The increments do not
+    increase, so once one is 1 the rest are 1 up to the multiplicity and
+    are not computed.
     """
     n, m = linalg.shape(g)
-    assert n == m
+    if n != m:
+        raise ValueError("type_of requires a square matrix, got %dx%d" % (n, m))
     if n == 0:
         return empty_polypartition(ctx)
     cp = linalg.charpoly(ctx, g)
@@ -210,31 +214,44 @@ def type_of(ctx, g):
         raise ValueError("type_of requires an invertible matrix")
     entries = {}
     for P, mult in fields.factor(ctx, cp):
+        if mult == 1:
+            entries[P] = Partition((1,))
+            continue
         d = pdeg(P)
         Pg = linalg.apply_poly(ctx, P, g)
+        power = Pg
         cols = []
-        power = linalg.identity(n)
         prev = 0
         while True:
-            power = linalg.mat_mul(ctx, power, Pg)
             dim = n - linalg.rank(ctx, power)
-            step = (dim - prev) // d
-            assert step * d == dim - prev
+            step, rem = divmod(dim - prev, d)
+            if rem:
+                raise AssertionError(
+                    "the kernel of (%s)(g)^%d grows by %d, not a multiple of %d"
+                    % (poly_str(ctx, P), len(cols) + 1, dim - prev, d))
             if step == 0:
                 break
             cols.append(step)
             prev = dim
-            if sum(cols) * d >= mult * d:  # kernels have stabilized
+            if sum(cols) >= mult:  # kernels have stabilized
                 break
+            if step == 1:
+                cols.extend((1,) * (mult - sum(cols)))
+                break
+            power = linalg.mat_mul(ctx, power, Pg)
         conj = Partition(tuple(cols))  # conjugate partition of mu(P)
         entries[P] = conj.conjugate()
-        assert entries[P].size == mult
+        if entries[P].size != mult:
+            raise AssertionError(
+                "the kernels of (%s)(g)^j give %r, of size %d, not the multiplicity %d"
+                % (poly_str(ctx, P), entries[P], entries[P].size, mult))
     return Polypartition(ctx, entries)
 
 
 def pochhammer(x, m):
     """(x)_m = (1-x)(1-x^2)...(1-x^m) with exact Fraction arithmetic."""
-    assert m >= 0
+    if m < 0:
+        raise ValueError("pochhammer needs m >= 0, got %d" % m)
     x = Fraction(x)
     out = Fraction(1)
     p = Fraction(1)
@@ -256,7 +273,9 @@ def class_size(mu, n):
         for k in set(part.parts):
             den *= pochhammer(Fraction(1, q ** d), part.mult(k))
     out = Fraction(num) / den
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise AssertionError("class size of %s in GL(%d) is %s, not an integer"
+                             % (format_polypartition(mu), n, out))
     return int(out)
 
 
@@ -316,7 +335,8 @@ def partitions_of(n):
 
 def enumerate_polypartitions(ctx, n):
     """All polypartitions of size exactly n over F_q, canonical order."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError("polypartitions need a size n >= 0, got %d" % n)
     labels = []
     for d in range(1, n + 1):
         labels.extend(P for P in fields.enumerate_irreducibles(ctx, d) if P != fields.PX)
@@ -387,24 +407,57 @@ def gl_generators(ctx, n):
     return gens
 
 
+def conjugation_move(ctx, g):
+    """The map x -> g x g^{-1} for a generator g of gl_generators, as one
+    row operation and one column operation instead of two matrix products.
+    For g = I + E_ij it adds row j to row i, then subtracts column i from
+    column j; for g = I except g_ii = c it scales row i by c and column i
+    by c^{-1}."""
+    off = [(i, j, x) for i, row in enumerate(g) for j, x in enumerate(row)
+           if x != (1 if i == j else 0)]
+    if len(off) != 1 or (off[0][0] != off[0][1] and off[0][2] != 1):
+        raise ValueError("conjugation_move needs I + E_ij or a diagonal "
+                         "matrix with one entry c != 1, got %r" % (g,))
+    i, j, c = off[0]
+    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    if i != j:
+
+        def move(x):
+            rows = list(x)
+            rows[i] = tuple([add(u, v) for u, v in zip(x[i], x[j])])
+            return tuple([r[:j] + (sub(r[j], r[i]),) + r[j + 1:] for r in rows])
+    else:
+        cinv = ctx.inv(c)
+
+        def move(x):
+            rows = list(x)
+            rows[i] = tuple([mul(c, u) for u in x[i]])
+            return tuple([r[:i] + (mul(r[i], cinv),) + r[i + 1:] for r in rows])
+    return move
+
+
 @memo
 def class_orbit(mu, n):
     """All elements of the conjugacy class C_{mu^n}, by BFS under conjugation
     by standard generators starting from the Jordan representative (cached)."""
     ctx = mu.ctx
-    start = jordan_matrix(complete(mu, n))
-    gens = [(g, linalg.inverse(ctx, g)) for g in gl_generators(ctx, n)]
+    mu_n = complete(mu, n)
+    start = jordan_matrix(mu_n)
+    moves = [conjugation_move(ctx, g) for g in gl_generators(ctx, n)]
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for x in frontier:
-            for g, ginv in gens:
-                y = linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, x), ginv)
+            for move in moves:
+                y = move(x)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
     out = sorted(seen)
-    assert len(out) == class_size(complete(mu, n), n)
+    size = class_size(mu_n, n)
+    if len(out) != size:
+        raise AssertionError("the orbit of %s has %d elements, not class_size %d"
+                             % (format_polypartition(mu_n), len(out), size))
     return out

@@ -435,9 +435,11 @@ def is_irreducible(ctx, P):
     return _irreducible_by_trial_division(ctx, P)
 
 
+@memo(limit=10 ** 4)
 def factor(ctx, P):
-    """Complete factorization of monic P into (irreducible, multiplicity) pairs,
-    sorted by (degree, coefficient vector)."""
+    """Complete factorization of monic P into a tuple of (irreducible,
+    multiplicity) pairs, sorted by (degree, coefficient vector) (cached: a
+    census of GL(n, F_q) sees at most q^n characteristic polynomials)."""
     if not is_monic(P):
         raise ValueError("factor requires a monic polynomial")
     if pdeg(P) < 1:
@@ -466,7 +468,7 @@ def factor(ctx, P):
     if check != P:
         raise AssertionError("factor: the factors of %s multiply back to %s"
                              % (poly_str(ctx, P), poly_str(ctx, check)))
-    return out
+    return tuple(out)
 
 
 # -- polynomial text syntax -------------------------------------------------

@@ -6,6 +6,8 @@ composition convention used throughout (gh means "apply g, then h"), this
 gives mat(gh) = mat(h) * mat(g); one dedicated unit test pins this down.
 """
 
+import operator
+
 from . import fields
 
 
@@ -38,8 +40,14 @@ def mat_mul(ctx, A, B):
     rb, cb = shape(B)
     if ca != rb:
         raise ValueError("shape mismatch in mat_mul: %dx%d * %dx%d" % (ra, ca, rb, cb))
-    add, mul = ctx.add, ctx.mul
     Bt = transpose(B)
+    if ctx.e == 1:
+        # one integer dot product per entry, reduced once (list
+        # comprehensions: cheaper than generators at these sizes)
+        p = ctx.p
+        return tuple([tuple([sum(map(operator.mul, row, col)) % p for col in Bt])
+                      for row in A])
+    add, mul = ctx.add, ctx.mul
     out = []
     for row in A:
         orow = []
@@ -194,10 +202,13 @@ def charpoly(ctx, A):
 
 
 def apply_poly(ctx, P, A):
-    """P(A) for a square matrix A, by Horner's rule."""
+    """P(A) for a square matrix A, by Horner's rule from the leading
+    coefficient times the identity."""
     n, _ = shape(A)
-    R = zeros(n, n)
-    for c in reversed(P):
+    if not P:
+        return zeros(n, n)
+    R = tuple(tuple(P[-1] if i == j else 0 for j in range(n)) for i in range(n))
+    for c in reversed(P[:-1]):
         R = mat_mul(ctx, R, A)
         if c:
             R = tuple(row[:i] + (ctx.add(row[i], c),) + row[i + 1:]

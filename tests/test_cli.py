@@ -141,6 +141,26 @@ def test_generic_product_verify_at_refuses_work_above_cap(capsys):
                    "above the cap of 1000000\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("census", "--q", "5", "--n", "4"),
+    ("verify", "--suite", "census", "--q", "5", "--n", "4"),
+])
+def test_census_refuses_work_above_cap(capsys, monkeypatch, argv):
+    # |GL(4, F_5)| = 116,064,000,000; the group order is checked before
+    # enumerate_gl would build the whole list
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "census", enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == ("usage error: this census needs 116064000000 type_of calls, "
+                   "above the cap of 1000000\n")
+
+
 @pytest.mark.parametrize("q,a,b", [
     # the two slowest products known to finish (about 17 s and 10 s on a
     # 2-vCPU VM), then the largest generic-product requests of perfbench

@@ -1,8 +1,15 @@
 """Conjugacy types of GL(n, F_q): labels, class sizes, census."""
 
-import pytest
+import os
+import random
+import subprocess
+import sys
 
-from glfq import linalg
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glfq import fields, linalg
 from glfq.conjtype import (
     Partition,
     Polypartition,
@@ -10,8 +17,11 @@ from glfq.conjtype import (
     class_orbit,
     class_size,
     complete,
+    conjugation_move,
+    enumerate_gl,
     enumerate_polypartitions,
     format_polypartition,
+    gl_generators,
     gl_order,
     jordan_matrix,
     parse_polypartition,
@@ -19,7 +29,7 @@ from glfq.conjtype import (
     reduce_polypartition,
     type_of,
 )
-from glfq.fields import PX, linear_poly, make_field
+from glfq.fields import PX, enumerate_irreducibles, linear_poly, make_field, pdeg
 
 
 def test_partition_basics():
@@ -120,3 +130,133 @@ def test_type_of_rejects_singular_matrix(p, e, text):
     ctx = make_field(p, e)
     with pytest.raises(ValueError, match="type_of requires an invertible matrix"):
         type_of(ctx, linalg.mat_parse(ctx, text))
+
+
+def type_of_by_kernel_chain(ctx, g):
+    """Reference type: for every factor P of the uncached factorization, the
+    whole chain dim ker P(g)^j until it stops growing, with no shortcut for
+    multiplicity 1 or for increments of 1."""
+    n = len(g)
+    entries = {}
+    for P, mult in fields.factor.__wrapped__(ctx, linalg.charpoly(ctx, g)):
+        Pg = linalg.apply_poly(ctx, P, g)
+        cols, power, prev = [], linalg.identity(n), 0
+        while True:
+            power = linalg.mat_mul(ctx, power, Pg)
+            dim = n - linalg.rank(ctx, power)
+            if dim == prev:
+                break
+            cols.append((dim - prev) // pdeg(P))
+            prev = dim
+        entries[P] = Partition(tuple(cols)).conjugate()
+        assert entries[P].size == mult
+    return Polypartition(ctx, entries)
+
+
+def random_invertible(ctx, rng, n):
+    while True:
+        g = tuple(tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(n))
+        if linalg.rank(ctx, g) == n:
+            return g
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 2)])
+def test_type_of_matches_kernel_chain_on_whole_group(p, e, n):
+    ctx = make_field(p, e)
+    for g in enumerate_gl(ctx, n):
+        assert type_of(ctx, g) == type_of_by_kernel_chain(ctx, g)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 4)])
+def test_type_of_matches_kernel_chain_on_samples(p, n):
+    ctx = make_field(p)
+    rng = random.Random(9)
+    samples = [random_invertible(ctx, rng, n) for _ in range(400)]
+    # Jordan representatives make sure every shape of kernel chain is met
+    samples += [jordan_matrix(mu) for mu in enumerate_polypartitions(ctx, n)]
+    for g in samples:
+        assert type_of(ctx, g) == type_of_by_kernel_chain(ctx, g)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 3), (2, 2, 2), (5, 1, 2)])
+def test_conjugation_moves_match_matrix_products(p, e, n):
+    ctx = make_field(p, e)
+    rng = random.Random(10)
+    xs = [tuple(tuple(rng.randrange(ctx.q) for _ in range(n)) for _ in range(n))
+          for _ in range(20)]
+    for g in gl_generators(ctx, n):
+        move, g_inv = conjugation_move(ctx, g), linalg.inverse(ctx, g)
+        for x in xs:
+            assert move(x) == linalg.mat_mul(ctx, linalg.mat_mul(ctx, g, x), g_inv)
+    rows = [list(r) for r in linalg.identity(n)]
+    rows[0][1] = rows[1][0] = 1
+    not_generators = [linalg.identity(n), linalg.mat(rows)]
+    if ctx.q > 2:
+        rows = [list(r) for r in linalg.identity(n)]
+        rows[0][1] = 2  # I + 2 E_01 is elementary but not a generator
+        not_generators.append(linalg.mat(rows))
+    for g in not_generators:
+        with pytest.raises(ValueError, match="conjugation_move needs I"):
+            conjugation_move(ctx, g)
+
+
+@st.composite
+def polypartitions(draw):
+    """A polypartition of size <= 4 over F_2, F_3 or F_4, built one part at
+    a time."""
+    ctx = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2)])))
+    rest = draw(st.integers(0, 4))
+    entries = {}
+    while rest:
+        d = draw(st.integers(1, rest))
+        P = draw(st.sampled_from([P for P in enumerate_irreducibles(ctx, d) if P != PX]))
+        m = draw(st.integers(1, rest // d))
+        entries[P] = tuple(sorted(entries.get(P, ()) + (m,), reverse=True))
+        rest -= d * m
+    return Polypartition(ctx, {P: Partition(parts) for P, parts in entries.items()})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(polypartitions())
+def test_type_of_jordan_matrix_property(mu):
+    assert type_of(mu.ctx, jordan_matrix(mu)) == mu
+
+
+def test_type_of_and_class_orbit_checks_run_under_optimized_mode():
+    # each check is an explicit raise, so a broken rank, factorization or
+    # class size is caught under -O too
+    code = (
+        "from glfq import conjtype, fields, linalg\n"
+        "from glfq.fields import make_field\n"
+        "ctx = make_field(2)\n"
+        "mu = conjtype.parse_polypartition(ctx, '{X^2+X+1:(1,1)}')\n"
+        "g = conjtype.jordan_matrix(mu)\n"
+        "def expect(exc, call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except exc as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('no %s under -O' % exc.__name__)\n"
+        "expect(ValueError, lambda: conjtype.type_of(ctx, g[:3]))\n"
+        "rank, factor, class_size = linalg.rank, fields.factor, conjtype.class_size\n"
+        "linalg.rank = lambda ctx, A: rank(ctx, A) + 1\n"
+        "expect(AssertionError, lambda: conjtype.type_of(ctx, g))\n"
+        "linalg.rank = rank\n"
+        "fields.factor = lambda ctx, P: tuple((Q, m + 1) for Q, m in factor(ctx, P))\n"
+        "expect(AssertionError, lambda: conjtype.type_of(ctx, g))\n"
+        "fields.factor = factor\n"
+        "conjtype.class_size = lambda mu, n: 0\n"
+        "expect(AssertionError, lambda: conjtype.class_orbit(\n"
+        "    conjtype.parse_polypartition(ctx, '{X+1:(2)}'), 2))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "type_of requires a square matrix, got 3x4",
+        "the kernel of (X^2+X+1)(g)^1 grows by 3, not a multiple of 2",
+        "the kernels of (X^2+X+1)(g)^j give (1,1), of size 2, not the multiplicity 3",
+        "the orbit of {X+1:(2)} has 3 elements, not class_size 0",
+    ]

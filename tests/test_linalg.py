@@ -1,11 +1,12 @@
 """Exact dense linear algebra over F_q."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from glfq import linalg
+from glfq import fields, linalg
 from glfq.fields import make_field, peval
 
 
@@ -96,3 +97,45 @@ def test_mat_parse_str_roundtrip():
     A = linalg.mat_parse(ctx, "0,2;1,2")
     assert A == ((0, 2), (1, 2))
     assert linalg.mat_parse(ctx, linalg.mat_str(ctx, A)) == A
+
+
+def mat_mul_by_field_ops(ctx, A, B):
+    """Reference product: every entry summed with ctx.add over ctx.mul."""
+    return tuple(
+        tuple(functools.reduce(ctx.add, (ctx.mul(x, y) for x, y in zip(row, col)), 0)
+              for col in zip(*B))
+        for row in A)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2)])
+def test_mat_mul_matches_field_op_reference(p, e):
+    ctx = make_field(p, e)
+    rng = random.Random(5)
+    for _ in range(60):
+        r, k, c = (rng.randint(1, 4) for _ in range(3))
+        A = tuple(tuple(rng.choice(ctx.elements()) for _ in range(k)) for _ in range(r))
+        B = tuple(tuple(rng.choice(ctx.elements()) for _ in range(c)) for _ in range(k))
+        assert linalg.mat_mul(ctx, A, B) == mat_mul_by_field_ops(ctx, A, B)
+    # empty shapes: 0 x 0 times 0 x 0, 2 x 0 times 0 x 0, 2 x 3 times 3 x 0
+    assert linalg.mat_mul(ctx, (), ()) == ()
+    assert linalg.mat_mul(ctx, ((), ()), ()) == ((), ())
+    assert linalg.mat_mul(ctx, ((1, 0, 1),) * 2, ((),) * 3) == ((), ())
+    with pytest.raises(ValueError, match="shape mismatch in mat_mul: 2x3 \\* 2x3"):
+        linalg.mat_mul(ctx, ((1, 0, 1),) * 2, ((1, 0, 1),) * 2)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_apply_poly_matches_sum_of_powers(p, e):
+    ctx = make_field(p, e)
+    rng = random.Random(6)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        A = random_matrix(ctx, rng, n)
+        # leading coefficient not forced to 1; the zero polynomial included
+        P = fields.pnorm(tuple(rng.choice(ctx.elements()) for _ in range(rng.randint(0, 4))))
+        expect, power = linalg.zeros(n, n), linalg.identity(n)
+        for c in P:
+            expect = tuple(tuple(ctx.add(x, ctx.mul(c, y)) for x, y in zip(er, pr))
+                           for er, pr in zip(expect, power))
+            power = linalg.mat_mul(ctx, power, A)
+        assert linalg.apply_poly(ctx, P, A) == expect

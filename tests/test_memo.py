@@ -53,6 +53,7 @@ def test_wrapped_bypasses_the_store():
 @pytest.mark.parametrize("module,name", [
     (fields, "_make_field"),
     (fields, "enumerate_irreducibles"),
+    (fields, "factor"),
     (conjtype, "enumerate_gl"),
     (conjtype, "census"),
     (conjtype, "class_orbit"),
