@@ -6,7 +6,9 @@ sizes, the census of GL(n, F_q), products of completed classes, the generic
 counting formulas, the rank laws, and a set of self-verification suites.
 
 Exit codes: 0 success, 1 computation error (message on stderr), 2 usage
-error.  All output is deterministic given the flags and --seed.
+error (bad flags, malformed matrices, field elements or types, or a request
+refused for its cost).  All output is deterministic given the flags and
+--seed.
 """
 
 import argparse
@@ -56,6 +58,14 @@ class SystemExit2(Exception):
     """Usage error detected after argparse (exit code 2)."""
 
 
+def _parsed(parse, *args):
+    """parse(*args), answering malformed input as a usage error."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
+
+
 def _frac_str(c):
     c = Fraction(c)
     return "%d/%d" % (c.numerator, c.denominator)
@@ -77,7 +87,7 @@ def _print_coeffs(coeffs, as_json):
 
 def cmd_type(args):
     ctx = _field_from_args(args)
-    g = linalg.mat_parse(ctx, args.mat)
+    g = _parsed(linalg.mat_parse, ctx, args.mat)
     if any(len(row) != len(g) for row in g):
         raise SystemExit2("matrix must be square")
     try:
@@ -90,7 +100,10 @@ def cmd_type(args):
 
 def cmd_class_size(args):
     ctx = _field_from_args(args)
-    mu = parse_polypartition(ctx, args.type)
+    mu = _parsed(parse_polypartition, ctx, args.type)
+    if mu.size != args.n:
+        raise SystemExit2("%s has size %d, not --n %d"
+                          % (format_polypartition(mu), mu.size, args.n))
     print(class_size(mu, args.n))
     return 0
 
@@ -130,8 +143,8 @@ def cmd_census(args):
 
 def cmd_class_product(args):
     ctx = _field_from_args(args)
-    lam = parse_polypartition(ctx, args.a)
-    mu = parse_polypartition(ctx, args.b)
+    lam = _parsed(parse_polypartition, ctx, args.a)
+    mu = _parsed(parse_polypartition, ctx, args.b)
     out = center.completed_product(lam, mu, args.n)
     _print_coeffs(out.terms, args.json)
     return 0
@@ -139,8 +152,8 @@ def cmd_class_product(args):
 
 def cmd_generic_product(args):
     ctx = _field_from_args(args)
-    lam = parse_polypartition(ctx, args.a)
-    mu = parse_polypartition(ctx, args.b)
+    lam = _parsed(parse_polypartition, ctx, args.a)
+    mu = _parsed(parse_polypartition, ctx, args.b)
     gp = center.fh_polynomials(lam, mu)
     if args.verify_at is not None:
         report = center.verify_fh(gp, [args.verify_at])
@@ -162,8 +175,8 @@ def cmd_generic_product(args):
 
 def cmd_degree1(args):
     ctx = _field_from_args(args)
-    a = ctx.elem_parse(args.a)
-    b = ctx.elem_parse(args.b)
+    a = _parsed(ctx.elem_parse, args.a)
+    b = _parsed(ctx.elem_parse, args.b)
     if args.n is None:
         case = degree1.classify(ctx, a, b)
         out = degree1.degree1_product(ctx, a, b)

@@ -196,8 +196,9 @@ def charpoly(ctx, A):
             p = fields.psub(ctx, p, term)
         polys.append(p)
     cp = polys[n]
-    # pad in case the leading coefficient cancelled (it cannot: monic by construction)
-    assert len(cp) == n + 1 and cp[-1] == 1
+    if len(cp) != n + 1 or cp[-1] != 1:
+        raise AssertionError("charpoly of a %dx%d matrix came out as %r, not monic "
+                             "of degree %d" % (n, n, cp, n))
     return cp
 
 

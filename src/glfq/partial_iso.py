@@ -203,6 +203,22 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     extensions is not associative once q > 2 (colinear counterexamples
     exist in dimension 2).
 
+    A new list each call: the groups of trivial_extensions_grouped, in
+    their order, flattened.
+    """
+    return [PartialIso(V_plus, W_plus, g1, g2)
+            for V_plus, g1, g2s in trivial_extensions_grouped(
+                ctx, x, W_plus, left_inside, strict)
+            for g2 in g2s]
+
+
+@memo(limit=1024)
+def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
+    """The extensions of trivial_extensions_fixed_right grouped by
+    completion: one (V_plus, g1, g2s) per completion E+ of E, where g1 is
+    mat(g1+), which does not depend on P, and the tuple g2s holds mat(g2+)
+    for each P.  Cached; every argument is positional.
+
     The extensions are built directly in canonical coordinates, in the
     order canonical_piso(E+, F+, I, [[G, P], [0, I]]) would give them, F+
     being the fixed basis of W+ and E+ running over the completions of E.
@@ -210,15 +226,14 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     D^{-1} is E+ read at the pivots of V+ = Span(E+) (the rows' canonical
     coordinates), so C comes from one inversion per call, D from the row
     reduction that gives V+, once per completion, and then
-    mat(g1+) = (D C^{-1})^T (independent of P) and
-    mat(g2+) = D^{-T} [[G, P], [0, I]] C^T.
+    mat(g1+) = (D C^{-1})^T and mat(g2+) = D^{-T} [[G, P], [0, I]] C^T.
     """
     n, k = x.n, x.dim
     k_plus = W_plus.dim
     if not W_plus.contains(ctx, x.W):
         raise ValueError("W_plus must contain the right space")
     if k_plus == k:
-        return [x]
+        return ((x.V, x.g1, (x.g2,)),)
     F_plus = subspaces.extend_basis(ctx, x.W, W_plus)
     if k:
         E = linalg.mat_mul(
@@ -237,17 +252,17 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     C_inv = tuple(W_plus.coords(f) for f in F_plus)
     Ct = transpose(linalg.inverse(ctx, C_inv))
     lower = tuple((0,) * k + row[k:] for row in linalg.identity(k_plus)[k:])
+    blocks = [tuple(G[i] + tuple(c[i] for c in choice) for i in range(k)) + lower
+              for choice in itertools.product(cols, repeat=k_plus - k)]
     out = []
     for E_plus in completions:
         RV, pivV, D = linalg.rref(ctx, E_plus, transform=True)
         V_plus = subspaces.Subspace(n, RV, pivV)
         g1 = transpose(mat_mul(ctx, D, C_inv))
         D_inv_t = transpose(tuple(V_plus.coords(e) for e in E_plus))
-        for choice in itertools.product(cols, repeat=k_plus - k):
-            upper = tuple(G[i] + tuple(c[i] for c in choice) for i in range(k))
-            g2 = mat_mul(ctx, mat_mul(ctx, D_inv_t, upper + lower), Ct)
-            out.append(PartialIso(V_plus, W_plus, g1, g2))
-    return out
+        out.append((V_plus, g1, tuple(mat_mul(ctx, mat_mul(ctx, D_inv_t, block), Ct)
+                                      for block in blocks)))
+    return tuple(out)
 
 
 def trivial_extensions_fixed_left(ctx, x, V_plus, strict=True):
@@ -328,7 +343,7 @@ class AlgElem:
         if terms:
             for t, c in terms.items():
                 if c:
-                    self.terms[t] = Fraction(c)
+                    self.terms[t] = c if type(c) is Fraction else Fraction(c)
 
     def _like(self, terms):
         """A vector of the same kind and ambient data with other terms."""
@@ -373,24 +388,33 @@ def _basis_product(ctx, a, b):
     this is what makes the product associative.  Each composite is counted
     as an int and the counts are divided by |right| |left| once.  When
     a.W == b.V the middle space is a.W itself, each factor is its own only
-    extension, and the product is the single composite, built at once."""
+    extension, and the product is the single composite, built at once.
+
+    Both sides come as completion groups (trivial_extensions_grouped), and
+    a composite's two factors each depend on one side's extension and the
+    other side's completion only, so each is computed once per such pair,
+    not once per pair of extensions.  Pairs run in the order of the flat
+    lists, right extension outermost."""
     mat_mul = linalg.mat_mul
     if a.W == b.V:
         t = PartialIso(a.V, b.W, mat_mul(ctx, b.g1, a.g1), mat_mul(ctx, a.g2, b.g2))
         return {t: Fraction(1)}
     M = subspaces.subspace_sum(ctx, a.W, b.V)
-    right = trivial_extensions_fixed_right(ctx, a, M, strict=False)
-    left = trivial_extensions_fixed_left(ctx, b, M, strict=False)
+    right = trivial_extensions_grouped(ctx, a, M, None, False)
+    # an extension (V_b | h1 <-> h2 | M) of rev(b) is the left extension
+    # (M | h2 <-> h1 | V_b) of b: its g1 runs over the group, its g2 is shared
+    left = trivial_extensions_grouped(ctx, rev(b), M, None, False)
     counts = {}
-    for ea in right:
-        Va, a1, a2 = ea.V, ea.g1, ea.g2
-        for eb in left:
-            t = PartialIso(
-                Va, eb.W, mat_mul(ctx, eb.g1, a1), mat_mul(ctx, a2, eb.g2)
-            )
-            counts[t] = counts.get(t, 0) + 1
-    total = len(right) * len(left)
-    return {t: Fraction(c, total) for t, c in counts.items()}
+    for Va, a1, a2s in right:
+        firsts = [[mat_mul(ctx, h2, a1) for h2 in h2s] for _, _, h2s in left]
+        for a2 in a2s:
+            for (Vb, h1, _), g1s in zip(left, firsts):
+                g2 = mat_mul(ctx, a2, h1)
+                for g1 in g1s:
+                    key = (Va, Vb, g1, g2)
+                    counts[key] = counts.get(key, 0) + 1
+    total = sum(len(g2s) for _, _, g2s in right) * sum(len(h2s) for _, _, h2s in left)
+    return {PartialIso(*key): Fraction(c, total) for key, c in counts.items()}
 
 
 _PRODUCT_CACHE = _basis_product.cache

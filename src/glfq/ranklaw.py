@@ -82,14 +82,17 @@ def count_constrained_subspaces(j, k, l, m, q):
         * pochhammer(qi, k - j)
         / (pochhammer(qi, m - l) * pochhammer(qi, k + l - j - m))
     )
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise AssertionError("count_constrained_subspaces(j=%d, k=%d, l=%d, m=%d, q=%r) "
+                             "is %s, not an integer" % (j, k, l, m, q, out))
     return int(out)
 
 
 def homogeneous_geometric(r, c, q):
     """h_r(1, q, ..., q^c): the complete homogeneous symmetric polynomial of
     degree r evaluated on the geometric progression with c+1 terms."""
-    assert r >= 0 and c >= 0
+    if r < 0 or c < 0:
+        raise ValueError("need r >= 0 and c >= 0, got r=%d, c=%d" % (r, c))
     # h_r over variables x_0..x_c via the stable recurrence
     # h(vars[:i+1]) = sum_{s} x_i^s h_{r-s}(vars[:i])
     h = [1] + [0] * r

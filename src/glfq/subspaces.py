@@ -133,7 +133,9 @@ def num_subspaces(q, n, k):
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("[%d choose %d]_q at q=%r: %r is not divisible by %r"
+                             % (n, k, q, num, den))
     return num // den
 
 
@@ -169,6 +171,21 @@ def _free_families(ctx, rows, rref_rows, pool, size):
         return
     zero = (0,) * len(pool[0])
     for v in pool:
-        if reduce_against(ctx, v, rref_rows) != zero:
-            R, piv = linalg.rref(ctx, rref_rows + (v,))
-            yield from _free_families(ctx, rows + [v], R[: len(piv)], pool, size)
+        r = reduce_against(ctx, v, rref_rows)
+        if r != zero:
+            yield from _free_families(ctx, rows + [v], _rref_with(ctx, rref_rows, r),
+                                      pool, size)
+
+
+def _rref_with(ctx, rref_rows, r):
+    """The RREF rows of Span(rref_rows) + <r>, for RREF rows rref_rows and
+    a nonzero r reduced against them: r scaled to a leading 1, its pivot
+    column cleared from the other rows, inserted in pivot order."""
+    p = next(j for j, x in enumerate(r) if x)
+    inv = ctx.inv(r[p])
+    if inv != 1:
+        r = tuple(ctx.mul(inv, x) for x in r)
+    rows = [tuple(ctx.sub(x, ctx.mul(row[p], y)) for x, y in zip(row, r))
+            if row[p] else row for row in rref_rows]
+    i = next((i for i, row in enumerate(rows) if not any(row[:p])), len(rows))
+    return tuple(rows[:i]) + (r,) + tuple(rows[i:])

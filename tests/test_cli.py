@@ -261,28 +261,33 @@ def test_field_flag_validation(capsys):
     assert code == 0
 
 
-def test_bad_polypartition_is_a_computation_error(capsys):
+def test_bad_polypartition_is_a_usage_error(capsys):
     code, _, err = run(capsys, "class-size", "--q", "2", "--n", "2",
                        "--type", "oops")
-    assert code == 1
-    assert "error" in err
+    assert code == 2
+    assert err.startswith("usage error: ") and "'oops'" in err
     # a malformed partition is named in the message
     code, _, err = run(capsys, "generic-product", "--q", "3",
                        "--a", "{X+1:(2,0)}", "--b", "{X+1:(1)}")
-    assert code == 1
-    assert err.startswith("error: ") and "(2, 0)" in err
+    assert code == 2
+    assert err.startswith("usage error: ") and "(2, 0)" in err
     # empty and non-integer partitions name the bad entry
     for entry in ("X+1:()", "X+1:(a)", "X+1:(1,,1)"):
         code, _, err = run(capsys, "class-size", "--q", "2", "--n", "2",
                            "--type", "{%s}" % entry)
-        assert code == 1
-        assert err.startswith("error: ") and repr(entry) in err
+        assert code == 2
+        assert err.startswith("usage error: ") and repr(entry) in err
+    # so does a type of the wrong size
+    code, out, err = run(capsys, "class-size", "--q", "3", "--n", "2",
+                         "--type", "{X^2+1:(1);X+1:(1)}")
+    assert (code, out) == (2, "")
+    assert err == "usage error: {X+1:(1);X^2+1:(1)} has size 3, not --n 2\n"
 
 
 def test_out_of_range_extension_literal_is_rejected(capsys):
     code, _, err = run(capsys, "degree1", "--q", "4", "--a", "3", "--b", "t")
-    assert code == 1
-    assert err.startswith("error: ") and "'3'" in err
+    assert code == 2
+    assert err.startswith("usage error: ") and "'3'" in err
     # prime fields keep reading integers mod p
     code, out, _ = run(capsys, "degree1", "--q", "3", "--a", "5", "--b", "2")
     assert code == 0
@@ -295,8 +300,8 @@ def test_out_of_range_extension_literal_is_rejected(capsys):
 ])
 def test_malformed_matrix_entry_is_named(capsys, q, mat, literal):
     code, _, err = run(capsys, "type", "--q", q, "--mat", mat)
-    assert code == 1
-    assert err.startswith("error: ") and literal in err
+    assert code == 2
+    assert err.startswith("usage error: ") and literal in err
     assert "invalid literal" not in err
 
 

@@ -60,6 +60,7 @@ def test_wrapped_bypasses_the_store():
     (partial_iso, "all_pisos"),
     (partial_iso, "orbit_of_type"),
     (partial_iso, "_basis_product"),
+    (partial_iso, "trivial_extensions_grouped"),
 ])
 def test_memoized_functions_stay_plain_module_functions(module, name):
     fn = getattr(module, name)

@@ -199,6 +199,30 @@ def test_basis_product_matches_pair_sum(q, n, pairs):
     assert 0 < shortcuts < len(todo) - 50
 
 
+def test_extension_groups_are_cached_by_value():
+    """Keyword and positional calls share one cache entry of
+    trivial_extensions_grouped, and each call returns a list of its own."""
+    ctx = make_field(3)
+    n = 2
+    x = next(t for t in pi.all_pisos(ctx, n) if t.dim == 1)
+    full = subspaces.full_subspace(n)
+    cache = pi.trivial_extensions_grouped.cache
+    cache.clear()
+    first = pi.trivial_extensions_fixed_right(ctx, x, full, None, False)
+    assert list(cache) == [(ctx, x, full, None, False)]
+    groups = cache[(ctx, x, full, None, False)]
+    again = pi.trivial_extensions_fixed_right(
+        ctx, x, W_plus=subspaces.full_subspace(n), strict=False)
+    assert len(cache) == 1 and cache[(ctx, x, full, None, False)] is groups
+    assert again == first and again is not first
+    assert len(first) == pi.count_E(3, n, n, 1, 0)
+    assert first == [pi.PartialIso(V, full, g1, g2) for V, g1, g2s in groups for g2 in g2s]
+    first.clear()
+    again.append(x)
+    assert pi.trivial_extensions_fixed_right(ctx, x, full, strict=False) == again[:-1]
+    assert len(cache) == 1
+
+
 def test_empty_piso_idempotent_but_not_a_unit():
     # multiplying by the empty element re-randomizes the free side of the
     # glueing, so it is an idempotent, not a two-sided unit

@@ -1,6 +1,9 @@
 """Rank and dimension laws versus exhaustive enumeration."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -170,3 +173,40 @@ def test_homogeneous_geometric_examples():
     vals = (1, 2, 4)
     want = sum(vals[i] * vals[j] for i in range(3) for j in range(i, 3))
     assert ranklaw.homogeneous_geometric(2, 2, 2) == want
+
+
+def test_charpoly_and_count_checks_run_under_optimized_mode():
+    # the checks of charpoly, count_constrained_subspaces, homogeneous_geometric
+    # and num_subspaces are explicit raises, so they also hold under -O
+    code = (
+        "from fractions import Fraction\n"
+        "from glfq import fields, linalg, ranklaw, subspaces\n"
+        "from glfq.fields import make_field\n"
+        "def expect(exc, call):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except exc as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('no %s under -O' % exc.__name__)\n"
+        "ctx = make_field(3)\n"
+        "pmul = fields.pmul\n"
+        "fields.pmul = lambda ctx, A, B: fields.pscale(ctx, 2, pmul(ctx, A, B))\n"
+        "expect(AssertionError, lambda: linalg.charpoly(ctx, ((1,),)))\n"
+        "fields.pmul = pmul\n"
+        "ranklaw.pochhammer = lambda x, k: Fraction(k + 2)\n"
+        "expect(AssertionError, lambda: ranklaw.count_constrained_subspaces(0, 1, 1, 1, 2))\n"
+        "expect(ValueError, lambda: ranklaw.homogeneous_geometric(-1, 2, 2))\n"
+        "expect(AssertionError, lambda: subspaces.num_subspaces(Fraction(1, 2), 2, 1))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "charpoly of a 1x1 matrix came out as (1, 2), not monic of degree 1",
+        "count_constrained_subspaces(j=0, k=1, l=1, m=1, q=2) is 1/2, not an integer",
+        "need r >= 0 and c >= 0, got r=-1, c=2",
+        "[2 choose 1]_q at q=Fraction(1, 2): Fraction(-3, 4) is not divisible by "
+        "Fraction(-1, 2)",
+    ]

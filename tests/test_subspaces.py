@@ -113,3 +113,39 @@ def test_subspace_sum_checks_ambient_dimension_under_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "cannot add subspaces of (F_q)^2 and (F_q)^3"
+
+
+def free_families_by_rref(ctx, rows, rref_rows, pool, size):
+    """subspaces._free_families with a full row reduction of the grown
+    family per accepted vector, instead of one row added to its RREF."""
+    if len(rows) == size:
+        yield tuple(rows)
+        return
+    zero = (0,) * len(pool[0])
+    for v in pool:
+        if subspaces.reduce_against(ctx, v, rref_rows) != zero:
+            R, piv = linalg.rref(ctx, rref_rows + (v,))
+            yield from free_families_by_rref(ctx, rows + [v], R[: len(piv)], pool, size)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (3, 2, 2),
+                                   (3, 1, 3)])
+def test_completions_match_full_rref_oracle(p, e, n):
+    """The same lists, in the same order, as the full-reduction enumerator:
+    GL(n, F_q) itself, then seeded free families of each size completed
+    in the whole space and inside a subspace one dimension larger."""
+    ctx = make_field(p, e)
+    rng = random.Random(p ** e * 10 + n)
+    cases = [((), n, None)]
+    for k in range(1, n):
+        basis = rng.choice(subspaces.enumerate_completions(ctx, (), k, n))
+        within = rng.choice(subspaces.enumerate_subspaces(
+            ctx, n, k + 1, containing=subspaces.from_rows(ctx, basis, n)))
+        cases += [(basis, n, None), (basis, k + 1, within)]
+    for basis, k_plus, within in cases:
+        pool = (within or subspaces.full_subspace(n)).vectors(ctx)
+        R, piv = linalg.rref(ctx, basis)
+        want = list(free_families_by_rref(ctx, list(basis), R[: len(piv)], pool, k_plus))
+        got = subspaces.enumerate_completions(ctx, basis, k_plus, n, within=within)
+        assert got == want
+        assert len(got) == len(set(got)) > 0
