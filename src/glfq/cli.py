@@ -173,10 +173,18 @@ def cmd_generic_product(args):
     return 0
 
 
+def _unit(ctx, flag, literal):
+    """The field element a flag names; 0 is a usage error, not a unit."""
+    x = _parsed(ctx.elem_parse, literal)
+    if not x:
+        raise SystemExit2("%s %r is 0 in F_%d, not a unit" % (flag, literal, ctx.q))
+    return x
+
+
 def cmd_degree1(args):
     ctx = _field_from_args(args)
-    a = _parsed(ctx.elem_parse, args.a)
-    b = _parsed(ctx.elem_parse, args.b)
+    a = _unit(ctx, "--a", args.a)
+    b = _unit(ctx, "--b", args.b)
     if args.n is None:
         case = degree1.classify(ctx, a, b)
         out = degree1.degree1_product(ctx, a, b)

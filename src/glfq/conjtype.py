@@ -72,7 +72,7 @@ class Polypartition:
     the canonical one used for Jordan blocks, printing and equality.
     """
 
-    __slots__ = ("ctx", "entries")
+    __slots__ = ("ctx", "entries", "_hash")
 
     def __init__(self, ctx, entries):
         items = sorted(entries.items() if isinstance(entries, dict) else entries,
@@ -86,6 +86,7 @@ class Polypartition:
             raise ValueError("polypartition labels must be distinct")
         self.ctx = ctx
         self.entries = tuple(items)
+        self._hash = hash(self.entries)
 
     @property
     def size(self):
@@ -114,7 +115,7 @@ class Polypartition:
         return self.entries == other.entries and self.ctx is other.ctx
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def __lt__(self, other):
         return self.entries < other.entries
@@ -201,8 +202,10 @@ def type_of(ctx, g):
     dimensions d_j = dim ker P(g)^j grow by deg(P) times the conjugate
     partition of mu(P); transposing the increments recovers mu(P).  A
     factor of multiplicity 1 has mu(P) = (1).  The increments do not
-    increase, so once one is 1 the rest are 1 up to the multiplicity and
-    are not computed.
+    increase, so once one is deg(P) the rest are deg(P) up to the
+    multiplicity and are not computed.  The type is built from the
+    signature ((P, multiplicity, increments), ...) by a cached builder, so
+    a census builds each type once, not once per element.
     """
     n, m = linalg.shape(g)
     if n != m:
@@ -212,33 +215,50 @@ def type_of(ctx, g):
     cp = linalg.charpoly(ctx, g)
     if not cp[0]:  # det g = +-cp[0]
         raise ValueError("type_of requires an invertible matrix")
-    entries = {}
+    signature = []
     for P, mult in fields.factor(ctx, cp):
+        incs = []
+        if mult > 1:
+            d = pdeg(P)
+            Pg = linalg.apply_poly(ctx, P, g)
+            power = Pg
+            dim = 0
+            while True:
+                inc = n - linalg.rank(ctx, power) - dim
+                if inc <= 0:  # the kernels have stopped growing
+                    break
+                incs.append(inc)
+                dim += inc
+                if dim >= mult * d:  # kernels have stabilized
+                    break
+                if inc == d:
+                    incs.extend((d,) * (mult - dim // d))
+                    break
+                power = linalg.mat_mul(ctx, power, Pg)
+        signature.append((P, mult, tuple(incs)))
+    return _type_of_signature(ctx, tuple(signature))
+
+
+@memo(limit=10 ** 4)
+def _type_of_signature(ctx, signature):
+    """The polypartition of a type_of signature, checking that each kernel
+    increment is a multiple of deg(P) and that the partition it gives has
+    the multiplicity as its size (cached: a census sees one signature per
+    type)."""
+    entries = {}
+    for P, mult, incs in signature:
         if mult == 1:
             entries[P] = Partition((1,))
             continue
         d = pdeg(P)
-        Pg = linalg.apply_poly(ctx, P, g)
-        power = Pg
         cols = []
-        prev = 0
-        while True:
-            dim = n - linalg.rank(ctx, power)
-            step, rem = divmod(dim - prev, d)
+        for j, inc in enumerate(incs, 1):
+            step, rem = divmod(inc, d)
             if rem:
                 raise AssertionError(
                     "the kernel of (%s)(g)^%d grows by %d, not a multiple of %d"
-                    % (poly_str(ctx, P), len(cols) + 1, dim - prev, d))
-            if step == 0:
-                break
+                    % (poly_str(ctx, P), j, inc, d))
             cols.append(step)
-            prev = dim
-            if sum(cols) >= mult:  # kernels have stabilized
-                break
-            if step == 1:
-                cols.extend((1,) * (mult - sum(cols)))
-                break
-            power = linalg.mat_mul(ctx, power, Pg)
         conj = Partition(tuple(cols))  # conjugate partition of mu(P)
         entries[P] = conj.conjugate()
         if entries[P].size != mult:
@@ -409,30 +429,35 @@ def gl_generators(ctx, n):
 
 def conjugation_move(ctx, g):
     """The map x -> g x g^{-1} for a generator g of gl_generators, as one
-    row operation and one column operation instead of two matrix products.
-    For g = I + E_ij it adds row j to row i, then subtracts column i from
-    column j; for g = I except g_ii = c it scales row i by c and column i
-    by c^{-1}."""
+    row operation and one column operation (a row operation on the
+    transpose) instead of two matrix products.  For g = I + E_ij it adds
+    row j to row i, then subtracts column i from column j; for g = I except
+    g_ii = c it scales row i by c and column i by c^{-1}."""
     off = [(i, j, x) for i, row in enumerate(g) for j, x in enumerate(row)
            if x != (1 if i == j else 0)]
     if len(off) != 1 or (off[0][0] != off[0][1] and off[0][2] != 1):
         raise ValueError("conjugation_move needs I + E_ij or a diagonal "
                          "matrix with one entry c != 1, got %r" % (g,))
     i, j, c = off[0]
-    add, sub, mul = ctx.add, ctx.sub, ctx.mul
+    submul, scale = ctx.row_submul, ctx.row_scale
     if i != j:
+        minus_one = ctx.neg(1)
 
         def move(x):
             rows = list(x)
-            rows[i] = tuple([add(u, v) for u, v in zip(x[i], x[j])])
-            return tuple([r[:j] + (sub(r[j], r[i]),) + r[j + 1:] for r in rows])
+            rows[i] = submul(x[i], minus_one, x[j])
+            cols = list(zip(*rows))
+            cols[j] = submul(cols[j], 1, cols[i])
+            return tuple(zip(*cols))
     else:
         cinv = ctx.inv(c)
 
         def move(x):
             rows = list(x)
-            rows[i] = tuple([mul(c, u) for u in x[i]])
-            return tuple([r[:i] + (mul(r[i], cinv),) + r[i + 1:] for r in rows])
+            rows[i] = scale(c, x[i])
+            cols = list(zip(*rows))
+            cols[i] = scale(cinv, cols[i])
+            return tuple(zip(*cols))
     return move
 
 

@@ -13,11 +13,20 @@ roots (q entries) on the first call of sqrt only.  Enumerations
 (subspaces, GL(n), classes) are only practical for small q; closed forms
 serve any q, prime q = 65521 and q = 2^12 included.
 
+The matrix and polynomial kernels work a row at a time through three row
+primitives of the context, bound once when it is built: row_submul (u - c v),
+row_scale (c u) and row_dots (u . v for each row v of a list).  A prime
+field runs them as integer arithmetic with one reduction mod p per entry;
+an extension field runs them as log/Zech table lookups in one local loop.
+FieldCtx is the one place that chooses between prime and extension
+arithmetic.
+
 Polynomials over F_q are tuples of element encodings in ascending degree
 with no trailing zeros (the zero polynomial is the empty tuple).
 """
 
 import itertools
+import operator
 
 from .memo import memo
 
@@ -108,6 +117,7 @@ class FieldCtx:
         p, q = self.p, self.q
         self._sqrt = None  # built on the first sqrt call
         if self.e == 1:
+            self._bind_prime_rows()
             return
         g = self._smallest_primitive(self._schoolbook_pow)
         powers, x = [], 1
@@ -123,6 +133,73 @@ class FieldCtx:
         self._log = log
         # -1 = g^half: (q - 1)/2 for odd q, 0 in characteristic 2
         self._half = (q - 1) // 2 if p != 2 else 0
+        self._bind_extension_rows()
+
+    # -- row primitives ----------------------------------------------------
+    # row_submul(u, c, v) -> list u - c v; row_scale(c, u) -> list c u;
+    # row_dots(u, vs) -> tuple of the dot products u . v, v in vs (zip
+    # semantics: a longer argument is cut to the shorter).
+
+    def _bind_prime_rows(self):
+        p, mul = self.p, operator.mul
+
+        def row_submul(u, c, v):
+            return [(x - c * y) % p for x, y in zip(u, v)]
+
+        def row_scale(c, u):
+            return [c * x % p for x in u]
+
+        def row_dots(u, vs):
+            return tuple([sum(map(mul, u, v)) % p for v in vs])
+
+        self.row_submul, self.row_scale, self.row_dots = row_submul, row_scale, row_dots
+
+    def _bind_extension_rows(self):
+        # g^a + g^b = g^(a + zech[b - a]); zz repeats zech so that every
+        # b - a in (-(q - 1), 2(q - 1)) indexes it directly
+        exp, log, q1, half = self._exp, self._log, self.q - 1, self._half
+        zz = self._zech + self._zech
+
+        def row_scale(c, u):
+            if not c:
+                return [0] * len(u)
+            lc = log[c]
+            return [exp[lc + log[x]] if x else 0 for x in u]
+
+        def row_submul(u, c, v):
+            if not c:
+                return list(u)
+            lnc = (log[c] + half) % q1  # log(-c)
+            out = []
+            for x, y in zip(u, v):
+                if y:
+                    lw = lnc + log[y]
+                    if x:
+                        lx = log[x]
+                        z = zz[lw - lx]
+                        x = 0 if z is None else exp[lx + z]
+                    else:
+                        x = exp[lw]
+                out.append(x)
+            return out
+
+        def row_dots(u, vs):
+            out = []
+            for v in vs:
+                s = 0
+                for x, y in zip(u, v):
+                    if x and y:
+                        lw = log[x] + log[y]
+                        if s:
+                            ls = log[s]
+                            z = zz[lw - ls]
+                            s = 0 if z is None else exp[ls + z]
+                        else:
+                            s = exp[lw]
+                out.append(s)
+            return tuple(out)
+
+        self.row_submul, self.row_scale, self.row_dots = row_submul, row_scale, row_dots
 
     def _smallest_primitive(self, power):
         """The smallest encoding of multiplicative order q - 1, given
@@ -337,28 +414,29 @@ def is_monic(P):
     return len(P) > 0 and P[-1] == 1
 
 
+def _padded(A, n):
+    return list(A) + [0] * (n - len(A))
+
+
 def psub(ctx, A, B):
     n = max(len(A), len(B))
-    out = []
-    for i in range(n):
-        a = A[i] if i < len(A) else 0
-        b = B[i] if i < len(B) else 0
-        out.append(ctx.sub(a, b))
-    return pnorm(out)
+    return pnorm(ctx.row_submul(_padded(A, n), 1, _padded(B, n)))
 
 
 def pscale(ctx, c, A):
-    return pnorm(ctx.mul(c, a) for a in A)
+    return pnorm(ctx.row_scale(c, A))
 
 
 def pmul(ctx, A, B):
+    """Schoolbook product: one row operation per nonzero coefficient of A."""
     if not A or not B:
         return ()
-    out = [0] * (len(A) + len(B) - 1)
+    lb = len(B)
+    neg_B = ctx.row_scale(ctx.neg(1), B)  # out - a (-B) = out + a B
+    out = [0] * (len(A) + lb - 1)
     for i, a in enumerate(A):
         if a:
-            for j, b in enumerate(B):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+            out[i:i + lb] = ctx.row_submul(out[i:i + lb], a, neg_B)
     return pnorm(out)
 
 
@@ -373,8 +451,7 @@ def pdivmod(ctx, A, B):
         c = ctx.mul(A[i], binv)
         if c:
             q[i - db] = c
-            for j, b in enumerate(B):
-                A[i - db + j] = ctx.sub(A[i - db + j], ctx.mul(c, b))
+            A[i - db:i + 1] = ctx.row_submul(A[i - db:i + 1], c, B)
     return pnorm(q), pnorm(A)
 
 

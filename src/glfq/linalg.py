@@ -6,8 +6,6 @@ composition convention used throughout (gh means "apply g, then h"), this
 gives mat(gh) = mat(h) * mat(g); one dedicated unit test pins this down.
 """
 
-import operator
-
 from . import fields
 
 
@@ -32,58 +30,29 @@ def transpose(A):
 
 
 def mat_sub(ctx, A, B):
-    return tuple(tuple(ctx.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+    return tuple(tuple(ctx.row_submul(ra, 1, rb)) for ra, rb in zip(A, B))
 
 
 def mat_mul(ctx, A, B):
-    ra, ca = shape(A)
-    rb, cb = shape(B)
-    if ca != rb:
+    """A B: each row of the product is one row_dots of a row of A against
+    the columns of B."""
+    if (len(A[0]) if A else 0) != len(B):
+        (ra, ca), (rb, cb) = shape(A), shape(B)
         raise ValueError("shape mismatch in mat_mul: %dx%d * %dx%d" % (ra, ca, rb, cb))
-    Bt = transpose(B)
-    if ctx.e == 1:
-        # one integer dot product per entry, reduced once (list
-        # comprehensions: cheaper than generators at these sizes)
-        p = ctx.p
-        return tuple([tuple([sum(map(operator.mul, row, col)) % p for col in Bt])
-                      for row in A])
-    add, mul = ctx.add, ctx.mul
-    out = []
-    for row in A:
-        orow = []
-        for col in Bt:
-            s = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    s = add(s, mul(x, y))
-            orow.append(s)
-        out.append(tuple(orow))
-    return tuple(out)
+    dots, cols = ctx.row_dots, tuple(zip(*B))
+    return tuple([dots(row, cols) for row in A])
 
 
 def mat_vec(ctx, A, v):
     """A acting on the coordinate column v (v given as a flat tuple)."""
-    add, mul = ctx.add, ctx.mul
-    out = []
-    for row in A:
-        s = 0
-        for x, y in zip(row, v):
-            if x and y:
-                s = add(s, mul(x, y))
-        out.append(s)
-    return tuple(out)
+    return ctx.row_dots(v, A)
 
 
 def row_combine(ctx, coeffs, rows, n):
     """Linear combination sum coeffs[i] * rows[i] of row vectors."""
-    out = [0] * n
-    add, mul = ctx.add, ctx.mul
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = add(out[j], mul(c, x))
-    return tuple(out)
+    if not rows:
+        return (0,) * n
+    return ctx.row_dots(coeffs, tuple(zip(*rows)))
 
 
 def rref(ctx, A, transform=False):
@@ -91,40 +60,40 @@ def rref(ctx, A, transform=False):
 
     Returns (R, pivots) or, with transform=True, (R, pivots, T) where T is
     square invertible with T A = R (zero rows of R included, so R keeps the
-    shape of A).
+    shape of A).  T is reduced along with A, as the right block of [A | I].
     """
-    rows = [list(r) for r in A]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    T = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if transform:
+        rows = [list(r) + [1 if i == j else 0 for j in range(m)] for i, r in enumerate(A)]
+    else:
+        rows = [list(r) for r in A]
+    submul, scale = ctx.row_submul, ctx.row_scale
     pivots = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, m):
+            if rows[pr][c]:
+                break
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        if transform:
-            T[r], T[pr] = T[pr], T[r]
-        inv = ctx.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [ctx.mul(inv, x) for x in rows[r]]
-            if transform:
-                T[r] = [ctx.mul(inv, x) for x in T[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-                if transform:
-                    T[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(T[i], T[r])]
+        pivot = rows[pr]
+        rows[pr] = rows[r]
+        if pivot[c] != 1:
+            pivot = scale(ctx.inv(pivot[c]), pivot)
+        rows[r] = pivot
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = submul(row, f, pivot)
         pivots.append(c)
         r += 1
         if r == m:
             break
-    R = tuple(tuple(row) for row in rows)
     if transform:
-        return R, tuple(pivots), tuple(tuple(t) for t in T)
-    return R, tuple(pivots)
+        return (tuple(tuple(row[:n]) for row in rows), tuple(pivots),
+                tuple(tuple(row[n:]) for row in rows))
+    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def rank(ctx, A):
@@ -135,11 +104,10 @@ def inverse(ctx, A):
     n, n2 = shape(A)
     if n != n2:
         raise ValueError("inverse requires a square matrix")
-    aug = tuple(row + identity(n)[i] for i, row in enumerate(A))
-    R, piv = rref(ctx, aug)
-    if tuple(piv) != tuple(range(n)):
+    _, piv, T = rref(ctx, A, transform=True)
+    if piv != tuple(range(n)):
         raise ZeroDivisionError("singular matrix")
-    return tuple(row[n:] for row in R)
+    return T
 
 
 def kernel_basis(ctx, A):
@@ -165,37 +133,48 @@ def charpoly(ctx, A):
         raise ValueError("charpoly requires a square matrix")
     if n == 0:
         return (1,)
+    submul, dots, mul = ctx.row_submul, ctx.row_dots, ctx.mul
     H = [list(r) for r in A]
     # similarity reduction to upper Hessenberg form
     for c in range(n - 2):
-        pr = next((i for i in range(c + 1, n) if H[i][c]), None)
-        if pr is None:
+        for pr in range(c + 1, n):
+            if H[pr][c]:
+                break
+        else:
             continue
         if pr != c + 1:
             H[c + 1], H[pr] = H[pr], H[c + 1]
             for row in H:
                 row[c + 1], row[pr] = row[pr], row[c + 1]
-        inv = ctx.inv(H[c + 1][c])
-        for i in range(c + 2, n):
-            f = ctx.mul(H[i][c], inv)
+        pivot = H[c + 1]
+        fs = ctx.row_scale(ctx.inv(pivot[c]), [row[c] for row in H[c + 2:]])
+        if not any(fs):
+            continue
+        # H -> L H L^-1 with L = I - sum_i f_i E_{i,c+1}: row i loses f_i
+        # times row c+1, then column c+1 gains sum_i f_i column i
+        for i, f in enumerate(fs, c + 2):
             if f:
-                H[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(H[i], H[c + 1])]
-                for row in H:
-                    row[c + 1] = ctx.add(row[c + 1], ctx.mul(f, row[i]))
-    # charpoly recurrence on the leading principal minors of XI - H
-    polys = [(1,)]
+                H[i] = submul(H[i], f, pivot)
+        w = [1] + fs
+        for row, x in zip(H, dots(w, [row[c + 1:] for row in H])):
+            row[c + 1] = x
+    # charpoly recurrence on the leading principal minors of XI - H, each
+    # minor's polynomial an ascending coefficient list of length n + 1:
+    # p_k = (X - h_kk) p_{k-1} - sum_i (h_{i,i-1} ... h_{k-1,k-2}) h_{i-1,k-1} p_{i-1}
+    polys = [[1] + [0] * n]
     for k in range(1, n + 1):
-        x_minus = (ctx.neg(H[k - 1][k - 1]), 1)
-        p = fields.pmul(ctx, x_minus, polys[k - 1])
+        prev = polys[k - 1]
+        p = submul([0] + prev[:-1], H[k - 1][k - 1], prev)
         prod = 1
         for i in range(k - 1, 0, -1):
-            prod = ctx.mul(prod, H[i][i - 1])
+            prod = mul(prod, H[i][i - 1])
             if prod == 0:
                 break
-            term = fields.pscale(ctx, ctx.mul(prod, H[i - 1][k - 1]), polys[i - 1])
-            p = fields.psub(ctx, p, term)
+            f = mul(prod, H[i - 1][k - 1])
+            if f:
+                p = submul(p, f, polys[i - 1])
         polys.append(p)
-    cp = polys[n]
+    cp = fields.pnorm(polys[n])
     if len(cp) != n + 1 or cp[-1] != 1:
         raise AssertionError("charpoly of a %dx%d matrix came out as %r, not monic "
                              "of degree %d" % (n, n, cp, n))

@@ -80,14 +80,11 @@ def subspace_sum(ctx, A, B):
 
 def reduce_against(ctx, v, rref_rows):
     """Reduce the row vector v against RREF rows; zero iff v is in the span."""
-    v = list(v)
+    submul = ctx.row_submul
     for row in rref_rows:
-        piv = next(j for j, x in enumerate(row) if x)
-        c = v[piv]
+        c = v[row.index(1)]  # the pivot: an RREF row's first nonzero entry is 1
         if c:
-            for j, x in enumerate(row):
-                if x:
-                    v[j] = ctx.sub(v[j], ctx.mul(c, x))
+            v = submul(v, c, row)
     return tuple(v)
 
 
@@ -182,10 +179,9 @@ def _rref_with(ctx, rref_rows, r):
     a nonzero r reduced against them: r scaled to a leading 1, its pivot
     column cleared from the other rows, inserted in pivot order."""
     p = next(j for j, x in enumerate(r) if x)
-    inv = ctx.inv(r[p])
-    if inv != 1:
-        r = tuple(ctx.mul(inv, x) for x in r)
-    rows = [tuple(ctx.sub(x, ctx.mul(row[p], y)) for x, y in zip(row, r))
-            if row[p] else row for row in rref_rows]
+    if r[p] != 1:
+        r = tuple(ctx.row_scale(ctx.inv(r[p]), r))
+    rows = [tuple(ctx.row_submul(row, row[p], r)) if row[p] else row
+            for row in rref_rows]
     i = next((i for i, row in enumerate(rows) if not any(row[:p])), len(rows))
     return tuple(rows[:i]) + (r,) + tuple(rows[i:])

@@ -294,6 +294,20 @@ def test_out_of_range_extension_literal_is_rejected(capsys):
     assert out == run(capsys, "degree1", "--q", "3", "--a", "2", "--b", "2")[1]
 
 
+@pytest.mark.parametrize("q,a,b,named", [
+    ("3", "0", "1", "--a '0'"),
+    ("3", "2", "0", "--b '0'"),
+    ("3", "3", "1", "--a '3'"),  # 3 is read mod 3
+    ("4", "t", "0", "--b '0'"),
+])
+@pytest.mark.parametrize("n", [None, "3"])
+def test_degree1_zero_is_a_usage_error(capsys, q, a, b, named, n):
+    argv = ["degree1", "--q", q, "--a", a, "--b", b] + (["--n", n] if n else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "usage error: %s is 0 in F_%s, not a unit\n" % (named, q)
+
+
 @pytest.mark.parametrize("q,mat,literal", [
     ("3", "1,;0,1", "''"),
     ("4", "t,1;0,x", "'x'"),
