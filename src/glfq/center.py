@@ -3,8 +3,8 @@
 The completed class of a polypartition mu with |mu| <= n pads mu(X - 1) with
 parts 1 so the matrices act on all of (F_q)^n.  This module computes the
 expansion C_{lam^n} * C_{mu^n} = sum_nu c^nu(n) C_nu by direct counting in
-the group, projects the generic invariants onto these centers (the Pi_n
-scalars), extracts the generic structure constants S^nu from the
+the group, projects the generic invariants onto these centers (the exact
+transport of Pi_n), extracts the generic structure constants S^nu from the
 partial-isomorphism engine, and assembles the polynomials p^nu(X), X = q^n,
 that describe the n-dependence of the c^nu in closed form.
 """
@@ -68,7 +68,7 @@ class CentralVector(AlgElem):
         return " + ".join("%s*C%s" % (c, m) for m, c in items) or "0"
 
 
-def completed_product(lam, mu, n, representative=None):
+def completed_product(lam, mu, n):
     """Expansion of C_{lam^n} * C_{mu^n} in completed-class sums.
 
     The coefficient of C_nu is #{g in C_{lam^n} : type(g^{-1} z) = mu^n} for
@@ -86,17 +86,12 @@ def completed_product(lam, mu, n, representative=None):
     ctx = lam.ctx
     lam_n, mu_n = complete(lam, n), complete(mu, n)
     size_lam, size_mu = class_size(lam_n, n), class_size(mu_n, n)
-    if representative is None and size_mu < size_lam:
+    if size_mu < size_lam:
         # enumerate the smaller class; the product is commutative
-        lam, mu = mu, lam
-        lam_n, mu_n = mu_n, lam_n
+        lam, mu_n = mu, lam_n
         size_lam, size_mu = size_mu, size_lam
     check_work("product", size_lam)
-    h0 = jordan_matrix(mu_n) if representative is None else representative
-    if type_of(ctx, h0) != mu_n:
-        raise AssertionError("the representative has type %s, not %s"
-                             % (format_polypartition(type_of(ctx, h0)),
-                                format_polypartition(mu_n)))
+    h0 = jordan_matrix(mu_n)
     counts = {}
     for g in class_orbit(lam, n):
         t = type_of(ctx, linalg.mat_mul(ctx, h0, g))
@@ -114,53 +109,6 @@ def completed_product(lam, mu, n, representative=None):
     if mass != size_lam * size_mu:
         raise AssertionError("class product has mass %d, not %d * %d"
                              % (mass, size_lam, size_mu))
-    return CentralVector(ctx, n, out)
-
-
-def class_convolution(lam, mu, n):
-    """Brute-force oracle: full double loop over both completed classes."""
-    ctx = lam.ctx
-    counts = {}
-    for g in class_orbit(lam, n):
-        for h in class_orbit(mu, n):
-            t = type_of(ctx, linalg.mat_mul(ctx, h, g))
-            counts[t] = counts.get(t, 0) + 1
-    out = {}
-    for t, c in counts.items():
-        coeff, rem = divmod(c, class_size(t, n))
-        if rem:
-            raise AssertionError("coefficient of %s is %d/%d, not an integer"
-                                 % (format_polypartition(t), c, class_size(t, n)))
-        out[t] = coeff
-    return CentralVector(ctx, n, out)
-
-
-def pi_scalar(mu, n):
-    """The scalar lambda with Pi_n(Ahat_mu) = lambda * C_{mu^n} / card(C_mu):
-    q^{n(2k1-k)} q^{2k(k-k1)} (q^{-1})_k (q^{-1})_{n-k+k11}
-    / ((q^{-1})_{k11} (q^{-1})_{n-k})."""
-    k = mu.size
-    if k > n:
-        raise ValueError("type size exceeds n")
-    k1, k11 = mu.k1, mu.k11
-    q = mu.ctx.q
-    qi = Fraction(1, q)
-    return (
-        Fraction(q) ** (n * (2 * k1 - k))
-        * Fraction(q) ** (2 * k * (k - k1))
-        * pochhammer(qi, k)
-        * pochhammer(qi, n - k + k11)
-        / (pochhammer(qi, k11) * pochhammer(qi, n - k))
-    )
-
-
-def pi_expansion(ctx, hat_coeffs, n):
-    """Pi_n applied to sum S_nu Ahat_nu: a rational CentralVector."""
-    out = {}
-    for nu, c in hat_coeffs.items():
-        key = complete(nu, n)
-        w = c * pi_scalar(nu, n) / class_size(nu, nu.size)
-        out[key] = out.get(key, 0) + w
     return CentralVector(ctx, n, out)
 
 
@@ -398,9 +346,8 @@ def _transport_poly(nu):
 def transport(nu, n):
     """The exact expansion of Pi_n(Ahat_nu) in completed classes: the
     weights of _transport_poly at X = q^n.  Returns a rational CentralVector.
-    For nu without parts 1 on (X-1) and n = |nu| this is pi_scalar's single
-    class; in general the (X-1) block of the composite spreads over several
-    types."""
+    For nu without parts 1 on (X-1) this is a single class; in general the
+    (X-1) block of the composite spreads over several types."""
     ctx = nu.ctx
     if nu.size > n:
         raise ValueError("type size exceeds n")

@@ -19,14 +19,18 @@ from fractions import Fraction
 
 from . import center, degree1, linalg, partial_iso, ranklaw, subspaces
 from .conjtype import (
+    Partition,
+    Polypartition,
     census,
     class_size,
+    enumerate_polypartitions,
     format_polypartition,
     gl_order,
     parse_polypartition,
+    reduce_polypartition,
     type_of,
 )
-from .fields import make_field
+from .fields import linear_poly, make_field
 
 
 def _field_from_args(args):
@@ -34,6 +38,8 @@ def _field_from_args(args):
         if args.p is not None or args.e != 1:
             raise SystemExit2("give either --q or --p/--e, not both")
         q = args.q
+        if q < 2:
+            raise SystemExit2("--q must be a prime power, got %d" % q)
         p = q
         for f in range(2, q):
             if f * f > q:
@@ -47,11 +53,11 @@ def _field_from_args(args):
             qq //= p
             e += 1
         if qq != 1 or p ** e != q:
-            raise SystemExit2("--q must be a prime power")
-        return make_field(p, e)
+            raise SystemExit2("--q must be a prime power, got %d" % q)
+        return _parsed(make_field, p, e)
     if args.p is None:
         raise SystemExit2("a field is required: --q or --p [--e]")
-    return make_field(args.p, args.e)
+    return _parsed(make_field, args.p, args.e)
 
 
 class SystemExit2(Exception):
@@ -64,6 +70,13 @@ def _parsed(parse, *args):
         return parse(*args)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
+
+
+def _at_least(flag, value, low):
+    """value, unless it is below low: then a usage error naming the flag."""
+    if value < low:
+        raise SystemExit2("%s must be at least %d, got %d" % (flag, low, value))
+    return value
 
 
 def _frac_str(c):
@@ -117,7 +130,7 @@ def _census(ctx, n):
 
 def cmd_census(args):
     ctx = _field_from_args(args)
-    buckets = _census(ctx, args.n)
+    buckets = _census(ctx, _at_least("--n", args.n, 0))
     total = 0
     rows = []
     for mu in sorted(buckets, key=format_polypartition):
@@ -145,7 +158,7 @@ def cmd_class_product(args):
     ctx = _field_from_args(args)
     lam = _parsed(parse_polypartition, ctx, args.a)
     mu = _parsed(parse_polypartition, ctx, args.b)
-    out = center.completed_product(lam, mu, args.n)
+    out = center.completed_product(lam, mu, _at_least("--n", args.n, 0))
     _print_coeffs(out.terms, args.json)
     return 0
 
@@ -154,6 +167,10 @@ def cmd_generic_product(args):
     ctx = _field_from_args(args)
     lam = _parsed(parse_polypartition, ctx, args.a)
     mu = _parsed(parse_polypartition, ctx, args.b)
+    if args.verify_at is not None:
+        # verify_fh works on the reduced types
+        low = sum(reduce_polypartition(t)[0].size for t in (lam, mu))
+        _at_least("--verify-at", args.verify_at, low)
     gp = center.fh_polynomials(lam, mu)
     if args.verify_at is not None:
         report = center.verify_fh(gp, [args.verify_at])
@@ -206,7 +223,7 @@ def cmd_degree1(args):
             print("case: %s" % case.tag)
             _print_coeffs(out, False)
     else:
-        out = degree1.project_degree1(ctx, a, b, args.n)
+        out = degree1.project_degree1(ctx, a, b, _at_least("--n", args.n, 2))
         _print_coeffs(out.terms, args.json)
     return 0
 
@@ -343,41 +360,29 @@ def _suite_ranklaw(ctx, n, rng, samples):
     return True, "laws are probability measures up to n=%d, q=%d" % (n, q)
 
 
+def _unit_pairs(ctx):
+    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b."""
+    units = range(1, ctx.q)
+    types = {a: Polypartition(ctx, ((linear_poly(ctx, a), Partition((1,))),)) for a in units}
+    return [(a, b, types[a], types[b]) for a in units for b in units]
+
+
 def _suite_degree1(ctx, n, rng, samples):
-    from .center import hat_from_tilde
-    from .conjtype import Partition, Polypartition
-    from .fields import linear_poly
-    for a in range(1, ctx.q):
-        for b in range(1, ctx.q):
-            lam = Polypartition(
-                ctx, ((linear_poly(ctx, a), Partition((1,))),))
-            mu = Polypartition(
-                ctx, ((linear_poly(ctx, b), Partition((1,))),))
-            n0 = 2
-            tilde = partial_iso.invariant_product(lam, mu, n0)
-            hat = hat_from_tilde(ctx, tilde, lam, mu, n0)
-            if degree1.degree1_product(ctx, a, b) != hat:
-                return False, "closed form != engine at a=%d b=%d" % (a, b)
+    for a, b, lam, mu in _unit_pairs(ctx):
+        if degree1.degree1_product(ctx, a, b) != center.generic_S(lam, mu):
+            return False, "closed form != engine at a=%d b=%d" % (a, b)
     return True, "closed form matches engine for all units, q=%d" % ctx.q
 
 
 def _suite_fh(ctx, n, rng, samples):
-    from .conjtype import Partition, Polypartition
-    from .fields import linear_poly
-    for a in range(1, ctx.q):
-        for b in range(1, ctx.q):
-            lam = Polypartition(
-                ctx, ((linear_poly(ctx, a), Partition((1,))),))
-            mu = Polypartition(
-                ctx, ((linear_poly(ctx, b), Partition((1,))),))
-            report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])
-            if not report["ok"]:
-                return False, "fh mismatch at a=%d b=%d" % (a, b)
+    for a, b, lam, mu in _unit_pairs(ctx):
+        report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])
+        if not report["ok"]:
+            return False, "fh mismatch at a=%d b=%d" % (a, b)
     return True, "fh polynomials verified for degree-1 pairs, q=%d" % ctx.q
 
 
 def _suite_phi(ctx, n, rng, samples):
-    from .conjtype import enumerate_polypartitions
     for size in (0, 1, 2):
         for mu in enumerate_polypartitions(ctx, size):
             big = partial_iso.invariant_elem(ctx, mu, 3, normalization="hat")
@@ -419,9 +424,9 @@ def cmd_verify(args):
     if args.q is None and args.p is None:
         args.q = default_q
     ctx = _field_from_args(args)
-    n = args.n if args.n is not None else default_n
+    n = _at_least("--n", args.n, 0) if args.n is not None else default_n
     rng = random.Random(args.seed)
-    ok, msg = fn(ctx, n, rng, args.samples)
+    ok, msg = fn(ctx, n, rng, _at_least("--samples", args.samples, 0))
     print("suite %s: %s (%s)" % (args.suite, "PASS" if ok else "FAIL", msg))
     return 0 if ok else 1
 

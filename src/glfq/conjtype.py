@@ -362,18 +362,20 @@ def enumerate_polypartitions(ctx, n):
         labels.extend(P for P in fields.enumerate_irreducibles(ctx, d) if P != fields.PX)
     out = []
 
+    # the next label used is labels[j] for some j >= i, so the recursion is
+    # at most n deep however many labels there are
     def rec(i, rest, acc):
         if rest == 0:
             out.append(Polypartition(ctx, dict(acc)))
             return
-        if i == len(labels):
-            return
-        P = labels[i]
-        d = pdeg(P)
-        rec(i + 1, rest, acc)
-        for s in range(d, rest + 1, d):
-            for part in partitions_of(s // d):
-                rec(i + 1, rest - s, acc + [(P, part)])
+        for j in range(i, len(labels)):
+            P = labels[j]
+            d = pdeg(P)
+            if d > rest:
+                break  # the labels come in increasing degree
+            for s in range(d, rest + 1, d):
+                for part in partitions_of(s // d):
+                    rec(j + 1, rest - s, acc + [(P, part)])
 
     rec(0, n, [])
     return sorted(out, key=lambda m: m.entries)

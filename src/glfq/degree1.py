@@ -158,9 +158,8 @@ def project_degree1(ctx, a, b, n):
     Unit factors are trivial (the completed class of {X-1:(1)} is the
     identity class); otherwise the degree-1 closed form is pushed through
     the exact expansion of each lifted basis element over completed classes
-    (center.transport) and rescaled by the class cardinalities.  The result
-    is checked against the brute-force class product whenever the smaller
-    class has at most 200000 elements."""
+    (center.transport) and rescaled by the class cardinalities.  The test
+    suite checks the result against the brute-force class product."""
     if n < 2:
         raise ValueError("need n >= 2")
     if a == 0 or b == 0:
@@ -169,22 +168,14 @@ def project_degree1(ctx, a, b, n):
     lam_up = center.complete(_single(ctx, a, (1,)), n)
     mu_up = center.complete(_single(ctx, b, (1,)), n)
     if a == 1 or b == 1:
-        other = mu_up if a == 1 else lam_up
-        result = center.CentralVector(ctx, n, {other: Fraction(1)})
-    else:
-        nf1 = Fraction(q ** n - 1)
-        scale = Fraction(class_size(lam_up, n) * class_size(mu_up, n)) / nf1 ** 2
-        coeffs = {}
-        for nu, s in degree1_product(ctx, a, b).items():
-            for tau, c in center.transport(nu, n).terms.items():
-                coeffs[tau] = coeffs.get(tau, Fraction(0)) + s * c * scale
-        result = center.CentralVector(ctx, n, coeffs)
+        return center.CentralVector(ctx, n, {mu_up if a == 1 else lam_up: Fraction(1)})
+    nf1 = Fraction(q ** n - 1)
+    scale = Fraction(class_size(lam_up, n) * class_size(mu_up, n)) / nf1 ** 2
+    coeffs = {}
+    for nu, s in degree1_product(ctx, a, b).items():
+        for tau, c in center.transport(nu, n).terms.items():
+            coeffs[tau] = coeffs.get(tau, Fraction(0)) + s * c * scale
+    result = center.CentralVector(ctx, n, coeffs)
     if not result.is_integral():
         raise AssertionError("projected product is not integral: %r" % result)
-    if min(class_size(lam_up, n), class_size(mu_up, n)) <= 200000:
-        brute = center.completed_product(
-            _single(ctx, a, (1,)), _single(ctx, b, (1,)), n)
-        if result.terms != brute.terms:
-            raise AssertionError("projected product %r differs from the class product %r"
-                                 % (result, brute))
     return result

@@ -414,19 +414,6 @@ def is_monic(P):
     return len(P) > 0 and P[-1] == 1
 
 
-def _padded(A, n):
-    return list(A) + [0] * (n - len(A))
-
-
-def psub(ctx, A, B):
-    n = max(len(A), len(B))
-    return pnorm(ctx.row_submul(_padded(A, n), 1, _padded(B, n)))
-
-
-def pscale(ctx, c, A):
-    return pnorm(ctx.row_scale(c, A))
-
-
 def pmul(ctx, A, B):
     """Schoolbook product: one row operation per nonzero coefficient of A."""
     if not A or not B:

@@ -110,22 +110,6 @@ def inverse(ctx, A):
     return T
 
 
-def kernel_basis(ctx, A):
-    """RREF row basis of the right kernel {x : A x = 0}."""
-    m, n = shape(A)
-    R, piv = rref(ctx, A)
-    free = [j for j in range(n) if j not in piv]
-    out = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for i, c in enumerate(piv):
-            v[c] = ctx.neg(R[i][f])
-        out.append(tuple(v))
-    # the standard free-variable basis is already in RREF up to row order
-    return rref(ctx, out)[0] if out else ()
-
-
 def charpoly(ctx, A):
     """Monic characteristic polynomial det(XI - A), by Hessenberg reduction."""
     n, m = shape(A)
@@ -194,10 +178,6 @@ def apply_poly(ctx, P, A):
             R = tuple(row[:i] + (ctx.add(row[i], c),) + row[i + 1:]
                       for i, row in enumerate(R))
     return R
-
-
-def mat_str(ctx, A):
-    return ";".join(",".join(ctx.elem_str(x) for x in row) for row in A)
 
 
 def mat_parse(ctx, s):

@@ -107,18 +107,6 @@ def piso_type(ctx, x):
     return type_of(ctx, x.composite(ctx))
 
 
-def apply_fwd(ctx, x, v):
-    """Image under g1 of an ambient vector v of V, as an ambient vector."""
-    coords = linalg.mat_vec(ctx, x.g1, x.V.coords(v))
-    return linalg.row_combine(ctx, coords, x.W.basis, x.n)
-
-
-def apply_bwd(ctx, x, w):
-    """Image under g2 of an ambient vector w of W, as an ambient vector."""
-    coords = linalg.mat_vec(ctx, x.g2, x.W.coords(w))
-    return linalg.row_combine(ctx, coords, x.V.basis, x.n)
-
-
 def canonical_piso(ctx, E, F, A, B):
     """Canonical PartialIso from arbitrary bases.
 
@@ -284,46 +272,6 @@ def trivial_extensions_both_fixed(ctx, x, V_plus, W_plus, strict=True):
     return trivial_extensions_fixed_right(
         ctx, x, W_plus, left_inside=V_plus, strict=strict
     )
-
-
-def is_extension(ctx, small, big):
-    """True iff big extends small: larger spaces, restrictions agree."""
-    if not (big.V.contains(ctx, small.V) and big.W.contains(ctx, small.W)):
-        return False
-    for v in small.V.basis:
-        if apply_fwd(ctx, big, v) != apply_fwd(ctx, small, v):
-            return False
-    for w in small.W.basis:
-        if apply_bwd(ctx, big, w) != apply_bwd(ctx, small, w):
-            return False
-    return True
-
-
-def is_trivial_extension(ctx, small, big, method="type"):
-    """Extension predicates.  method="type" tests strict triviality (the
-    composite type gains only parts 1 on the (X-1)-partition); method
-    ="quotient" tests compatibility (the induced quotient maps are
-    mutually inverse).  The two are NOT equivalent: strict implies
-    compatible, and the converse fails whenever the composite of `small`
-    has a fixed vector."""
-    if not is_extension(ctx, small, big):
-        return False
-    if method == "type":
-        return piso_type(ctx, big) == complete(piso_type(ctx, small), big.dim)
-    if method == "quotient":
-        n = big.n
-        redV = lambda v: subspaces.reduce_against(ctx, v, small.V.basis)
-        redW = lambda w: subspaces.reduce_against(ctx, w, small.W.basis)
-        for u in big.V.basis:
-            back = apply_bwd(ctx, big, apply_fwd(ctx, big, u))
-            if redV(back) != redV(u):
-                return False
-        for w in big.W.basis:
-            forth = apply_fwd(ctx, big, apply_bwd(ctx, big, w))
-            if redW(forth) != redW(w):
-                return False
-        return True
-    raise ValueError("unknown method %r" % method)
 
 
 # ---------------------------------------------------------------------------

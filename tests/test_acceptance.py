@@ -281,11 +281,10 @@ def test_degree1_closed_forms_and_projections():
                         linear_type(ctx, a), linear_type(ctx, b))
                     assert closed == engine, (q, a, b)
                     for n in (2, 3):
-                        # these classes are small enough that the projection
-                        # re-derives the class product by brute force inside
-                        # and asserts equality
                         got = degree1.project_degree1(ctx, a, b, n)
                         assert got.is_integral()
+                        assert got == center.completed_product(
+                            linear_type(ctx, a), linear_type(ctx, b), n), (q, a, b, n)
         # leading coefficient of the product class C_{X-ab} in the generic
         # split case: the structure polynomial is (2/q) X - 1, which at
         # n = 2 evaluates to q + (q - 1)

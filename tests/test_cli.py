@@ -261,6 +261,39 @@ def test_field_flag_validation(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--q", "0"], "got 0"),
+    (["--q", "1"], "got 1"),
+    (["--q", "-4"], "got -4"),
+    (["--p", "4"], "p = 4"),
+    (["--p", "1"], "p = 1"),
+    (["--p", "3", "--e", "0"], "got 0"),
+])
+def test_bad_field_is_a_usage_error(capsys, flags, named):
+    code, out, err = run(capsys, "type", *flags, "--mat", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and named in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["census", "--q", "3", "--n", "-1"], "--n must be at least 0, got -1"),
+    (["class-product", "--q", "3", "--n", "-1", "--a", "{X+1:(1)}", "--b", "{X+1:(1)}"],
+     "--n must be at least 0, got -1"),
+    (["degree1", "--q", "3", "--a", "2", "--b", "2", "--n", "1"],
+     "--n must be at least 2, got 1"),
+    (["generic-product", "--q", "3", "--a", "{X+1:(1)}", "--b", "{X+1:(1)}",
+      "--verify-at", "-1"], "--verify-at must be at least 2, got -1"),
+    # {X+2:(1)} is X - 1 over F_3 and reduces away, so n = 1 is the bound
+    (["generic-product", "--q", "3", "--a", "{X+2:(1)}", "--b", "{X+1:(1)}",
+      "--verify-at", "0"], "--verify-at must be at least 1, got 0"),
+    (["verify", "--suite", "assoc", "--samples", "-3"], "--samples must be at least 0, got -3"),
+    (["verify", "--suite", "ranklaw", "--n", "-1"], "--n must be at least 0, got -1"),
+])
+def test_out_of_range_integer_flag_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "usage error: %s\n" % message)
+
+
 def test_bad_polypartition_is_a_usage_error(capsys):
     code, _, err = run(capsys, "class-size", "--q", "2", "--n", "2",
                        "--type", "oops")

@@ -227,6 +227,24 @@ def test_type_of_jordan_matrix_property(mu):
     assert type_of(mu.ctx, jordan_matrix(mu)) == mu
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]),
+       st.integers(0, 4))
+@example((2, 3), 4)
+@example((3, 2), 4)
+def test_class_sizes_sum_to_gl_order(field, n):
+    # closed forms only: the classes of GL(n, F_q) partition the group
+    ctx = make_field(*field)
+    assert (sum(class_size(mu, n) for mu in enumerate_polypartitions(ctx, n))
+            == gl_order(ctx.q, n))
+
+
+def test_enumerate_polypartitions_with_more_labels_than_the_recursion_limit():
+    # F_8 has 1211 labels of degree <= 4 other than X, more than Python's
+    # default recursion limit; GL(4, F_q) has q^4 - q classes
+    assert len(enumerate_polypartitions(make_field(2, 3), 4)) == 8 ** 4 - 8
+
+
 def test_type_of_and_class_orbit_checks_run_under_optimized_mode():
     # each check is an explicit raise, so a broken rank, factorization or
     # class size is caught under -O too

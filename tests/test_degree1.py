@@ -127,6 +127,7 @@ def test_projection_matches_brute_force(q, a, b, n):
     ctx = make_field(q)
     got = degree1.project_degree1(ctx, a, b, n)
     assert got.is_integral()
+    assert got == center.completed_product(linear_type(ctx, a), linear_type(ctx, b), n)
     mass = sum(c * class_size(tau, n) for tau, c in got.terms.items())
     lam_up = complete(linear_type(ctx, a), n)
     mu_up = complete(linear_type(ctx, b), n)

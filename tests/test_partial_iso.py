@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 
 from glfq import linalg, partial_iso as pi, subspaces
@@ -68,11 +69,11 @@ def test_strict_vs_compatible_extensions(q, n):
         assert set(strict) <= set(compat)
         assert (set(strict) == set(compat)) == (k1 == 0 or k == n)
         for e in strict:
-            assert pi.is_trivial_extension(ctx, x, e, method="type")
-            assert pi.is_trivial_extension(ctx, x, e, method="quotient")
+            assert oracles.is_strict_extension(ctx, x, e)
+            assert oracles.is_compatible_extension(ctx, x, e)
         for e in set(compat) - set(strict):
-            assert not pi.is_trivial_extension(ctx, x, e, method="type")
-            assert pi.is_trivial_extension(ctx, x, e, method="quotient")
+            assert not oracles.is_strict_extension(ctx, x, e)
+            assert oracles.is_compatible_extension(ctx, x, e)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)])

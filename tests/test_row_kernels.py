@@ -195,10 +195,7 @@ def test_polynomial_kernels_match_references(p, e):
     for _ in range(150):
         A = rand_poly(ctx, rng, rng.randint(-1, 6))
         B = rand_poly(ctx, rng, rng.randint(-1, 4))
-        c = rng.randrange(ctx.q)
         assert fields.pmul(ctx, A, B) == ref_pmul(ctx, A, B)
-        assert fields.psub(ctx, A, B) == ref_psub(ctx, A, B)
-        assert fields.pscale(ctx, c, A) == ref_pscale(ctx, c, A)
         if B:
             assert fields.pdivmod(ctx, A, B) == ref_pdivmod(ctx, A, B)
 
