@@ -123,18 +123,15 @@ def hat_from_tilde(ctx, tilde_coeffs, lam, mu, n):
     }
 
 
-def generic_S(lam, mu, n=None):
+def generic_S(lam, mu):
     """Generic structure constants: Ahat_lam * Ahat_mu = sum S^nu Ahat_nu.
 
     Computed at n0 = |lam| + |mu| (the smallest ambient dimension where all
     output degrees fit); the compatibility maps make the coefficients
     independent of n >= n0, which the test suite verifies by recomputing at
     n0 + 1."""
-    ctx = lam.ctx
-    if n is None:
-        n = lam.size + mu.size
-    tilde = invariant_product(lam, mu, n)
-    return hat_from_tilde(ctx, tilde, lam, mu, n)
+    n = lam.size + mu.size
+    return hat_from_tilde(lam.ctx, invariant_product(lam, mu, n), lam, mu, n)
 
 
 class Laurent:
@@ -443,7 +440,7 @@ def fh_polynomials(lam, mu):
                          % ", ".join(map(format_polypartition, bad)))
     k, l = lam.size, mu.size
     check_work("product", invariant_product_work(lam, mu, k + l))
-    S = generic_S(lam, mu, k + l)
+    S = generic_S(lam, mu)
     gathered = {}
     for nu, S_nu in S.items():
         for tau, wt in _transport_poly(nu).items():

@@ -244,19 +244,32 @@ def cmd_count(args):
     return 0
 
 
+_LAW_FLAGS = {
+    "rank": ("d", "a", "c"),
+    "cond": ("d", "a", "b", "c", "dd"),
+    "dimsum": ("n", "j", "k", "l", "m"),
+    "count": ("j", "k", "l", "m"),
+}
+
+
 def cmd_ranklaw(args):
     ctx = _field_from_args(args)
     q = ctx.q
-    if args.law == "rank":
-        out = ranklaw.rank_law(args.d, q, args.a, args.c)
-    elif args.law == "cond":
-        out = ranklaw.rank_law_conditional(
-            args.d, q, args.a, args.b, args.c, args.dd)
-    elif args.law == "dimsum":
-        out = ranklaw.dim_sum_law(args.n, q, args.j, args.k, args.l, args.m)
-    else:
-        out = ranklaw.count_constrained_subspaces(
-            args.j, args.k, args.l, args.m, q)
+    for flag in _LAW_FLAGS[args.law]:
+        _at_least("--" + flag, getattr(args, flag), 0)
+    try:
+        if args.law == "rank":
+            out = ranklaw.rank_law(args.d, q, args.a, args.c)
+        elif args.law == "cond":
+            out = ranklaw.rank_law_conditional(
+                args.d, q, args.a, args.b, args.c, args.dd)
+        elif args.law == "dimsum":
+            out = ranklaw.dim_sum_law(args.n, q, args.j, args.k, args.l, args.m)
+        else:
+            out = ranklaw.count_constrained_subspaces(
+                args.j, args.k, args.l, args.m, q)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     print(out)
     return 0
 
@@ -288,16 +301,12 @@ def _suite_operators(ctx, n, rng, samples):
     for _ in range(samples):
         x = partial_iso.basis_elem(rng.choice(basis))
         X, Y = rng.choice(subs), rng.choice(subs)
-        lhs = partial_iso.op_L(
-            ctx, X, partial_iso.op_R(ctx, Y, x, strict=True), strict=True)
-        rhs = partial_iso.op_R(
-            ctx, Y, partial_iso.op_L(ctx, X, x, strict=True), strict=True)
+        lhs = partial_iso.op_L(ctx, X, partial_iso.op_R(ctx, Y, x))
+        rhs = partial_iso.op_R(ctx, Y, partial_iso.op_L(ctx, X, x))
         if lhs != rhs:
             return False, "L/R commutation fails"
-        both = partial_iso.op_R(
-            ctx, Y, partial_iso.op_R(ctx, X, x, strict=True), strict=True)
-        merged = partial_iso.op_R(
-            ctx, subspaces.subspace_sum(ctx, X, Y), x, strict=True)
+        both = partial_iso.op_R(ctx, Y, partial_iso.op_R(ctx, X, x))
+        merged = partial_iso.op_R(ctx, subspaces.subspace_sum(ctx, X, Y), x)
         if both != merged:
             return False, "R composition fails"
     return True, "%d random operator identities hold at (n=%d, q=%d)" % (
@@ -314,14 +323,13 @@ def _suite_extensions(ctx, n, rng, samples):
         for k_plus in range(k, n + 1):
             W_plus = subspaces.enumerate_subspaces(
                 ctx, n, k_plus, containing=x.W)[0]
-            exts = partial_iso.trivial_extensions_fixed_right(
-                ctx, x, W_plus, strict=True)
+            exts = partial_iso.trivial_extensions_fixed_right(ctx, x, W_plus)
             if len(exts) != partial_iso.count_E(q, n, k_plus, k, k1):
                 return False, "E count mismatch at %r" % (x,)
             V_plus = subspaces.enumerate_subspaces(
                 ctx, n, k_plus, containing=x.V)[0]
-            both = partial_iso.trivial_extensions_both_fixed(
-                ctx, x, V_plus, W_plus, strict=True)
+            both = partial_iso.trivial_extensions_fixed_right(
+                ctx, x, W_plus, V_plus, True)
             if len(both) != partial_iso.count_F(q, k_plus, k, k1):
                 return False, "F count mismatch at %r" % (x,)
             checked += 2
@@ -385,8 +393,8 @@ def _suite_fh(ctx, n, rng, samples):
 def _suite_phi(ctx, n, rng, samples):
     for size in (0, 1, 2):
         for mu in enumerate_polypartitions(ctx, size):
-            big = partial_iso.invariant_elem(ctx, mu, 3, normalization="hat")
-            small = partial_iso.invariant_elem(ctx, mu, 2, normalization="hat")
+            big = partial_iso.invariant_elem(ctx, mu, 3)
+            small = partial_iso.invariant_elem(ctx, mu, 2)
             if partial_iso.phi(ctx, big, 2) != small:
                 return False, "phi fails on %s" % format_polypartition(mu)
     return True, "phi sends hat elements at n=3 to n=2, q=%d" % ctx.q
@@ -405,28 +413,39 @@ def _suite_pi(ctx, n, rng, samples):
         samples, n, ctx.q)
 
 
+# suite: (function, default --n, --q, --samples); None: a flag it does not read
 _SUITES = {
-    "assoc": (_suite_assoc, 2, 2),
-    "naive": (_suite_naive, 2, 3),
-    "operators": (_suite_operators, 2, 2),
-    "extensions": (_suite_extensions, 2, 2),
-    "census": (_suite_census, 2, 2),
-    "ranklaw": (_suite_ranklaw, 4, 2),
-    "degree1": (_suite_degree1, 2, 3),
-    "fh": (_suite_fh, 2, 2),
-    "phi": (_suite_phi, 2, 2),
-    "pi": (_suite_pi, 2, 2),
+    "assoc": (_suite_assoc, 2, 2, 100),
+    "naive": (_suite_naive, 2, 3, None),
+    "operators": (_suite_operators, 2, 2, 100),
+    "extensions": (_suite_extensions, 2, 2, 100),
+    "census": (_suite_census, 2, 2, None),
+    "ranklaw": (_suite_ranklaw, 4, 2, None),
+    "degree1": (_suite_degree1, None, 3, None),
+    "fh": (_suite_fh, None, 2, None),
+    "phi": (_suite_phi, None, 2, None),
+    "pi": (_suite_pi, 2, 2, 100),
 }
 
 
+def _suite_flag(suite, flag, value, default):
+    """A verify flag's value, its default if not given, or a usage error."""
+    if value is None:
+        return default
+    if default is None:
+        raise SystemExit2("suite %s does not read %s" % (suite, flag))
+    return _at_least(flag, value, 0)
+
+
 def cmd_verify(args):
-    fn, default_n, default_q = _SUITES[args.suite]
+    fn, default_n, default_q, default_samples = _SUITES[args.suite]
+    n = _suite_flag(args.suite, "--n", args.n, default_n)
+    samples = _suite_flag(args.suite, "--samples", args.samples, default_samples)
     if args.q is None and args.p is None:
         args.q = default_q
     ctx = _field_from_args(args)
-    n = _at_least("--n", args.n, 0) if args.n is not None else default_n
     rng = random.Random(args.seed)
-    ok, msg = fn(ctx, n, rng, _at_least("--samples", args.samples, 0))
+    ok, msg = fn(ctx, n, rng, samples)
     print("suite %s: %s (%s)" % (args.suite, "PASS" if ok else "FAIL", msg))
     return 0 if ok else 1
 
@@ -514,7 +533,7 @@ def build_parser():
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return ap

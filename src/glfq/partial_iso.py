@@ -63,12 +63,6 @@ class PartialIso:
         """Matrix of the automorphism g1g2 of V (apply g1, then g2)."""
         return linalg.mat_mul(ctx, self.g2, self.g1)
 
-    def fixed_dim(self, ctx):
-        """k1 = dim Fix(g1g2) = dim ker(composite - I)."""
-        k = self.dim
-        delta = linalg.mat_sub(ctx, self.composite(ctx), linalg.identity(k))
-        return k - linalg.rank(ctx, delta)
-
     def __eq__(self, other):
         return (
             self.V == other.V
@@ -165,8 +159,8 @@ def count_F(q, k_plus, k, k1):
 
 
 def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True):
-    """Extensions of x with right space W_plus; the left space is free (or
-    constrained inside `left_inside`).
+    """Extensions of x with right space W_plus; the left space is free, or
+    constrained inside `left_inside`, which must contain x.V.
 
     Both variants are parameterized by a completion of the g1-preimage
     basis together with a matrix P: for the basis E of V defined by
@@ -185,6 +179,7 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     larger (e.g. extending the identity of a line to the plane admits
     unipotent composites, which are compatible but not strict).
 
+    The restriction operators op_R and op_L average over strict extensions.
     The algebra product averages over compatible extensions: unlike the
     strict set, they are stable under composition of extensions, and the
     resulting product is associative, whereas averaging over strict
@@ -220,6 +215,8 @@ def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
     k_plus = W_plus.dim
     if not W_plus.contains(ctx, x.W):
         raise ValueError("W_plus must contain the right space")
+    if left_inside is not None and not left_inside.contains(ctx, x.V):
+        raise ValueError("left_inside must contain the left space")
     if k_plus == k:
         return ((x.V, x.g1, (x.g2,)),)
     F_plus = subspaces.extend_basis(ctx, x.W, W_plus)
@@ -251,27 +248,6 @@ def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
         out.append((V_plus, g1, tuple(mat_mul(ctx, mat_mul(ctx, D_inv_t, block), Ct)
                                       for block in blocks)))
     return tuple(out)
-
-
-def trivial_extensions_fixed_left(ctx, x, V_plus, strict=True):
-    """Extensions of x with left space V_plus, right space free (same two
-    variants as trivial_extensions_fixed_right)."""
-    return [
-        rev(y)
-        for y in trivial_extensions_fixed_right(ctx, rev(x), V_plus, strict=strict)
-    ]
-
-
-def trivial_extensions_both_fixed(ctx, x, V_plus, W_plus, strict=True):
-    """Extensions of x with both enlarged spaces fixed (same two variants
-    as trivial_extensions_fixed_right)."""
-    if V_plus.dim != W_plus.dim:
-        raise ValueError("extension spaces must have equal dimension")
-    if not V_plus.contains(ctx, x.V):
-        raise ValueError("V_plus must contain the left space")
-    return trivial_extensions_fixed_right(
-        ctx, x, W_plus, left_inside=V_plus, strict=strict
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +294,6 @@ class AlgElem:
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda tc: tc[0])
         return " + ".join("%s*%r" % (c, t) for t, c in items) or "0"
-
-
-def unit_elem(n):
-    return AlgElem(n, {empty_piso(n): Fraction(1)})
 
 
 def basis_elem(x):
@@ -381,50 +353,29 @@ def product(ctx, x, y):
     return AlgElem(x.n, out)
 
 
-def _average_extensions(x, extend):
-    """Per-term uniform average: each term t of x becomes the mean of the
-    partial isomorphisms extend(t)."""
+def op_R(ctx, X, x):
+    """Restriction operator R^X: each term t of x becomes the uniform
+    average of its strict extensions with right space t.W + X.  The operator
+    calculus (nested restriction, composition, L/R commutation) holds for
+    it and fails for the compatible average, the product x * id_{W+}
+    (smallest counterexample: the empty partial isomorphism through a line
+    at n = 2, q = 2)."""
     out = {}
     for t, c in x.terms.items():
-        exts = extend(t)
+        exts = trivial_extensions_fixed_right(
+            ctx, t, subspaces.subspace_sum(ctx, t.W, X))
         w = c / len(exts)
         for e in exts:
             out[e] = out.get(e, 0) + w
     return AlgElem(x.n, out)
 
 
-def op_R_to(ctx, x, W_plus, strict=False):
-    """R_W^{W+}: per-term uniform average of right-fixed trivial extensions.
-
-    The default (strict=False) averages over compatible extensions,
-    consistently with the product: R_W^{W+}(x) = x * id_{W+}.  With
-    strict=True it averages over strict extensions instead; the operator
-    calculus (nested restriction, composition, L/R commutation) holds for
-    the strict operators and fails for the compatible ones (smallest
-    counterexample: the empty partial isomorphism extended through a line
-    at n = 2, q = 2)."""
-    return _average_extensions(
-        x, lambda t: trivial_extensions_fixed_right(ctx, t, W_plus, strict=strict))
-
-
-def op_L_to(ctx, x, V_plus, strict=False):
-    """L_V^{V+}: per-term uniform average of left-fixed trivial extensions
-    (same two variants as op_R_to; strict=False matches the product:
-    L_V^{V+}(x) = id_{V+} * x)."""
-    return _average_extensions(
-        x, lambda t: trivial_extensions_fixed_left(ctx, t, V_plus, strict=strict))
-
-
-def op_R(ctx, X, x, strict=False):
-    """Generalized extension operator R^X: enlarge each right space to W+X."""
-    return _average_extensions(x, lambda t: trivial_extensions_fixed_right(
-        ctx, t, subspaces.subspace_sum(ctx, t.W, X), strict=strict))
-
-
-def op_L(ctx, X, x, strict=False):
-    """Generalized extension operator L^X: enlarge each left space to V+X."""
-    return _average_extensions(x, lambda t: trivial_extensions_fixed_left(
-        ctx, t, subspaces.subspace_sum(ctx, t.V, X), strict=strict))
+def op_L(ctx, X, x):
+    """Restriction operator L^X = rev . R^X . rev, rev applied term by term:
+    each left space t.V grows to t.V + X."""
+    def flip(y):
+        return AlgElem(y.n, {rev(t): c for t, c in y.terms.items()})
+    return flip(op_R(ctx, X, flip(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +400,11 @@ class PairAlgElem(AlgElem):
 
 
 def pi_n(ctx, x):
-    """Full-extension projection A(n) -> C[GL(n) x GL(n)^opp]."""
+    """Full-extension projection A(n) -> C[GL(n) x GL(n)^opp] of the lift
+    x * id_{(F_q)^n}."""
     full = subspaces.full_subspace(x.n)
-    lifted = op_R_to(ctx, x, full)
+    ident = linalg.identity(x.n)
+    lifted = product(ctx, x, basis_elem(PartialIso(full, full, ident, ident)))
     out = {}
     for t, c in lifted.terms.items():
         key = (t.g1, t.g2)
@@ -527,17 +480,12 @@ def orbit_of_type(mu, n):
     return out
 
 
-def invariant_elem(ctx, mu, n, normalization="tilde"):
-    """The invariant class of type mu: "tilde" averages the orbit to mass 1,
-    "hat" divides the plain orbit sum by the square root of its cardinality
-    (= the free-family count)."""
+def invariant_elem(ctx, mu, n):
+    """The invariant class Ahat_mu: the orbit sum of type mu divided by the
+    square root of its cardinality (= the free-family count).  Dividing by
+    num_free_families(q, n, |mu|) gives Atilde_mu, the orbit average."""
     orbit = orbit_of_type(mu, n)
-    if normalization == "tilde":
-        c = Fraction(1, len(orbit))
-    elif normalization == "hat":
-        c = Fraction(num_free_families(ctx.q, n, mu.size), len(orbit))
-    else:
-        raise ValueError("unknown normalization %r" % normalization)
+    c = Fraction(num_free_families(ctx.q, n, mu.size), len(orbit))
     return AlgElem(n, {x: c for x in orbit})
 
 

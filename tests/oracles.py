@@ -2,8 +2,9 @@
 
 Each one is the definition of a quantity that the library computes another
 way: the class product by a double loop over both classes, the Pi_n scalar
-of a type without spread, and the two extension predicates on partial
-isomorphisms.  They are slow and kept simple on purpose.
+of a type without spread, the two extension predicates on partial
+isomorphisms, and the per-term averages over left-fixed and over compatible
+extensions.  They are slow and kept simple on purpose.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 from glfq import linalg, subspaces
 from glfq.center import CentralVector
 from glfq.conjtype import class_orbit, class_size, complete, pochhammer, type_of
-from glfq.partial_iso import piso_type, rev
+from glfq.partial_iso import AlgElem, piso_type, rev, trivial_extensions_fixed_right
 
 
 def class_convolution(lam, mu, n):
@@ -94,3 +95,42 @@ def is_compatible_extension(ctx, small, big):
 
     return (is_extension(ctx, small, big)
             and round_trips(big, small.V) and round_trips(rev(big), small.W))
+
+
+def extension_average(x, extend):
+    """Per-term uniform average: each term t of x becomes the mean of the
+    partial isomorphisms extend(t)."""
+    out = {}
+    for t, c in x.terms.items():
+        exts = extend(t)
+        w = c / len(exts)
+        for e in exts:
+            out[e] = out.get(e, 0) + w
+    return AlgElem(x.n, out)
+
+
+def extensions_fixed_left(ctx, x, V_plus, strict=True):
+    """Extensions of x with left space V_plus and the right space free: the
+    right-fixed extensions of rev(x), reversed."""
+    return [rev(y) for y in trivial_extensions_fixed_right(ctx, rev(x), V_plus, strict=strict)]
+
+
+def op_L_by_left_extensions(ctx, X, x):
+    """L^X as the per-term average over the strict extensions with left
+    space t.V + X."""
+    return extension_average(x, lambda t: extensions_fixed_left(
+        ctx, t, subspaces.subspace_sum(ctx, t.V, X)))
+
+
+def compatible_R(ctx, X, x):
+    """The compatible counterpart of R^X: each term t becomes the mean of
+    its compatible extensions with right space t.W + X."""
+    return extension_average(x, lambda t: trivial_extensions_fixed_right(
+        ctx, t, subspaces.subspace_sum(ctx, t.W, X), strict=False))
+
+
+def compatible_L(ctx, X, x):
+    """The compatible counterpart of L^X: each term t becomes the mean of
+    its compatible extensions with left space t.V + X."""
+    return extension_average(x, lambda t: extensions_fixed_left(
+        ctx, t, subspaces.subspace_sum(ctx, t.V, X), strict=False))

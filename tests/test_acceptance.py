@@ -172,17 +172,19 @@ def test_extension_counts_all_admissible_shapes():
                             x = pi.canonical_piso(
                                 ctx, E, E, linalg.identity(k),
                                 jordan_matrix(mu))
-                        k1 = x.fixed_dim(ctx)
-                        assert k1 == mu.k1 if k else k1 == 0
+                        k1 = pi.piso_type(ctx, x).k1
+                        # k1 = dim ker(g1g2 - I)
+                        fix = linalg.mat_sub(ctx, x.composite(ctx), linalg.identity(k))
+                        assert k1 == k - linalg.rank(ctx, fix) == (mu.k1 if k else 0)
                         for k_plus in range(k, n + 1):
                             W_plus = subspaces.from_rows(
                                 ctx, linalg.identity(n)[:k_plus], n)
                             right = pi.trivial_extensions_fixed_right(
-                                ctx, x, W_plus, strict=True)
+                                ctx, x, W_plus)
                             assert len(right) == pi.count_E(
                                 q, n, k_plus, k, k1)
-                            both = pi.trivial_extensions_both_fixed(
-                                ctx, x, W_plus, W_plus, strict=True)
+                            both = pi.trivial_extensions_fixed_right(
+                                ctx, x, W_plus, W_plus, True)
                             assert len(both) == pi.count_F(q, k_plus, k, k1)
 
 
@@ -198,22 +200,18 @@ def test_restriction_operators_exhaustive_and_sampled():
             for W in subs:
                 for X in subs:
                     WX = subspaces.subspace_sum(ctx, W, X)
-                    assert (pi.op_R(ctx, X, pi.op_R(ctx, W, xe, strict=True),
-                                    strict=True)
-                            == pi.op_R(ctx, WX, xe, strict=True))
-                    assert (pi.op_L(ctx, W, pi.op_R(ctx, X, xe, strict=True),
-                                    strict=True)
-                            == pi.op_R(ctx, X, pi.op_L(ctx, W, xe, strict=True),
-                                       strict=True))
+                    assert (pi.op_R(ctx, X, pi.op_R(ctx, W, xe))
+                            == pi.op_R(ctx, WX, xe))
+                    assert (pi.op_L(ctx, W, pi.op_R(ctx, X, xe))
+                            == pi.op_R(ctx, X, pi.op_L(ctx, W, xe)))
             for Wp in subs:
                 if not Wp.contains(ctx, x.W):
                     continue
-                once = pi.op_R_to(ctx, xe, Wp, strict=True)
+                once = pi.op_R(ctx, Wp, xe)
                 for Wpp in subs:
                     if not Wpp.contains(ctx, Wp):
                         continue
-                    assert (pi.op_R_to(ctx, once, Wpp, strict=True)
-                            == pi.op_R_to(ctx, xe, Wpp, strict=True))
+                    assert pi.op_R(ctx, Wpp, once) == pi.op_R(ctx, Wpp, xe)
         # seeded samples at (n=3, F_2)
         n = 3
         subs = []
@@ -226,18 +224,12 @@ def test_restriction_operators_exhaustive_and_sampled():
             xe = pi.basis_elem(x)
             W, X = rng.choice(subs), rng.choice(subs)
             WX = subspaces.subspace_sum(ctx, W, X)
-            assert (pi.op_R(ctx, X, pi.op_R(ctx, W, xe, strict=True),
-                            strict=True)
-                    == pi.op_R(ctx, WX, xe, strict=True))
-            assert (pi.op_L(ctx, W, pi.op_R(ctx, X, xe, strict=True),
-                            strict=True)
-                    == pi.op_R(ctx, X, pi.op_L(ctx, W, xe, strict=True),
-                               strict=True))
+            assert pi.op_R(ctx, X, pi.op_R(ctx, W, xe)) == pi.op_R(ctx, WX, xe)
+            assert (pi.op_L(ctx, W, pi.op_R(ctx, X, xe))
+                    == pi.op_R(ctx, X, pi.op_L(ctx, W, xe)))
             Wp = rng.choice([S for S in subs if S.contains(ctx, x.W)])
             Wpp = rng.choice([S for S in subs if S.contains(ctx, Wp)])
-            assert (pi.op_R_to(ctx, pi.op_R_to(ctx, xe, Wp, strict=True),
-                               Wpp, strict=True)
-                    == pi.op_R_to(ctx, xe, Wpp, strict=True))
+            assert pi.op_R(ctx, Wpp, pi.op_R(ctx, Wp, xe)) == pi.op_R(ctx, Wpp, xe)
 
 
 def test_group_algebra_projection_is_multiplicative():
@@ -258,13 +250,13 @@ def test_compatibility_map_transports_invariants():
         ctx = make_field(2)
         for size in (0, 1, 2):
             for mu in enumerate_polypartitions(ctx, size):
-                big = pi.invariant_elem(ctx, mu, 3, normalization="hat")
-                small = pi.invariant_elem(ctx, mu, 2, normalization="hat")
+                big = pi.invariant_elem(ctx, mu, 3)
+                small = pi.invariant_elem(ctx, mu, 2)
                 assert pi.phi(ctx, big, 2) == small
         # the compatibility map also transports degree-1 products
         lam = linear_type(ctx, 1)
-        a3 = pi.invariant_elem(ctx, lam, 3, normalization="hat")
-        a2 = pi.invariant_elem(ctx, lam, 2, normalization="hat")
+        a3 = pi.invariant_elem(ctx, lam, 3)
+        a2 = pi.invariant_elem(ctx, lam, 2)
         assert (pi.phi(ctx, pi.product(ctx, a3, a3), 2)
                 == pi.product(ctx, a2, a2))
 

@@ -20,7 +20,7 @@ from glfq.conjtype import (
     type_of,
 )
 from glfq.fields import linear_poly, make_field
-from glfq.partial_iso import num_free_families
+from glfq.partial_iso import invariant_product, num_free_families
 
 
 def unipotent_type(ctx, pi):
@@ -178,7 +178,8 @@ def test_generic_S_independent_of_ambient_dimension():
     ctx = make_field(2)
     lam = parse_polypartition(ctx, "{X+1:(1)}")
     at_n0 = center.generic_S(lam, lam)
-    at_n0_plus_1 = center.generic_S(lam, lam, n=3)
+    at_n0_plus_1 = center.hat_from_tilde(
+        ctx, invariant_product(lam, lam, 3), lam, lam, 3)
     assert at_n0 == at_n0_plus_1
 
 

@@ -288,6 +288,15 @@ def test_bad_field_is_a_usage_error(capsys, flags, named):
       "--verify-at", "0"], "--verify-at must be at least 1, got 0"),
     (["verify", "--suite", "assoc", "--samples", "-3"], "--samples must be at least 0, got -3"),
     (["verify", "--suite", "ranklaw", "--n", "-1"], "--n must be at least 0, got -1"),
+    (["verify", "--suite", "phi", "--n", "0"], "suite phi does not read --n"),
+    (["verify", "--suite", "census", "--samples", "5"],
+     "suite census does not read --samples"),
+    (["ranklaw", "--q", "2", "--law", "rank", "--d", "-1", "--a", "2", "--c", "0"],
+     "--d must be at least 0, got -1"),
+    (["ranklaw", "--q", "2", "--law", "dimsum", "--n", "-1", "--k", "1", "--l", "1"],
+     "--n must be at least 0, got -1"),
+    (["ranklaw", "--q", "2", "--law", "dimsum", "--n", "2", "--j", "2", "--k", "1",
+      "--l", "1"], "need j <= min(k,l) <= max(k,l) <= n"),
 ])
 def test_out_of_range_integer_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -356,7 +365,10 @@ def test_malformed_matrix_entry_is_named(capsys, q, mat, literal):
                                    "ranklaw", "pi", "extensions", "degree1",
                                    "fh", "phi"])
 def test_verify_suites_pass(capsys, suite):
-    code, out, _ = run(capsys, "verify", "--suite", suite, "--samples", "25")
+    # only the suites that draw random cases read --samples
+    sampled = suite in ("assoc", "operators", "pi", "extensions")
+    flags = ["--samples", "25"] if sampled else []
+    code, out, _ = run(capsys, "verify", "--suite", suite, *flags)
     assert code == 0
     assert "PASS" in out
 
