@@ -3,10 +3,12 @@
 The completed class of a polypartition mu with |mu| <= n pads mu(X - 1) with
 parts 1 so the matrices act on all of (F_q)^n.  This module computes the
 expansion C_{lam^n} * C_{mu^n} = sum_nu c^nu(n) C_nu by direct counting in
-the group, projects the generic invariants onto these centers (the exact
-transport of Pi_n), extracts the generic structure constants S^nu from the
-partial-isomorphism engine, and assembles the polynomials p^nu(X), X = q^n,
-that describe the n-dependence of the c^nu in closed form.
+the group, extracts the generic structure constants S^nu from the
+partial-isomorphism engine, and assembles, in GenericProduct, the
+polynomials p^nu(X), X = q^n, that describe the n-dependence of the c^nu in
+closed form; GenericProduct.at(n) evaluates them, for the engine's table and
+for the degree-1 closed form alike.  transport is the numeric Pi_n of one
+generic invariant at one n, through which the tests read the padding law.
 """
 
 import json
@@ -208,43 +210,6 @@ class Laurent:
             for p, c in sorted(self.terms.items())) or "0"
 
 
-class GenericProduct:
-    """The n-independent description of C_{lam^n} * C_{mu^n}: polynomials
-    p^nu(X) per reduced output type, plus the raw S coefficients."""
-
-    __slots__ = ("ctx", "lhs", "rhs", "S")
-
-    def __init__(self, ctx, lhs, rhs, S):
-        self.ctx = ctx
-        self.lhs = lhs
-        self.rhs = rhs
-        self.S = S
-
-    def to_json(self):
-        def frac(c):
-            return "%d/%d" % (c.numerator, c.denominator)
-
-        return json.dumps(
-            {
-                "q": self.ctx.q,
-                "lhs": [format_polypartition(m) for m in self.lhs],
-                "rhs": [
-                    {
-                        "type": format_polypartition(nu),
-                        "poly": [frac(c) for c in poly.coeffs],
-                    }
-                    for nu, poly in sorted(self.rhs.items())
-                ],
-                "S": [
-                    {"type": format_polypartition(nu), "coeff": frac(c)}
-                    for nu, c in sorted(self.S.items())
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
 # ---------------------------------------------------------------------------
 # The exact transport Pi_n(Ahat_nu) -> completed classes.
 #
@@ -414,84 +379,104 @@ def completed_class_size_poly(tau):
     return out
 
 
-def fh_polynomials(lam, mu):
-    """The polynomials p^nu(X) with
-    C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_{nu^n}  for all n >= |lam|+|mu|.
-
-    Requires lam and mu without (X-1) parts (then C_{lam^n}/card is exactly
-    Pi_n(Ahat_lam)/num_free_families, with no spread).  The product is
+class GenericProduct:
+    """C_{lam^n} * C_{mu^n} for all n >= |lam| + |mu| at once, from a table S
+    of Ahat-basis constants of two types lam, mu without (X-1) parts.  Then
+    C_{lam^n}/card is exactly Pi_n(Ahat_lam)/num_free_families, so
 
         C_{lam^n} C_{mu^n} = card C_{lam^n} card C_{mu^n}
                              / (nf_k nf_l) * sum_nu S^nu Pi_n(Ahat_nu),
 
     and expanding each Pi_n(Ahat_nu) by the padded-unipotent law
-    (_transport_poly) gives, per reduced output type, a ratio of Laurent
-    polynomials in X = q^n whose exact quotient is checked to be a genuine
-    polynomial.  Raises WorkCapExceeded, before any enumeration, when the
-    invariant product at n0 = |lam| + |mu| of the reduced types would make
-    more than MAX_TYPE_OF_CALLS type_of calls."""
-    ctx = lam.ctx
-    q = ctx.q
-    lam = reduce_polypartition(lam)[0]
-    mu = reduce_polypartition(mu)[0]
+    (_transport_poly) gives rhs: per reduced output type, a ratio of Laurent
+    polynomials in X = q^n whose exact quotient p^nu(X) is checked to be a
+    genuine polynomial."""
+
+    __slots__ = ("ctx", "lhs", "rhs", "S")
+
+    def __init__(self, lam, mu, S):
+        self.ctx, self.lhs, self.S = lam.ctx, (lam, mu), S
+        q = lam.ctx.q
+        gathered = {}
+        for nu, S_nu in S.items():
+            for tau, wt in _transport_poly(nu).items():
+                wt = wt * S_nu
+                gathered[tau] = gathered[tau] + wt if tau in gathered else wt
+        # scale by card C_{lam^n} card C_{mu^n} / (nf_k nf_l) / card C_{tau^n}
+        scale = ((completed_class_size_poly(lam) * completed_class_size_poly(mu))
+                 / (num_free_poly(q, lam.size) * num_free_poly(q, mu.size)))
+        self.rhs = {}
+        for tau, wt in gathered.items():
+            poly = wt * scale / completed_class_size_poly(tau)
+            if not poly:
+                continue
+            if min(poly.terms) < 0:
+                raise AssertionError("negative powers survive for %r" % (tau,))
+            self.rhs[tau] = poly
+
+    def at(self, n):
+        """C_{lam^n} * C_{mu^n} as a CentralVector: p^nu(q^n) on C_{nu^n}
+        for every nu with |nu| <= n.  Needs n >= |lam| + |mu|."""
+        lam, mu = self.lhs
+        if n < lam.size + mu.size:
+            raise ValueError("n must be at least |lam| + |mu|")
+        x = Fraction(self.ctx.q) ** n
+        # no class C_{nu^n} exists for |nu| > n: its size vanishes at q^n
+        return CentralVector(self.ctx, n, {
+            complete(nu, n): poly(x) for nu, poly in self.rhs.items() if nu.size <= n})
+
+    def to_json(self):
+        def frac(c):
+            return "%d/%d" % (c.numerator, c.denominator)
+
+        return json.dumps(
+            {
+                "q": self.ctx.q,
+                "lhs": [format_polypartition(m) for m in self.lhs],
+                "rhs": [
+                    {
+                        "type": format_polypartition(nu),
+                        "poly": [frac(c) for c in poly.coeffs],
+                    }
+                    for nu, poly in sorted(self.rhs.items())
+                ],
+                "S": [
+                    {"type": format_polypartition(nu), "coeff": frac(c)}
+                    for nu, c in sorted(self.S.items())
+                ],
+            },
+            indent=2,
+            sort_keys=True,
+        )
+
+
+def fh_polynomials(lam, mu):
+    """The GenericProduct of the reduced lam and mu, with the engine's table
+    generic_S; refused when either keeps (X-1) parts.  Raises WorkCapExceeded,
+    before any enumeration, when the invariant product at n0 = |lam| + |mu|
+    would make more than MAX_TYPE_OF_CALLS type_of calls."""
+    lam = reduce_polypartition(lam)
+    mu = reduce_polypartition(mu)
     bad = [t for t in (lam, mu) if _split_x1(t)[1]]
     if bad:
         raise ValueError("inputs must have no (X-1) parts after reduction: %s"
                          % ", ".join(map(format_polypartition, bad)))
-    k, l = lam.size, mu.size
-    check_work("product", invariant_product_work(lam, mu, k + l))
-    S = generic_S(lam, mu)
-    gathered = {}
-    for nu, S_nu in S.items():
-        for tau, wt in _transport_poly(nu).items():
-            wt = wt * S_nu
-            gathered[tau] = gathered[tau] + wt if tau in gathered else wt
-    # scale by card C_{lam^n} card C_{mu^n} / (nf_k nf_l) / card C_{tau^n}
-    scale = ((completed_class_size_poly(lam) * completed_class_size_poly(mu))
-             / (num_free_poly(q, k) * num_free_poly(q, l)))
-    rhs = {}
-    for tau, wt in gathered.items():
-        poly = wt * scale / completed_class_size_poly(tau)
-        if not poly:
-            continue
-        if min(poly.terms) < 0:
-            raise AssertionError("negative powers survive for %r" % (tau,))
-        rhs[tau] = poly
-    return GenericProduct(ctx, (lam, mu), rhs, S)
+    check_work("product", invariant_product_work(lam, mu, lam.size + mu.size))
+    return GenericProduct(lam, mu, generic_S(lam, mu))
 
 
 def verify_fh(gp, n_list):
-    """Evaluate the p^nu of the GenericProduct gp (as returned by
-    fh_polynomials) at X = q^n and compare against completed_product.
-
-    Returns a report dict with an "ok" flag and per-n diffs (empty when
-    everything matches exactly)."""
+    """Compare the GenericProduct gp, evaluated at each n of n_list, with
+    completed_product.  Returns {n: {type: (predicted, actual)}} over the
+    coefficients that differ, so everything matches when every dict is
+    empty."""
     lam, mu = gp.lhs
-    q = gp.ctx.q
-    report = {"ok": True, "n": {}, "degrees": {k: p.degree for k, p in gp.rhs.items()}}
+    zero = Fraction(0)
+    report = {}
     for n in n_list:
-        if n < lam.size + mu.size:
-            raise ValueError("n must be at least |lam| + |mu|")
-        predicted = {}
-        for nu, poly in gp.rhs.items():
-            if nu.size > n:
-                # the class C_{nu^n} does not exist at this n (the completed
-                # class size vanishes at X = q^n, so the quotient polynomial
-                # carries no information there): skip it
-                continue
-            val = poly(Fraction(q) ** n)
-            if val:
-                if val.denominator != 1:
-                    report["ok"] = False
-                predicted[complete(nu, n)] = val
-        actual = completed_product(lam, mu, n)
-        diffs = {}
-        for key in set(predicted) | set(actual.terms):
-            a = predicted.get(key, Fraction(0))
-            b = actual.terms.get(key, Fraction(0))
-            if a != b:
-                diffs[format_polypartition(key)] = (str(a), str(b))
-        if diffs:
-            report["ok"] = False
-        report["n"][n] = diffs
+        predicted = gp.at(n).terms
+        actual = completed_product(lam, mu, n).terms
+        pairs = ((key, predicted.get(key, zero), actual.get(key, zero))
+                 for key in set(predicted) | set(actual))
+        report[n] = {format_polypartition(key): (a, b) for key, a, b in pairs if a != b}
     return report

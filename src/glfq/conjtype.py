@@ -327,7 +327,7 @@ def complete(mu, n):
 
 
 def reduce_polypartition(mu):
-    """Strip all parts 1 from the (X-1) partition; returns (reduced, stripped)."""
+    """mu with all parts 1 stripped from its (X-1) partition."""
     ctx = mu.ctx
     xm1 = fields.linear_poly(ctx, 1)
     entries = dict(mu.entries)
@@ -335,7 +335,7 @@ def reduce_polypartition(mu):
     kept = tuple(x for x in old.parts if x > 1)
     if kept:
         entries[xm1] = Partition(kept)
-    return Polypartition(ctx, entries), old.mult(1)
+    return Polypartition(ctx, entries)
 
 
 def partitions_of(n):

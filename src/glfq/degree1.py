@@ -23,7 +23,7 @@ partial-isomorphism engine for every pair of units and q in {2, 3, 4, 5}.
 from fractions import Fraction
 
 from . import center
-from .conjtype import Partition, Polypartition, class_size, format_polypartition
+from .conjtype import Partition, Polypartition, format_polypartition
 from .fields import linear_poly
 
 
@@ -146,36 +146,28 @@ def degree1_product(ctx, a, b):
 
 
 def _square_roots(ctx, x):
-    """Both square roots of x among the units (one root in characteristic 2,
-    none when x is a non-square)."""
-    return tuple(sorted(
-        d for d in ctx.elements() if d != 0 and ctx.mul(d, d) == x))
+    """Both square roots of the unit x (one root in characteristic 2, none
+    when x is a non-square)."""
+    r = ctx.sqrt(x)
+    return () if r is None else tuple(sorted({r, ctx.neg(r)}))
 
 
 def project_degree1(ctx, a, b, n):
     """C_{{X-a:(1)}^n} * C_{{X-b:(1)}^n} as an integer CentralVector.
 
     Unit factors are trivial (the completed class of {X-1:(1)} is the
-    identity class); otherwise the degree-1 closed form is pushed through
-    the exact expansion of each lifted basis element over completed classes
-    (center.transport) and rescaled by the class cardinalities.  The test
-    suite checks the result against the brute-force class product."""
+    identity class); otherwise the degree-1 closed form is the table of
+    center.GenericProduct, whose structure polynomials are evaluated at n.
+    The test suite checks the result against the brute-force class
+    product."""
     if n < 2:
         raise ValueError("need n >= 2")
     if a == 0 or b == 0:
         raise ValueError("a and b must be units")
-    q = ctx.q
-    lam_up = center.complete(_single(ctx, a, (1,)), n)
-    mu_up = center.complete(_single(ctx, b, (1,)), n)
+    lam, mu = _single(ctx, a, (1,)), _single(ctx, b, (1,))
     if a == 1 or b == 1:
-        return center.CentralVector(ctx, n, {mu_up if a == 1 else lam_up: Fraction(1)})
-    nf1 = Fraction(q ** n - 1)
-    scale = Fraction(class_size(lam_up, n) * class_size(mu_up, n)) / nf1 ** 2
-    coeffs = {}
-    for nu, s in degree1_product(ctx, a, b).items():
-        for tau, c in center.transport(nu, n).terms.items():
-            coeffs[tau] = coeffs.get(tau, Fraction(0)) + s * c * scale
-    result = center.CentralVector(ctx, n, coeffs)
+        return center.CentralVector(ctx, n, {center.complete(mu if a == 1 else lam, n): 1})
+    result = center.GenericProduct(lam, mu, degree1_product(ctx, a, b)).at(n)
     if not result.is_integral():
         raise AssertionError("projected product is not integral: %r" % result)
     return result

@@ -707,7 +707,7 @@ def naive_extensions(ctx, V, g, V_plus):
     return out
 
 
-def naive_product(ctx, x, y, n):
+def naive_product(ctx, x, y):
     """Product of naive elements {(V, g): coeff}: means of trivial extensions
     to the sum of the supports, composed on the common space."""
     out = {}
@@ -770,8 +770,8 @@ def naive_product_counterexample(ctx, n=2):
 
     for G, H, I in atoms():
         eg, eh, ei = ({key: Fraction(1)} for key in (G, H, I))
-        lhs = naive_product(ctx, naive_product(ctx, eg, eh, n), ei, n)
-        rhs = naive_product(ctx, eg, naive_product(ctx, eh, ei, n), n)
+        lhs = naive_product(ctx, naive_product(ctx, eg, eh), ei)
+        rhs = naive_product(ctx, eg, naive_product(ctx, eh, ei))
         if lhs != rhs:
             return (G, H, I), lhs, rhs
     raise AssertionError("no counterexample found; the naive product bug?")

@@ -132,9 +132,9 @@ def test_naive_product_counterexamples():
             (G, H, I), lhs, rhs = pi.naive_product_counterexample(ctx, n)
             eg, eh, ei = ({key: Fraction(1)} for key in (G, H, I))
             assert lhs == pi.naive_product(
-                ctx, pi.naive_product(ctx, eg, eh, n), ei, n)
+                ctx, pi.naive_product(ctx, eg, eh), ei)
             assert rhs == pi.naive_product(
-                ctx, eg, pi.naive_product(ctx, eh, ei, n), n)
+                ctx, eg, pi.naive_product(ctx, eh, ei))
             assert lhs != rhs
         ctx = make_field(2)
         with pytest.raises(ValueError):
@@ -150,9 +150,9 @@ def test_naive_product_counterexamples():
                 for I in everything:
                     eg, eh, ei = ({key: Fraction(1)} for key in (G, H, I))
                     assert (pi.naive_product(
-                        ctx, pi.naive_product(ctx, eg, eh, 2), ei, 2)
+                        ctx, pi.naive_product(ctx, eg, eh), ei)
                         == pi.naive_product(
-                            ctx, eg, pi.naive_product(ctx, eh, ei, 2), 2))
+                            ctx, eg, pi.naive_product(ctx, eh, ei)))
 
 
 def test_extension_counts_all_admissible_shapes():
@@ -290,7 +290,7 @@ def test_degree1_closed_forms_and_projections():
         # at n = 3 the same class carries 2 q^2 - 1 = 97, not q^2 + (q - 1)
         assert poly(Fraction(7) ** 3) == 97 != 55
         report = center.verify_fh(gp, [2])
-        assert report["ok"], report
+        assert report == {2: {}}, report
 
 
 def test_structure_polynomials_match_class_products():
@@ -303,13 +303,7 @@ def test_structure_polynomials_match_class_products():
                     lam, mu = linear_type(ctx, a), linear_type(ctx, b)
                     gp = center.fh_polynomials(lam, mu)
                     report = center.verify_fh(gp, [2, 3, 4])
-                    assert report["ok"], report
-                    for nu, poly in gp.rhs.items():
-                        for n in (2, 3, 4):
-                            if nu.size > n:
-                                continue
-                            val = poly(Fraction(q) ** n)
-                            assert val.denominator == 1
+                    assert report == {2: {}, 3: {}, 4: {}}, report
 
 
 def prefix_ranks(ctx, fam, d):

@@ -203,12 +203,12 @@ def test_fh_polynomials_match_brute_force(q, lam_s, mu_s, n_list):
     ctx = make_field(q)
     lam = parse_polypartition(ctx, lam_s)
     mu = parse_polypartition(ctx, mu_s)
-    report = center.verify_fh(center.fh_polynomials(lam, mu), n_list)
-    assert report["ok"], report
-    assert all(not diffs for diffs in report["n"].values())
+    gp = center.fh_polynomials(lam, mu)
+    report = center.verify_fh(gp, n_list)
+    assert report == {n: {} for n in n_list}, report
     # structural sanity: no negative degrees and at least one output class
-    assert report["degrees"]
-    assert all(d >= 0 for d in report["degrees"].values())
+    assert gp.rhs
+    assert all(p.degree >= 0 for p in gp.rhs.values())
 
 
 def test_fh_verify_rejects_small_n():

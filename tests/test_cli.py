@@ -297,6 +297,12 @@ def test_bad_field_is_a_usage_error(capsys, flags, named):
      "--n must be at least 0, got -1"),
     (["ranklaw", "--q", "2", "--law", "dimsum", "--n", "2", "--j", "2", "--k", "1",
       "--l", "1"], "need j <= min(k,l) <= max(k,l) <= n"),
+    (["verify", "--suite", "naive", "--n", "1"], "--n must be at least 2, got 1"),
+    (["verify", "--suite", "naive", "--q", "2", "--n", "2"], "--n must be at least 3, got 2"),
+    (["count", "--q", "2", "--what", "subspaces", "--n", "-1", "--k", "0"],
+     "--n must be at least 0, got -1"),
+    (["count", "--q", "2", "--what", "subspaces", "--n", "2", "--k", "-1"],
+     "--k must be at least 0, got -1"),
 ])
 def test_out_of_range_integer_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -262,9 +262,9 @@ def test_naive_counterexample(q, n):
     (G, H, I), lhs, rhs = pi.naive_product_counterexample(ctx, n)
     eg, eh, ei = ({key: Fraction(1)} for key in (G, H, I))
     assert lhs == pi.naive_product(
-        ctx, pi.naive_product(ctx, eg, eh, n), ei, n)
+        ctx, pi.naive_product(ctx, eg, eh), ei)
     assert rhs == pi.naive_product(
-        ctx, eg, pi.naive_product(ctx, eh, ei, n), n)
+        ctx, eg, pi.naive_product(ctx, eh, ei))
     assert lhs != rhs
 
 
@@ -285,9 +285,9 @@ def test_naive_product_associative_at_n2_q2():
             for I in basis:
                 eg, eh, ei = ({key: Fraction(1)} for key in (G, H, I))
                 lhs = pi.naive_product(
-                    ctx, pi.naive_product(ctx, eg, eh, 2), ei, 2)
+                    ctx, pi.naive_product(ctx, eg, eh), ei)
                 rhs = pi.naive_product(
-                    ctx, eg, pi.naive_product(ctx, eh, ei, 2), 2)
+                    ctx, eg, pi.naive_product(ctx, eh, ei))
                 assert lhs == rhs
 
 
