@@ -31,21 +31,23 @@ from .conjtype import (
 from .fields import linear_poly
 from .partial_iso import AlgElem, invariant_product, invariant_product_work
 
-# A request that would make more type_of calls than this is refused before
-# it enumerates anything (several minutes at 0.3 ms or more a call)
+# A request that would make more type_of calls than this, or enumerate more
+# partial isomorphisms, is refused before it enumerates anything (several
+# minutes at 0.3 ms or more a call)
 MAX_TYPE_OF_CALLS = 10 ** 6
 
 
 class WorkCapExceeded(ValueError):
-    """A request would make more than MAX_TYPE_OF_CALLS type_of calls."""
+    """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
+    enumerate as many partial isomorphisms."""
 
 
-def check_work(what, calls):
-    """Refuse a request (a "product" or a "census") that needs more than
-    MAX_TYPE_OF_CALLS type_of calls."""
+def check_work(what, calls, unit="type_of calls"):
+    """Refuse a request (a "product", a "census" or a "verify suite") that
+    needs more than MAX_TYPE_OF_CALLS calls or enumerated elements."""
     if calls > MAX_TYPE_OF_CALLS:
-        raise WorkCapExceeded("this %s needs %d type_of calls, above the cap of %d"
-                              % (what, calls, MAX_TYPE_OF_CALLS))
+        raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
+                              % (what, calls, unit, MAX_TYPE_OF_CALLS))
 
 
 class CentralVector(AlgElem):
@@ -192,10 +194,6 @@ class Laurent:
 
     def __bool__(self):
         return bool(self.terms)
-
-    @property
-    def degree(self):
-        return max(self.terms)  # ValueError for the zero polynomial
 
     @property
     def coeffs(self):

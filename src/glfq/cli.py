@@ -26,6 +26,7 @@ from .conjtype import (
     enumerate_polypartitions,
     format_polypartition,
     gl_order,
+    num_free_families,
     parse_polypartition,
     reduce_polypartition,
     type_of,
@@ -158,7 +159,12 @@ def cmd_class_product(args):
     ctx = _field_from_args(args)
     lam = _parsed(parse_polypartition, ctx, args.a)
     mu = _parsed(parse_polypartition, ctx, args.b)
-    out = center.completed_product(lam, mu, _at_least("--n", args.n, 0))
+    n = _at_least("--n", args.n, 0)
+    for t in (lam, mu):
+        if t.size > n:
+            raise SystemExit2("%s has size %d, above --n %d"
+                              % (format_polypartition(t), t.size, n))
+    out = center.completed_product(lam, mu, n)
     _print_coeffs(out.terms, args.json)
     return 0
 
@@ -277,8 +283,16 @@ def cmd_ranklaw(args):
 
 # -- verify suites ------------------------------------------------------------
 
+def _all_pisos(ctx, n):
+    """all_pisos(ctx, n), refused before enumerating when |I(n, F_q)| is
+    above the cap."""
+    center.check_work("verify suite", partial_iso.card_iso(ctx.q, n),
+                      "partial isomorphisms")
+    return partial_iso.all_pisos(ctx, n)
+
+
 def _suite_assoc(ctx, n, rng, samples):
-    basis = partial_iso.all_pisos(ctx, n)
+    basis = _all_pisos(ctx, n)
     for _ in range(samples):
         x, y, z = (partial_iso.basis_elem(rng.choice(basis)) for _ in range(3))
         lhs = partial_iso.product(ctx, partial_iso.product(ctx, x, y), z)
@@ -296,7 +310,7 @@ def _suite_naive(ctx, n, rng, samples):
 
 
 def _suite_operators(ctx, n, rng, samples):
-    basis = partial_iso.all_pisos(ctx, n)
+    basis = _all_pisos(ctx, n)
     subs = []
     for k in range(n + 1):
         subs.extend(subspaces.enumerate_subspaces(ctx, n, k))
@@ -318,7 +332,7 @@ def _suite_operators(ctx, n, rng, samples):
 def _suite_extensions(ctx, n, rng, samples):
     q = ctx.q
     checked = 0
-    for x in partial_iso.all_pisos(ctx, n):
+    for x in _all_pisos(ctx, n):
         k = x.dim
         tp = partial_iso.piso_type(ctx, x)
         k1 = tp.k1
@@ -330,8 +344,7 @@ def _suite_extensions(ctx, n, rng, samples):
                 return False, "E count mismatch at %r" % (x,)
             V_plus = subspaces.enumerate_subspaces(
                 ctx, n, k_plus, containing=x.V)[0]
-            both = partial_iso.trivial_extensions_fixed_right(
-                ctx, x, W_plus, V_plus, True)
+            both = partial_iso.trivial_extensions_fixed_right(ctx, x, W_plus, V_plus)
             if len(both) != partial_iso.count_F(q, k_plus, k, k1):
                 return False, "F count mismatch at %r" % (x,)
             checked += 2
@@ -393,6 +406,10 @@ def _suite_fh(ctx, n, rng, samples):
 
 
 def _suite_phi(ctx, n, rng, samples):
+    # the type orbits of sizes 0, 1 and 2 at n = 3 hold nf(q, 3, k)^2
+    # partial isomorphisms each
+    center.check_work("verify suite", sum(num_free_families(ctx.q, 3, k) ** 2
+                                          for k in range(3)), "partial isomorphisms")
     for size in (0, 1, 2):
         for mu in enumerate_polypartitions(ctx, size):
             big = partial_iso.invariant_elem(ctx, mu, 3)
@@ -403,7 +420,7 @@ def _suite_phi(ctx, n, rng, samples):
 
 
 def _suite_pi(ctx, n, rng, samples):
-    basis = partial_iso.all_pisos(ctx, n)
+    basis = _all_pisos(ctx, n)
     for _ in range(samples):
         x = partial_iso.basis_elem(rng.choice(basis))
         y = partial_iso.basis_elem(rng.choice(basis))

@@ -103,11 +103,6 @@ class Polypartition:
         """Number of parts of the (X-1) partition."""
         return self.partition(fields.linear_poly(self.ctx, 1)).length
 
-    @property
-    def k11(self):
-        """Number of parts equal to 1 in the (X-1) partition."""
-        return self.partition(fields.linear_poly(self.ctx, 1)).mult(1)
-
     def b(self):
         return sum(pdeg(P) * mu.b() for P, mu in self.entries)
 

@@ -446,13 +446,6 @@ def pmod(ctx, A, B):
     return pdivmod(ctx, A, B)[1]
 
 
-def peval(ctx, P, x):
-    r = 0
-    for c in reversed(P):
-        r = ctx.add(ctx.mul(r, x), c)
-    return r
-
-
 def ppow(ctx, A, n):
     r = (1,)
     while n:

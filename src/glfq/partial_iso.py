@@ -8,7 +8,7 @@ left-to-right (gh means "apply g, then h"), hence mat(gh) = mat(h) mat(g)
 and the composite automorphism of V is mat(g2) mat(g1).
 
 The product of two basis elements averages over compatible extensions to
-the common middle space (see trivial_extensions_fixed_right for the two
+the common middle space (see trivial_extensions_grouped for the two
 extension notions and why the product uses the larger one); the uniform
 averages over the type orbits span a commutative subalgebra whose
 structure constants feed the center module.  All coefficients are exact
@@ -22,7 +22,6 @@ from . import linalg, subspaces
 from .conjtype import (
     class_orbit,
     class_size,
-    complete,
     empty_polypartition,
     enumerate_gl,
     gl_order,
@@ -141,7 +140,7 @@ def count_E(q, n, k_plus, k, k1):
 
     With k1 = 0 this also counts the compatible extensions of the same
     shape (the two notions coincide exactly when the composite has no
-    fixed vector; see trivial_extensions_fixed_right)."""
+    fixed vector; see trivial_extensions_grouped)."""
     if not (0 <= k1 <= k <= k_plus <= n):
         raise ValueError("need 0 <= k1 <= k <= k_plus <= n, got k1=%d, k=%d, "
                          "k_plus=%d, n=%d" % (k1, k, k_plus, n))
@@ -158,14 +157,32 @@ def count_F(q, k_plus, k, k1):
     return count_E(q, k_plus, k_plus, k, k1)
 
 
-def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True):
-    """Extensions of x with right space W_plus; the left space is free, or
+def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None):
+    """The strict trivial extensions of x with right space W_plus, over
+    which the restriction operators average; the left space is free, or
     constrained inside `left_inside`, which must contain x.V.
 
-    Both variants are parameterized by a completion of the g1-preimage
-    basis together with a matrix P: for the basis E of V defined by
-    e_i = g1^{-1}(f_i), the extension has mat(g1+) = identity and
-    mat(g2+) = [[G, P], [0, I]] with G the matrix of g1g2 in basis E.
+    A new list each call: the groups of trivial_extensions_grouped, in
+    their order, flattened.
+    """
+    return [PartialIso(V_plus, W_plus, g1, g2)
+            for V_plus, g1, g2s in trivial_extensions_grouped(
+                ctx, x, W_plus, left_inside, True)
+            for g2 in g2s]
+
+
+@memo(limit=1024)
+def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
+    """The extensions of x with right space W_plus (left space free, or
+    inside left_inside) grouped by completion: one (V_plus, g1, g2s) per
+    completion E+ of the g1-preimage basis E of V, given by
+    e_i = g1^{-1}(f_i).  Cached; every argument is positional.
+
+    Each extension has mat(g1+) = identity and mat(g2+) = [[G, P], [0, I]]
+    in the bases E+ and F+, with G the matrix of g1g2 in basis E and F+ the
+    fixed completion extend_basis(W, W_plus); g1 is mat(g1+) in canonical
+    coordinates, which does not depend on P, and the tuple g2s holds
+    mat(g2+) for each P.
 
     strict=True keeps only P with columns in the column space of G - I.
     These are the strict trivial extensions: the composite type gains only
@@ -179,32 +196,32 @@ def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None, strict=True
     larger (e.g. extending the identity of a line to the plane admits
     unipotent composites, which are compatible but not strict).
 
-    The restriction operators op_R and op_L average over strict extensions.
-    The algebra product averages over compatible extensions: unlike the
-    strict set, they are stable under composition of extensions, and the
-    resulting product is associative, whereas averaging over strict
-    extensions is not associative once q > 2 (colinear counterexamples
-    exist in dimension 2).
-
-    A new list each call: the groups of trivial_extensions_grouped, in
-    their order, flattened.
+    The restriction operators op_R and op_L average over strict
+    extensions.  The algebra product averages over compatible extensions:
+    unlike the strict set, they are stable under composition of
+    extensions, and the resulting product is associative, whereas
+    averaging over strict extensions is not associative once q > 2
+    (colinear counterexamples exist in dimension 2).
     """
-    return [PartialIso(V_plus, W_plus, g1, g2)
-            for V_plus, g1, g2s in trivial_extensions_grouped(
-                ctx, x, W_plus, left_inside, strict)
-            for g2 in g2s]
+    n, k = x.n, x.dim
+    if not W_plus.contains(ctx, x.W):
+        raise ValueError("W_plus must contain the right space")
+    if left_inside is not None and not left_inside.contains(ctx, x.V):
+        raise ValueError("left_inside must contain the left space")
+    if W_plus.dim == k:
+        return ((x.V, x.g1, (x.g2,)),)
+    E = (linalg.mat_mul(ctx, linalg.transpose(linalg.inverse(ctx, x.g1)), x.V.basis)
+         if k else ())
+    completions = subspaces.enumerate_completions(ctx, E, W_plus.dim, n, within=left_inside)
+    return tuple(_extension_groups(ctx, x, W_plus, strict, completions))
 
 
-@memo(limit=1024)
-def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
-    """The extensions of trivial_extensions_fixed_right grouped by
-    completion: one (V_plus, g1, g2s) per completion E+ of E, where g1 is
-    mat(g1+), which does not depend on P, and the tuple g2s holds mat(g2+)
-    for each P.  Cached; every argument is positional.
+def _extension_groups(ctx, x, W_plus, strict, completions):
+    """The group (V_plus, g1, g2s) of trivial_extensions_grouped for each
+    of the given completions E+ of E, lazily.
 
     The extensions are built directly in canonical coordinates, in the
-    order canonical_piso(E+, F+, I, [[G, P], [0, I]]) would give them, F+
-    being the fixed basis of W+ and E+ running over the completions of E.
+    order canonical_piso(E+, F+, I, [[G, P], [0, I]]) would give them.
     With C F+ and D E+ in RREF, C^{-1} is F+ read at the pivots of W+ and
     D^{-1} is E+ read at the pivots of V+ = Span(E+) (the rows' canonical
     coordinates), so C comes from one inversion per call, D from the row
@@ -213,17 +230,8 @@ def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
     """
     n, k = x.n, x.dim
     k_plus = W_plus.dim
-    if not W_plus.contains(ctx, x.W):
-        raise ValueError("W_plus must contain the right space")
-    if left_inside is not None and not left_inside.contains(ctx, x.V):
-        raise ValueError("left_inside must contain the left space")
-    if k_plus == k:
-        return ((x.V, x.g1, (x.g2,)),)
     F_plus = subspaces.extend_basis(ctx, x.W, W_plus)
     if k:
-        E = linalg.mat_mul(
-            ctx, linalg.transpose(linalg.inverse(ctx, x.g1)), x.V.basis
-        )
         G = linalg.mat_mul(ctx, x.g1, x.g2)
         if strict:
             GmI = linalg.mat_sub(ctx, G, linalg.identity(k))
@@ -231,23 +239,33 @@ def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
         else:
             cols = subspaces.full_subspace(k).vectors(ctx)
     else:
-        E, G, cols = (), (), [()]
-    completions = subspaces.enumerate_completions(ctx, E, k_plus, n, within=left_inside)
+        G, cols = (), [()]
     mat_mul, transpose = linalg.mat_mul, linalg.transpose
     C_inv = tuple(W_plus.coords(f) for f in F_plus)
     Ct = transpose(linalg.inverse(ctx, C_inv))
     lower = tuple((0,) * k + row[k:] for row in linalg.identity(k_plus)[k:])
     blocks = [tuple(G[i] + tuple(c[i] for c in choice) for i in range(k)) + lower
               for choice in itertools.product(cols, repeat=k_plus - k)]
-    out = []
     for E_plus in completions:
         RV, pivV, D = linalg.rref(ctx, E_plus, transform=True)
         V_plus = subspaces.Subspace(n, RV, pivV)
         g1 = transpose(mat_mul(ctx, D, C_inv))
         D_inv_t = transpose(tuple(V_plus.coords(e) for e in E_plus))
-        out.append((V_plus, g1, tuple(mat_mul(ctx, mat_mul(ctx, D_inv_t, block), Ct)
-                                      for block in blocks)))
-    return tuple(out)
+        yield V_plus, g1, tuple(mat_mul(ctx, mat_mul(ctx, D_inv_t, block), Ct)
+                                for block in blocks)
+
+
+def _identity_extensions(ctx, u, S, S_plus, strict):
+    """The automorphisms of S_plus, in its canonical coordinates, that
+    restrict to u (an automorphism of S in its canonical coordinates) and
+    are strict or compatible extensions of it: the g2+ of the extensions
+    of the identity map (S | I <-> u | S) through the fixed completion
+    E+ = F+, for which g1+ is the identity.  Uncached, so that one-off
+    groups do not evict the memo of trivial_extensions_grouped."""
+    x = PartialIso(S, S, linalg.identity(S.dim), u)
+    F_plus = subspaces.extend_basis(ctx, S, S_plus)
+    ((_, _, g2s),) = _extension_groups(ctx, x, S_plus, strict, [F_plus])
+    return g2s
 
 
 # ---------------------------------------------------------------------------
@@ -527,36 +545,17 @@ def _supported_automorphisms(ctx, nu, S, m, fix_class=False):
     """All N in GL(m, F_q) that act as the identity on the quotient by the
     subspace S and whose restriction to S has type nu.  These are exactly
     the middle-space composites of the compatible extensions of a partial
-    isomorphism of type nu whose relevant space is S.  With fix_class, the
-    restriction is frozen to the Jordan representative (valid inside an
-    average that is invariant under conjugation fixing S)."""
-    s = S.dim
-    if nu.size != s:
+    isomorphism of type nu whose relevant space is S: for each u of type
+    nu, the compatible extensions of (S | I <-> u | S) to (F_q)^m.  With
+    fix_class, the restriction is frozen to the Jordan representative
+    (valid inside an average that is invariant under conjugation fixing
+    S)."""
+    if nu.size != S.dim:
         raise ValueError("type %r has size %d, but the subspace has dimension %d"
-                         % (nu, nu.size, s))
-    rows_basis = subspaces.extend_basis(ctx, S, subspaces.full_subspace(m))
-    comp_rows = rows_basis[s:]
-    reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, s)
-    out = []
-    svecs = S.vectors(ctx)
-    Binv = linalg.inverse(ctx, linalg.transpose(rows_basis))
-    for u in reps:
-        # N on S: u in the canonical basis of S; N on the complement basis:
-        # c_j + w_j with w_j ranging over S
-        base_img = [
-            linalg.row_combine(ctx, col, S.basis, m)
-            for col in linalg.transpose(u)
-        ]
-        for ws in itertools.product(svecs, repeat=m - s):
-            cols = list(base_img) + [
-                tuple(ctx.add(a, b) for a, b in zip(c, w))
-                for c, w in zip(comp_rows, ws)
-            ]
-            # matrix of N in canonical coordinates (columns act on columns):
-            # N = (images as columns) (basis as columns)^{-1}
-            Bmat = linalg.mat_mul(ctx, linalg.transpose(cols), Binv)
-            out.append(Bmat)
-    return out
+                         % (nu, nu.size, S.dim))
+    reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, S.dim)
+    full = subspaces.full_subspace(m)
+    return [N for u in reps for N in _identity_extensions(ctx, u, S, full, False)]
 
 
 def _invariant_product_classes(ctx, lam, mu, n):
@@ -683,28 +682,9 @@ def phi(ctx, x, n_small):
 def naive_extensions(ctx, V, g, V_plus):
     """Trivial extensions of the single automorphism (g, V) to V_plus: all
     automorphisms of V_plus restricting to g whose type only adds parts 1 to
-    the (X - 1) partition.  Brute force over GL(dim V_plus)."""
-    k_plus = V_plus.dim
-    if k_plus == V.dim:
-        return [g]
-    target = complete(type_of(ctx, g), k_plus)
-    base_imgs = [
-        linalg.row_combine(ctx, linalg.mat_vec(ctx, g, V.coords(v)), V.basis, V.ambient)
-        for v in V.basis
-    ]
-    out = []
-    for h in enumerate_gl(ctx, k_plus):
-        ok = True
-        for v, img in zip(V.basis, base_imgs):
-            hv = linalg.row_combine(
-                ctx, linalg.mat_vec(ctx, h, V_plus.coords(v)), V_plus.basis, V.ambient
-            )
-            if hv != img:
-                ok = False
-                break
-        if ok and type_of(ctx, h) == target:
-            out.append(h)
-    return out
+    the (X - 1) partition, in enumerate_gl order.  They are the strict
+    extensions of the identity map (V | I <-> g | V) with E+ = F+."""
+    return sorted(_identity_extensions(ctx, g, V, V_plus, True))
 
 
 def naive_product(ctx, x, y):
@@ -729,12 +709,16 @@ def naive_product_counterexample(ctx, n=2):
     demonstrating that the one-automorphism construction is not associative.
 
     Searches k-dimensional automorphisms G, H against the identity on a
-    containing (k+1)-dimensional space for k = 1, 2, then falls back to a
-    full scan.  A counterexample needs a k-dimensional space with a
-    non-identity automorphism fitting strictly inside (F_q)^n, so the
-    smallest cases are n = 2 for q >= 3 (nontrivial G, H on a line) and
-    n = 3 for q = 2 (nontrivial G, H on a plane); at n = 2, q = 2 the naive
-    product is associative (exhaustive scan) and this raises ValueError."""
+    containing (k+1)-dimensional space for k = 1, 2.  A counterexample
+    needs a k-dimensional space with a non-identity automorphism fitting
+    strictly inside (F_q)^n, so the smallest cases are n = 2 for q >= 3
+    (nontrivial G, H on a line) and n = 3 for q = 2 (nontrivial G, H on a
+    plane); at n = 2, q = 2 the naive product is associative (exhaustive
+    scan) and this raises ValueError.  The search succeeds on every input
+    it accepts: the atoms include a non-identity G with H = G^{-1} (on a
+    line for q >= 3, on a plane for q = 2), for which (G*H)*I is the
+    identity of P while G*(H*I) is spread over several unipotent maps
+    that are the identity on the line or plane and on the quotient."""
     if n < 2:
         raise ValueError("non-associativity requires n >= 2")
     if ctx.q == 2 and n < 3:
@@ -757,16 +741,6 @@ def naive_product_counterexample(ctx, n=2):
                         for P in bigs:
                             if P.contains(ctx, L):
                                 yield (L, gm), (L, hm), (P, linalg.identity(k + 1))
-        basis = [
-            (V, g)
-            for k in range(n + 1)
-            for V in subspaces.enumerate_subspaces(ctx, n, k)
-            for g in enumerate_gl(ctx, k)
-        ]
-        for G in basis:
-            for H in basis:
-                for I in basis:
-                    yield G, H, I
 
     for G, H, I in atoms():
         eg, eh, ei = ({key: Fraction(1)} for key in (G, H, I))

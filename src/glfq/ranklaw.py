@@ -86,18 +86,3 @@ def count_constrained_subspaces(j, k, l, m, q):
         raise AssertionError("count_constrained_subspaces(j=%d, k=%d, l=%d, m=%d, q=%r) "
                              "is %s, not an integer" % (j, k, l, m, q, out))
     return int(out)
-
-
-def homogeneous_geometric(r, c, q):
-    """h_r(1, q, ..., q^c): the complete homogeneous symmetric polynomial of
-    degree r evaluated on the geometric progression with c+1 terms."""
-    if r < 0 or c < 0:
-        raise ValueError("need r >= 0 and c >= 0, got r=%d, c=%d" % (r, c))
-    # h_r over variables x_0..x_c via the stable recurrence
-    # h(vars[:i+1]) = sum_{s} x_i^s h_{r-s}(vars[:i])
-    h = [1] + [0] * r
-    for i in range(c + 1):
-        x = q ** i
-        for deg in range(1, r + 1):
-            h[deg] += x * h[deg - 1]
-    return h[r]

@@ -3,16 +3,47 @@
 Each one is the definition of a quantity that the library computes another
 way: the class product by a double loop over both classes, the Pi_n scalar
 of a type without spread, the two extension predicates on partial
-isomorphisms, and the per-term averages over left-fixed and over compatible
-extensions.  They are slow and kept simple on purpose.
+isomorphisms, the per-term averages over left-fixed and over compatible
+extensions, the naive extensions by a scan of GL(k+) and the middle-space
+automorphisms by a loop over their images.  They are slow and kept simple
+on purpose.  A few small helpers that only the tests read live here too.
 """
 
+import itertools
 from fractions import Fraction
 
-from glfq import linalg, subspaces
+from glfq import fields, linalg, subspaces
 from glfq.center import CentralVector
-from glfq.conjtype import class_orbit, class_size, complete, pochhammer, type_of
-from glfq.partial_iso import AlgElem, piso_type, rev, trivial_extensions_fixed_right
+from glfq.conjtype import (
+    class_orbit,
+    class_size,
+    complete,
+    enumerate_gl,
+    jordan_matrix,
+    pochhammer,
+    type_of,
+)
+from glfq.partial_iso import (
+    AlgElem,
+    PartialIso,
+    piso_type,
+    rev,
+    trivial_extensions_fixed_right,
+    trivial_extensions_grouped,
+)
+
+
+def peval(ctx, P, x):
+    """The polynomial P (ascending coefficients) evaluated at x, by Horner."""
+    r = 0
+    for c in reversed(P):
+        r = ctx.add(ctx.mul(r, x), c)
+    return r
+
+
+def k11_of(mu):
+    """Number of parts equal to 1 in the (X-1) partition of the type mu."""
+    return mu.partition(fields.linear_poly(mu.ctx, 1)).mult(1)
 
 
 def class_convolution(lam, mu, n):
@@ -36,7 +67,7 @@ def pi_scalar(mu, n):
     """The scalar lambda with Pi_n(Ahat_mu) = lambda * C_{mu^n} / card(C_mu):
     q^{n(2k1-k)} q^{2k(k-k1)} (q^{-1})_k (q^{-1})_{n-k+k11}
     / ((q^{-1})_{k11} (q^{-1})_{n-k})."""
-    k, k1, k11 = mu.size, mu.k1, mu.k11
+    k, k1, k11 = mu.size, mu.k1, k11_of(mu)
     q = mu.ctx.q
     qi = Fraction(1, q)
     return (
@@ -109,10 +140,20 @@ def extension_average(x, extend):
     return AlgElem(x.n, out)
 
 
+def compatible_extensions(ctx, x, W_plus, left_inside=None):
+    """The compatible extensions of x with right space W_plus: the groups
+    of trivial_extensions_grouped, flattened."""
+    return [PartialIso(V_plus, W_plus, g1, g2)
+            for V_plus, g1, g2s in trivial_extensions_grouped(
+                ctx, x, W_plus, left_inside, False)
+            for g2 in g2s]
+
+
 def extensions_fixed_left(ctx, x, V_plus, strict=True):
     """Extensions of x with left space V_plus and the right space free: the
     right-fixed extensions of rev(x), reversed."""
-    return [rev(y) for y in trivial_extensions_fixed_right(ctx, rev(x), V_plus, strict=strict)]
+    extend = trivial_extensions_fixed_right if strict else compatible_extensions
+    return [rev(y) for y in extend(ctx, rev(x), V_plus)]
 
 
 def op_L_by_left_extensions(ctx, X, x):
@@ -125,8 +166,8 @@ def op_L_by_left_extensions(ctx, X, x):
 def compatible_R(ctx, X, x):
     """The compatible counterpart of R^X: each term t becomes the mean of
     its compatible extensions with right space t.W + X."""
-    return extension_average(x, lambda t: trivial_extensions_fixed_right(
-        ctx, t, subspaces.subspace_sum(ctx, t.W, X), strict=False))
+    return extension_average(x, lambda t: compatible_extensions(
+        ctx, t, subspaces.subspace_sum(ctx, t.W, X)))
 
 
 def compatible_L(ctx, X, x):
@@ -134,3 +175,43 @@ def compatible_L(ctx, X, x):
     its compatible extensions with left space t.V + X."""
     return extension_average(x, lambda t: extensions_fixed_left(
         ctx, t, subspaces.subspace_sum(ctx, t.V, X), strict=False))
+
+
+def naive_extensions_by_scan(ctx, V, g, V_plus):
+    """partial_iso.naive_extensions by its definition: every h in
+    GL(dim V_plus), in enumerate_gl order, that restricts to g on V and
+    whose type is the type of g completed to dim V_plus."""
+    k_plus = V_plus.dim
+    if k_plus == V.dim:
+        return [g]
+    target = complete(type_of(ctx, g), k_plus)
+    base_imgs = [
+        linalg.row_combine(ctx, linalg.mat_vec(ctx, g, V.coords(v)), V.basis, V.ambient)
+        for v in V.basis
+    ]
+    out = []
+    for h in enumerate_gl(ctx, k_plus):
+        if all(linalg.row_combine(ctx, linalg.mat_vec(ctx, h, V_plus.coords(v)),
+                                  V_plus.basis, V.ambient) == img
+               for v, img in zip(V.basis, base_imgs)) and type_of(ctx, h) == target:
+            out.append(h)
+    return out
+
+
+def supported_automorphisms_by_images(ctx, nu, S, m, fix_class=False):
+    """partial_iso._supported_automorphisms by the images of a basis: N is
+    u of type nu on the canonical basis of S, and c_j + w_j on each vector
+    c_j of a fixed completion, with w_j ranging over S."""
+    s = S.dim
+    rows_basis = subspaces.extend_basis(ctx, S, subspaces.full_subspace(m))
+    reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, s)
+    Binv = linalg.inverse(ctx, linalg.transpose(rows_basis))
+    out = []
+    for u in reps:
+        base_img = [linalg.row_combine(ctx, col, S.basis, m) for col in linalg.transpose(u)]
+        for ws in itertools.product(S.vectors(ctx), repeat=m - s):
+            cols = base_img + [tuple(ctx.add(a, b) for a, b in zip(c, w))
+                               for c, w in zip(rows_basis[s:], ws)]
+            # N = (images as columns) (basis as columns)^{-1}
+            out.append(linalg.mat_mul(ctx, linalg.transpose(cols), Binv))
+    return out

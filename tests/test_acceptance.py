@@ -184,7 +184,7 @@ def test_extension_counts_all_admissible_shapes():
                             assert len(right) == pi.count_E(
                                 q, n, k_plus, k, k1)
                             both = pi.trivial_extensions_fixed_right(
-                                ctx, x, W_plus, W_plus, True)
+                                ctx, x, W_plus, W_plus)
                             assert len(both) == pi.count_F(q, k_plus, k, k1)
 
 

@@ -208,7 +208,7 @@ def test_fh_polynomials_match_brute_force(q, lam_s, mu_s, n_list):
     assert report == {n: {} for n in n_list}, report
     # structural sanity: no negative degrees and at least one output class
     assert gp.rhs
-    assert all(p.degree >= 0 for p in gp.rhs.values())
+    assert all(max(p.terms) >= 0 for p in gp.rhs.values())
 
 
 def test_fh_verify_rejects_small_n():
@@ -233,7 +233,7 @@ def test_generic_product_json_roundtrip():
 
 def test_laurent_basics():
     p = center.Laurent({0: Fraction(-1), 1: Fraction(2, 7)})
-    assert p.degree == 1
+    assert max(p.terms) == 1
     assert p(49) == 13
     assert p == center.Laurent({0: -1, 1: Fraction(2, 7), 2: 0})
     assert p.coeffs == (Fraction(-1), Fraction(2, 7))
@@ -241,7 +241,7 @@ def test_laurent_basics():
     assert center.Laurent().coeffs == ()
     assert p + p * -1 == center.Laurent()
     r = center.Laurent({-2: 5, 0: Fraction(1, 3), 3: -4})
-    assert r.degree == 3
+    assert max(r.terms) == 3
     assert r(2) == Fraction(5, 4) + Fraction(1, 3) - 32
     with pytest.raises(ValueError, match="negative powers"):
         r.coeffs

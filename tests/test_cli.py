@@ -161,6 +161,29 @@ def test_census_refuses_work_above_cap(capsys, monkeypatch, argv):
                    "above the cap of 1000000\n")
 
 
+@pytest.mark.parametrize("argv,count", [
+    (("verify", "--suite", "assoc", "--n", "4"), 412820326),
+    (("verify", "--suite", "pi", "--n", "3", "--q", "3"), 126547877),
+    (("verify", "--suite", "extensions", "--n", "4"), 412820326),
+    (("verify", "--suite", "operators", "--n", "3", "--q", "4"), 32934765970),
+    (("verify", "--suite", "phi", "--q", "4"), 14292370),
+])
+def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, count):
+    # the size of A(n), or of the type orbits phi sums over, is checked
+    # before any partial isomorphism is built
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(partial_iso, "all_pisos", enumerate_nothing)
+    monkeypatch.setattr(partial_iso, "invariant_elem", enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this verify suite needs %d partial isomorphisms, "
+                   "above the cap of 1000000\n" % count)
+
+
 @pytest.mark.parametrize("q,a,b", [
     # the two slowest products known to finish (about 17 s and 10 s on a
     # 2-vCPU VM), then the largest generic-product requests of perfbench
@@ -303,6 +326,8 @@ def test_bad_field_is_a_usage_error(capsys, flags, named):
      "--n must be at least 0, got -1"),
     (["count", "--q", "2", "--what", "subspaces", "--n", "2", "--k", "-1"],
      "--k must be at least 0, got -1"),
+    (["class-product", "--q", "2", "--n", "1", "--a", "{X+1:(2)}", "--b", "{}"],
+     "{X+1:(2)} has size 2, above --n 1"),
 ])
 def test_out_of_range_integer_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

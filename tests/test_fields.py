@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import peval
 
 from glfq.fields import (
     FieldCtx,
@@ -17,7 +18,6 @@ from glfq.fields import (
     is_irreducible,
     linear_poly,
     make_field,
-    peval,
     pmul,
     poly_parse,
     poly_str,

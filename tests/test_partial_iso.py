@@ -62,8 +62,8 @@ def test_strict_vs_compatible_extensions(q, n):
     for x in random.Random(0).sample(pi.all_pisos(ctx, n), 40):
         k = x.dim
         k1 = pi.piso_type(ctx, x).k1
-        strict = pi.trivial_extensions_fixed_right(ctx, x, full, strict=True)
-        compat = pi.trivial_extensions_fixed_right(ctx, x, full, strict=False)
+        strict = pi.trivial_extensions_fixed_right(ctx, x, full)
+        compat = oracles.compatible_extensions(ctx, x, full)
         assert len(strict) == pi.count_E(q, n, n, k, k1)
         assert len(compat) == pi.count_E(q, n, n, k, 0)
         assert set(strict) <= set(compat)
@@ -91,17 +91,16 @@ def test_extension_counts_all_shapes(q, n):
             if not W_plus.contains(ctx, x.W):
                 seen.discard((k1, k, k_plus))
                 continue
-            right = pi.trivial_extensions_fixed_right(
-                ctx, x, W_plus, strict=True)
+            right = pi.trivial_extensions_fixed_right(ctx, x, W_plus)
             assert len(right) == pi.count_E(q, n, k_plus, k, k1)
-            both = pi.trivial_extensions_fixed_right(ctx, x, W_plus, W_plus, True)
+            both = pi.trivial_extensions_fixed_right(ctx, x, W_plus, W_plus)
             assert len(both) == pi.count_F(q, k_plus, k, k1)
 
 
 def extensions_via_canonical_piso(ctx, x, W_plus, left_inside=None, strict=True):
-    """trivial_extensions_fixed_right without its canonical-coordinate
-    build: one canonical_piso (two row reductions with transform) per
-    completion E+ and matrix P."""
+    """The extensions of trivial_extensions_grouped, flattened, without
+    its canonical-coordinate build: one canonical_piso (two row reductions
+    with transform) per completion E+ and matrix P."""
     n, k = x.n, x.dim
     k_plus = W_plus.dim
     if k_plus == k:
@@ -167,8 +166,9 @@ def test_extensions_match_canonical_piso_build(q, n):
             for W_plus in rng.sample(W_pluses, min(len(W_pluses), 3)):
                 for left_inside in (None, rng.choice(V_pluses)):
                     for strict in (True, False):
-                        got = pi.trivial_extensions_fixed_right(
-                            ctx, x, W_plus, left_inside=left_inside, strict=strict)
+                        extend = (pi.trivial_extensions_fixed_right if strict
+                                  else oracles.compatible_extensions)
+                        got = extend(ctx, x, W_plus, left_inside)
                         want = extensions_via_canonical_piso(
                             ctx, x, W_plus, left_inside=left_inside, strict=strict)
                         assert got == want
@@ -208,18 +208,18 @@ def test_extension_groups_are_cached_by_value():
     full = subspaces.full_subspace(n)
     cache = pi.trivial_extensions_grouped.cache
     cache.clear()
-    first = pi.trivial_extensions_fixed_right(ctx, x, full, None, False)
-    assert list(cache) == [(ctx, x, full, None, False)]
-    groups = cache[(ctx, x, full, None, False)]
+    first = pi.trivial_extensions_fixed_right(ctx, x, full, None)
+    assert list(cache) == [(ctx, x, full, None, True)]
+    groups = cache[(ctx, x, full, None, True)]
     again = pi.trivial_extensions_fixed_right(
-        ctx, x, W_plus=subspaces.full_subspace(n), strict=False)
-    assert len(cache) == 1 and cache[(ctx, x, full, None, False)] is groups
+        ctx, x, W_plus=subspaces.full_subspace(n))
+    assert len(cache) == 1 and cache[(ctx, x, full, None, True)] is groups
     assert again == first and again is not first
-    assert len(first) == pi.count_E(3, n, n, 1, 0)
+    assert len(first) == pi.count_E(3, n, n, 1, pi.piso_type(ctx, x).k1)
     assert first == [pi.PartialIso(V, full, g1, g2) for V, g1, g2s in groups for g2 in g2s]
     first.clear()
     again.append(x)
-    assert pi.trivial_extensions_fixed_right(ctx, x, full, strict=False) == again[:-1]
+    assert pi.trivial_extensions_fixed_right(ctx, x, full) == again[:-1]
     assert len(cache) == 1
 
 
@@ -291,6 +291,44 @@ def test_naive_product_associative_at_n2_q2():
                 assert lhs == rhs
 
 
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_naive_extensions_match_gl_scan(q, n):
+    """naive_extensions, one fixed-completion group, against the scan of
+    GL(k+) for its definition: the same list, in the same order, for every
+    V, every automorphism g of V and every V+ containing V."""
+    ctx = make_field(q)
+    subs = [S for k in range(n + 1) for S in subspaces.enumerate_subspaces(ctx, n, k)]
+    checked = 0
+    for V in subs:
+        for g in pi.enumerate_gl(ctx, V.dim):
+            for V_plus in (S for S in subs if S.contains(ctx, V)):
+                assert pi.naive_extensions(ctx, V, g, V_plus) == \
+                    oracles.naive_extensions_by_scan(ctx, V, g, V_plus)
+                checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_supported_automorphisms_match_image_loop(q, n):
+    """_supported_automorphisms, one fixed-completion group per u, against
+    the loop over the images of a basis: the same multiset for every
+    middle dimension m <= n, every subspace S of (F_q)^m and every type of
+    size dim S, with the class frozen or not."""
+    ctx = make_field(q)
+    checked = 0
+    for m in range(1, n + 1):
+        for s in range(m + 1):
+            for S in subspaces.enumerate_subspaces(ctx, m, s):
+                for nu in enumerate_polypartitions(ctx, s):
+                    for fix_class in (True, False):
+                        got = pi._supported_automorphisms(ctx, nu, S, m, fix_class)
+                        want = oracles.supported_automorphisms_by_images(
+                            ctx, nu, S, m, fix_class)
+                        assert sorted(got) == sorted(want)
+                        checked += 1
+    assert checked >= 40
+
+
 def test_operator_calculus_strict():
     # nested restriction, R.R composition, and L/R commutation hold for the
     # strict operators
@@ -344,7 +382,7 @@ def test_left_space_constraint_must_contain_left_space():
     full = subspaces.full_subspace(n)
     other = next(L for L in subspaces.enumerate_subspaces(ctx, n, 1) if L != x.V)
     with pytest.raises(ValueError, match="left_inside must contain the left space"):
-        pi.trivial_extensions_fixed_right(ctx, x, full, other, True)
+        pi.trivial_extensions_fixed_right(ctx, x, full, other)
 
 
 def test_operator_calculus_fails_for_compatible():

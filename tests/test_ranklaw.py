@@ -12,6 +12,19 @@ from glfq import linalg, ranklaw, subspaces
 from glfq.fields import make_field
 
 
+def homogeneous_geometric(r, c, q):
+    """h_r(1, q, ..., q^c): the complete homogeneous symmetric polynomial of
+    degree r evaluated on the geometric progression with c+1 terms."""
+    # h_r over variables x_0..x_c via the stable recurrence
+    # h(vars[:i+1]) = sum_{s} x_i^s h_{r-s}(vars[:i])
+    h = [1] + [0] * r
+    for i in range(c + 1):
+        x = q ** i
+        for deg in range(1, r + 1):
+            h[deg] += x * h[deg - 1]
+    return h[r]
+
+
 def all_vectors(ctx, d):
     return list(itertools.product(ctx.elements(), repeat=d))
 
@@ -61,7 +74,7 @@ def test_rank_law_h_polynomial_identity():
                     qi = Fraction(1, q)
                     want = (Fraction(q) ** (d * (c - a))
                             * pochhammer(qi, d) / pochhammer(qi, d - c)
-                            * ranklaw.homogeneous_geometric(a - c, c, q)
+                            * homogeneous_geometric(a - c, c, q)
                             * Fraction(1, q ** 0))
                     # h_{a-c} is in the variables 1, q, ..., q^c
                     assert ranklaw.rank_law(d, q, a, c) == want
@@ -167,17 +180,17 @@ def test_count_constrained_subspaces_vs_filtering():
 
 
 def test_homogeneous_geometric_examples():
-    assert ranklaw.homogeneous_geometric(0, 3, 2) == 1
-    assert ranklaw.homogeneous_geometric(1, 1, 2) == 3
+    assert homogeneous_geometric(0, 3, 2) == 1
+    assert homogeneous_geometric(1, 1, 2) == 3
     # h_2(1, 2, 4) = sum of degree-2 monomials in three variables
     vals = (1, 2, 4)
     want = sum(vals[i] * vals[j] for i in range(3) for j in range(i, 3))
-    assert ranklaw.homogeneous_geometric(2, 2, 2) == want
+    assert homogeneous_geometric(2, 2, 2) == want
 
 
 def test_charpoly_and_count_checks_run_under_optimized_mode():
-    # the checks of charpoly, count_constrained_subspaces, homogeneous_geometric
-    # and num_subspaces are explicit raises, so they also hold under -O
+    # the checks of charpoly, count_constrained_subspaces and num_subspaces
+    # are explicit raises, so they also hold under -O
     code = (
         "from fractions import Fraction\n"
         "from glfq import linalg, ranklaw, subspaces\n"
@@ -196,7 +209,6 @@ def test_charpoly_and_count_checks_run_under_optimized_mode():
         "ctx.row_submul = submul\n"
         "ranklaw.pochhammer = lambda x, k: Fraction(k + 2)\n"
         "expect(AssertionError, lambda: ranklaw.count_constrained_subspaces(0, 1, 1, 1, 2))\n"
-        "expect(ValueError, lambda: ranklaw.homogeneous_geometric(-1, 2, 2))\n"
         "expect(AssertionError, lambda: subspaces.num_subspaces(Fraction(1, 2), 2, 1))\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -206,7 +218,6 @@ def test_charpoly_and_count_checks_run_under_optimized_mode():
     assert done.stdout.splitlines() == [
         "charpoly of a 1x1 matrix came out as (1, 2), not monic of degree 1",
         "count_constrained_subspaces(j=0, k=1, l=1, m=1, q=2) is 1/2, not an integer",
-        "need r >= 0 and c >= 0, got r=-1, c=2",
         "[2 choose 1]_q at q=Fraction(1, 2): Fraction(-3, 4) is not divisible by "
         "Fraction(-1, 2)",
     ]

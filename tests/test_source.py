@@ -39,3 +39,40 @@ def test_every_parameter_is_read():
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += ["%s:%d %s" % (path.name, node.lineno, p) for p in params if p not in read]
     assert found == []
+
+
+def _traced_names():
+    """The "module.name" strings that perfbench/tracer.py lists: the names
+    its per-layer metrics read, which count as callers."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.count(".") == 1}
+
+
+def test_every_library_function_has_a_library_caller():
+    # a function or method that only the tests call belongs in tests/; the
+    # console script, dunder methods and the names the tracer reads are
+    # exempt, and a function's own body does not count as its caller
+    exempt = _traced_names() | {"cli.main"}
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    refs = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Name, ast.Attribute)):
+                name = n.id if isinstance(n, ast.Name) else n.attr
+                refs.setdefault(name, []).append(id(n))
+    found = []
+    for mod, tree in trees.items():
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [item for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, ast.FunctionDef)]
+        for fn in defs:
+            if fn.name.startswith("__") or "%s.%s" % (mod, fn.name) in exempt:
+                continue
+            inside = {id(n) for n in ast.walk(fn)}
+            if all(i in inside for i in refs.get(fn.name, ())):
+                found.append("%s.%s" % (mod, fn.name))
+    assert found == []
