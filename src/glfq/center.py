@@ -11,13 +11,13 @@ for the degree-1 closed form alike.  transport is the numeric Pi_n of one
 generic invariant at one n, through which the tests read the padding law.
 """
 
-import json
 from fractions import Fraction
 
 from . import linalg, subspaces
 from .conjtype import (
     Partition,
     Polypartition,
+    centralizer_order,
     class_orbit,
     class_size,
     complete,
@@ -238,37 +238,22 @@ def _padding_profiles(ctx, pi):
 
     Returns {(dim Y, core): count of Y}, where core is the padded type with
     its parts 1 stripped; the full type at padding size m is
-    core + (1^(u + m - |core|)).  The core does not depend on m because the
-    ranks of (N - I)^j for j >= 1 are determined by U and Y alone:
-    rank (N-I)^j = rank [ (U-I)^j | (U-I)^{j-1} Y ]."""
-    u = sum(pi)
-    if u == 0:
+    core + (1^(u + m - |core|)).  The core does not depend on m, nor on P
+    beyond Y: conjugating by diag(I, h) with h in GL(m) turns P into
+    [Y | 0], which splits off an identity block, so core is read off the
+    type of [[U, Y], [0, I_dim Y]], the basis of Y as the columns."""
+    if not pi:
         return {(0, ()): 1}
     # the profile counts are invariant under conjugating U, so any matrix of
     # unipotent type pi will do
-    U = jordan_matrix(Polypartition(ctx, ((linear_poly(ctx, 1), Partition(pi)),)))
-    Nm = linalg.mat_sub(ctx, U, linalg.identity(u))
-    pows = [linalg.identity(u)]
-    while any(any(r) for r in pows[-1]):
-        pows.append(linalg.mat_mul(ctx, pows[-1], Nm))
-    zero = tuple(tuple(0 for _ in range(u)) for _ in range(u))
+    xm1 = linear_poly(ctx, 1)
+    U = jordan_matrix(Polypartition(ctx, ((xm1, Partition(pi)),)))
     out = {}
-    for d in range(u + 1):
-        for Y in subspaces.enumerate_subspaces(ctx, u, d):
-            ranks, j = [], 1
-            while not ranks or ranks[-1]:
-                Pj = pows[j] if j < len(pows) else zero
-                Pjm1 = pows[j - 1] if j - 1 < len(pows) else zero
-                cols = [list(r) for r in linalg.transpose(Pj)]
-                for y in Y.basis:
-                    cols.append(list(linalg.mat_vec(ctx, Pjm1, y)))
-                ranks.append(linalg.rank(ctx, tuple(tuple(c) for c in cols)))
-                j += 1
-            # ranks[j-1] - ranks[j] is the number of Jordan blocks of size
-            # >= j + 1; conjugating gives the padded type minus its parts 1
-            drops = [c for c in (ranks[i - 1] - ranks[i] for i in range(1, len(ranks))) if c > 0]
-            core = tuple(x + 1 for x in Partition(tuple(drops)).conjugate().parts)
-            out[d, core] = out.get((d, core), 0) + 1
+    for d in range(len(U) + 1):
+        for Y in subspaces.enumerate_subspaces(ctx, len(U), d):
+            parts = type_of(ctx, linalg.block(U, Y.basis)).partition(xm1).parts
+            key = (d, tuple(x for x in parts if x > 1))
+            out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -335,16 +320,6 @@ def num_free_poly(q, k):
     return out
 
 
-def _centralizer_order(Q, part):
-    """Order of the centralizer of a unipotent element of Jordan type part
-    in GL(|part|, Q): Q^{sum (part'_i)^2} prod_i (Q^{-1})_{m_i}."""
-    conj = part.conjugate().parts
-    out = Fraction(Q) ** sum(c * c for c in conj)
-    for i in set(part.parts):
-        out *= pochhammer(Fraction(1, Q), part.mult(i))
-    return out
-
-
 def completed_class_size_poly(tau):
     """card C_{tau^n} as a Laurent polynomial in X = q^n, for reduced tau
     (no parts 1 on (X-1)).
@@ -368,9 +343,7 @@ def completed_class_size_poly(tau):
     B = Fraction(1)
     for i in set(pi):
         B *= pochhammer(Fraction(1, q), sum(1 for x in pi if x == i))
-    z_other = Fraction(1)
-    for poly, part in other:
-        z_other *= _centralizer_order(q ** (len(poly) - 1), part)
+    z_other = centralizer_order(Polypartition(ctx, other))
     out = Laurent({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
     for j in range(t):
         out = out * Laurent({0: 1, -1: -(q ** j)})
@@ -422,30 +395,6 @@ class GenericProduct:
         # no class C_{nu^n} exists for |nu| > n: its size vanishes at q^n
         return CentralVector(self.ctx, n, {
             complete(nu, n): poly(x) for nu, poly in self.rhs.items() if nu.size <= n})
-
-    def to_json(self):
-        def frac(c):
-            return "%d/%d" % (c.numerator, c.denominator)
-
-        return json.dumps(
-            {
-                "q": self.ctx.q,
-                "lhs": [format_polypartition(m) for m in self.lhs],
-                "rhs": [
-                    {
-                        "type": format_polypartition(nu),
-                        "poly": [frac(c) for c in poly.coeffs],
-                    }
-                    for nu, poly in sorted(self.rhs.items())
-                ],
-                "S": [
-                    {"type": format_polypartition(nu), "coeff": frac(c)}
-                    for nu, c in sorted(self.S.items())
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def fh_polynomials(lam, mu):

@@ -187,7 +187,23 @@ def cmd_generic_product(args):
             print(json.dumps(report, default=str), file=sys.stderr)
             return 1
     if args.json:
-        print(gp.to_json())
+        print(json.dumps(
+            {
+                "q": ctx.q,
+                "lhs": [format_polypartition(m) for m in gp.lhs],
+                "rhs": [
+                    {"type": format_polypartition(nu),
+                     "poly": [_frac_str(c) for c in poly.coeffs]}
+                    for nu, poly in sorted(gp.rhs.items())
+                ],
+                "S": [
+                    {"type": format_polypartition(nu), "coeff": _frac_str(c)}
+                    for nu, c in sorted(gp.S.items())
+                ],
+            },
+            indent=2,
+            sort_keys=True,
+        ))
     else:
         for nu, poly in sorted(
                 gp.rhs.items(), key=lambda kv: format_polypartition(kv[0])):

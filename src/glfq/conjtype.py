@@ -276,18 +276,23 @@ def pochhammer(x, m):
     return out
 
 
+def centralizer_order(mu):
+    """Order of the centralizer of an element of type mu in GL(|mu|, F_q):
+    q^(|mu| + 2 b(mu)) prod_P prod_i (q^(-deg P))_{m_i}, m_i the
+    multiplicity of the part i in the partition of P."""
+    q = mu.ctx.q
+    out = Fraction(q) ** (mu.size + 2 * mu.b())
+    for P, part in mu.entries:
+        for k in set(part.parts):
+            out *= pochhammer(Fraction(1, q ** pdeg(P)), part.mult(k))
+    return out
+
+
 def class_size(mu, n):
     """Exact cardinality of the conjugacy class C_mu inside GL(n, F_q)."""
     if mu.size != n:
         raise ValueError("polypartition has size %d, expected %d" % (mu.size, n))
-    q = mu.ctx.q
-    num = num_free_families(q, n, n)
-    den = Fraction(q) ** (mu.size + 2 * mu.b())
-    for P, part in mu.entries:
-        d = pdeg(P)
-        for k in set(part.parts):
-            den *= pochhammer(Fraction(1, q ** d), part.mult(k))
-    out = Fraction(num) / den
+    out = Fraction(num_free_families(mu.ctx.q, n, n)) / centralizer_order(mu)
     if out.denominator != 1:
         raise AssertionError("class size of %s in GL(%d) is %s, not an integer"
                              % (format_polypartition(mu), n, out))

@@ -21,6 +21,15 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def block(G, cols):
+    """[[G, P], [0, I]]: the square matrix with G in its top left corner,
+    the matrix P whose columns are cols to its right, and the identity
+    below."""
+    k, j = len(G), len(cols)
+    return (tuple(G[i] + tuple(c[i] for c in cols) for i in range(k))
+            + tuple((0,) * (k + i) + (1,) + (0,) * (j - i - 1) for i in range(j)))
+
+
 def shape(A):
     return len(A), (len(A[0]) if A else 0)
 
@@ -41,11 +50,6 @@ def mat_mul(ctx, A, B):
         raise ValueError("shape mismatch in mat_mul: %dx%d * %dx%d" % (ra, ca, rb, cb))
     dots, cols = ctx.row_dots, tuple(zip(*B))
     return tuple([dots(row, cols) for row in A])
-
-
-def mat_vec(ctx, A, v):
-    """A acting on the coordinate column v (v given as a flat tuple)."""
-    return ctx.row_dots(v, A)
 
 
 def row_combine(ctx, coeffs, rows, n):

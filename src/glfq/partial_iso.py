@@ -243,8 +243,7 @@ def _extension_groups(ctx, x, W_plus, strict, completions):
     mat_mul, transpose = linalg.mat_mul, linalg.transpose
     C_inv = tuple(W_plus.coords(f) for f in F_plus)
     Ct = transpose(linalg.inverse(ctx, C_inv))
-    lower = tuple((0,) * k + row[k:] for row in linalg.identity(k_plus)[k:])
-    blocks = [tuple(G[i] + tuple(c[i] for c in choice) for i in range(k)) + lower
+    blocks = [linalg.block(G, choice)
               for choice in itertools.product(cols, repeat=k_plus - k)]
     for E_plus in completions:
         RV, pivV, D = linalg.rref(ctx, E_plus, transform=True)
@@ -253,19 +252,6 @@ def _extension_groups(ctx, x, W_plus, strict, completions):
         D_inv_t = transpose(tuple(V_plus.coords(e) for e in E_plus))
         yield V_plus, g1, tuple(mat_mul(ctx, mat_mul(ctx, D_inv_t, block), Ct)
                                 for block in blocks)
-
-
-def _identity_extensions(ctx, u, S, S_plus, strict):
-    """The automorphisms of S_plus, in its canonical coordinates, that
-    restrict to u (an automorphism of S in its canonical coordinates) and
-    are strict or compatible extensions of it: the g2+ of the extensions
-    of the identity map (S | I <-> u | S) through the fixed completion
-    E+ = F+, for which g1+ is the identity.  Uncached, so that one-off
-    groups do not evict the memo of trivial_extensions_grouped."""
-    x = PartialIso(S, S, linalg.identity(S.dim), u)
-    F_plus = subspaces.extend_basis(ctx, S, S_plus)
-    ((_, _, g2s),) = _extension_groups(ctx, x, S_plus, strict, [F_plus])
-    return g2s
 
 
 # ---------------------------------------------------------------------------
@@ -541,43 +527,41 @@ def _invariant_product_orbits(ctx, lam, mu, n):
     return type_census(ctx, elem)
 
 
-def _supported_automorphisms(ctx, nu, S, m, fix_class=False):
-    """All N in GL(m, F_q) that act as the identity on the quotient by the
-    subspace S and whose restriction to S has type nu.  These are exactly
-    the middle-space composites of the compatible extensions of a partial
-    isomorphism of type nu whose relevant space is S: for each u of type
-    nu, the compatible extensions of (S | I <-> u | S) to (F_q)^m.  With
-    fix_class, the restriction is frozen to the Jordan representative
-    (valid inside an average that is invariant under conjugation fixing
-    S)."""
-    if nu.size != S.dim:
-        raise ValueError("type %r has size %d, but the subspace has dimension %d"
-                         % (nu, nu.size, S.dim))
-    reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, S.dim)
-    full = subspaces.full_subspace(m)
-    return [N for u in reps for N in _identity_extensions(ctx, u, S, full, False)]
-
-
 def _invariant_product_classes(ctx, lam, mu, n):
     """Matrix form of the same expansion: condition on the middle dimension
     m = dim(V + W) and average the type of B A over the middle-space
     composites A and B of the compatible extensions of the two factors.
 
-    A runs over automorphisms of the middle space that restrict to type lam
-    on V = Span(e_1..e_k) and act as the identity on the quotient by V (the
-    restriction may be frozen to the Jordan form since everything else is
-    averaged); B runs over the same set for an l-dimensional W with
-    V + W = middle space.  The law of m is the dimension-of-sum law.
+    A runs over the automorphisms of the middle space that restrict to type
+    lam on V = Span(e_1..e_k) and act as the identity on the quotient by V:
+    the blocks [[J, P], [0, I]] with J the Jordan representative of lam (the
+    restriction may be frozen to it since everything else is averaged) and
+    P free.  B runs over the same set for an l-dimensional W with
+    V + W = middle space and every u of type mu in place of J.  The law of
+    m is the dimension-of-sum law.
 
     Orbit lemma: conjugation by the g in GL(m) fixing V pointwise maps the
     A onto themselves and the B for W onto the B for gW, and keeps the type
     of B A, so the counts depend on W only through its orbit.  The orbits
     are indexed by U = V cap W in Gr(d, V), d = k + l - m, and have the
     same size q^((k-d)(m-k)), which cancels in the average: W runs over
-    U + Span(e_{k+1}..e_m) only.  Cross-checked exactly against the double
-    orbit sum and against the sum over every W in the test suite."""
+    U + Span(e_{k+1}..e_m) only.
+
+    Change of basis: with T the matrix whose columns are the fixed
+    completion extend_basis(W, (F_q)^m), canonical basis of W first, the B
+    for W are T B' T^-1 with B' = [[u, Q], [0, I]] running over one list
+    shared by every U, and type(B A) = type(B' T^-1 A T); each A is
+    conjugated once per U.  Cross-checked exactly against the double orbit
+    sum and against the sum over every W in the test suite."""
     k, l = lam.size, mu.size
     q = ctx.q
+    mat_mul = linalg.mat_mul
+
+    def blocks(G, size):
+        # every [[G, P], [0, I]] of the given size
+        cols = subspaces.full_subspace(len(G)).vectors(ctx)
+        return [linalg.block(G, P) for P in itertools.product(cols, repeat=size - len(G))]
+
     out = {}
     for m in range(max(k, l), min(n, k + l) + 1):
         pm = dim_sum_law(n, q, 0, k, l, m)
@@ -587,18 +571,20 @@ def _invariant_product_classes(ctx, lam, mu, n):
             e = empty_polypartition(ctx)
             out[e] = out.get(e, Fraction(0)) + pm
             continue
-        ident = linalg.identity(m)
-        V = subspaces.from_rows(ctx, ident[:k], m)
-        A_list = _supported_automorphisms(ctx, lam, V, m, fix_class=True)
+        A_list = blocks(jordan_matrix(lam), m)
+        B_list = [B for u in class_orbit(mu, l) for B in blocks(u, m)]
+        ident, full = linalg.identity(m), subspaces.full_subspace(m)
         counts = {}
         total = 0
         for U in subspaces.enumerate_subspaces(ctx, k, k + l - m):
             W = subspaces.from_rows(
                 ctx, tuple(row + (0,) * (m - k) for row in U.basis) + ident[k:], m)
-            B_list = _supported_automorphisms(ctx, mu, W, m)
+            T = linalg.transpose(subspaces.extend_basis(ctx, W, full))
+            T_inv = linalg.inverse(ctx, T)
             for A in A_list:
+                A = mat_mul(ctx, mat_mul(ctx, T_inv, A), T)
                 for B in B_list:
-                    t = type_of(ctx, linalg.mat_mul(ctx, B, A))
+                    t = type_of(ctx, mat_mul(ctx, B, A))
                     counts[t] = counts.get(t, 0) + 1
                     total += 1
         for t, c in counts.items():
@@ -682,9 +668,15 @@ def phi(ctx, x, n_small):
 def naive_extensions(ctx, V, g, V_plus):
     """Trivial extensions of the single automorphism (g, V) to V_plus: all
     automorphisms of V_plus restricting to g whose type only adds parts 1 to
-    the (X - 1) partition, in enumerate_gl order.  They are the strict
-    extensions of the identity map (V | I <-> g | V) with E+ = F+."""
-    return sorted(_identity_extensions(ctx, g, V, V_plus, True))
+    the (X - 1) partition, in enumerate_gl order.  They are the g2+ of the
+    strict extensions of the identity map (V | I <-> g | V) through the
+    fixed completion E+ = F+, for which g1+ is the identity; uncached, so
+    that one-off groups do not evict the memo of
+    trivial_extensions_grouped."""
+    x = PartialIso(V, V, linalg.identity(V.dim), g)
+    F_plus = subspaces.extend_basis(ctx, V, V_plus)
+    ((_, _, g2s),) = _extension_groups(ctx, x, V_plus, True, [F_plus])
+    return sorted(g2s)
 
 
 def naive_product(ctx, x, y):

@@ -4,9 +4,10 @@ Each one is the definition of a quantity that the library computes another
 way: the class product by a double loop over both classes, the Pi_n scalar
 of a type without spread, the two extension predicates on partial
 isomorphisms, the per-term averages over left-fixed and over compatible
-extensions, the naive extensions by a scan of GL(k+) and the middle-space
-automorphisms by a loop over their images.  They are slow and kept simple
-on purpose.  A few small helpers that only the tests read live here too.
+extensions, the naive extensions by a scan of GL(k+), the middle-space
+automorphisms by a loop over their images and the padding law by ranks of
+powers.  They are slow and kept simple on purpose.  A few small helpers
+that only the tests read live here too.
 """
 
 import itertools
@@ -15,6 +16,8 @@ from fractions import Fraction
 from glfq import fields, linalg, subspaces
 from glfq.center import CentralVector
 from glfq.conjtype import (
+    Partition,
+    Polypartition,
     class_orbit,
     class_size,
     complete,
@@ -31,6 +34,11 @@ from glfq.partial_iso import (
     trivial_extensions_fixed_right,
     trivial_extensions_grouped,
 )
+
+
+def mat_vec(ctx, A, v):
+    """A acting on the coordinate column v (v given as a flat tuple)."""
+    return ctx.row_dots(v, A)
 
 
 def peval(ctx, P, x):
@@ -91,7 +99,7 @@ def pi_expansion(ctx, hat_coeffs, n):
 
 def _fwd(ctx, x, v):
     """Image under g1 of an ambient vector v of V, as an ambient vector."""
-    return linalg.row_combine(ctx, linalg.mat_vec(ctx, x.g1, x.V.coords(v)), x.W.basis, x.n)
+    return linalg.row_combine(ctx, mat_vec(ctx, x.g1, x.V.coords(v)), x.W.basis, x.n)
 
 
 def _bwd(ctx, x, w):
@@ -186,12 +194,12 @@ def naive_extensions_by_scan(ctx, V, g, V_plus):
         return [g]
     target = complete(type_of(ctx, g), k_plus)
     base_imgs = [
-        linalg.row_combine(ctx, linalg.mat_vec(ctx, g, V.coords(v)), V.basis, V.ambient)
+        linalg.row_combine(ctx, mat_vec(ctx, g, V.coords(v)), V.basis, V.ambient)
         for v in V.basis
     ]
     out = []
     for h in enumerate_gl(ctx, k_plus):
-        if all(linalg.row_combine(ctx, linalg.mat_vec(ctx, h, V_plus.coords(v)),
+        if all(linalg.row_combine(ctx, mat_vec(ctx, h, V_plus.coords(v)),
                                   V_plus.basis, V.ambient) == img
                for v, img in zip(V.basis, base_imgs)) and type_of(ctx, h) == target:
             out.append(h)
@@ -199,9 +207,12 @@ def naive_extensions_by_scan(ctx, V, g, V_plus):
 
 
 def supported_automorphisms_by_images(ctx, nu, S, m, fix_class=False):
-    """partial_iso._supported_automorphisms by the images of a basis: N is
-    u of type nu on the canonical basis of S, and c_j + w_j on each vector
-    c_j of a fixed completion, with w_j ranging over S."""
+    """The middle-space automorphisms of the invariant-product engine by
+    the images of a basis: all N in GL(m) that act as the identity on the
+    quotient by S and whose restriction to S has type nu (with fix_class,
+    is the Jordan representative of nu).  N is u on the canonical basis of
+    S, and c_j + w_j on each vector c_j of a fixed completion, with w_j
+    ranging over S."""
     s = S.dim
     rows_basis = subspaces.extend_basis(ctx, S, subspaces.full_subspace(m))
     reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, s)
@@ -214,4 +225,36 @@ def supported_automorphisms_by_images(ctx, nu, S, m, fix_class=False):
                                for c, w in zip(rows_basis[s:], ws)]
             # N = (images as columns) (basis as columns)^{-1}
             out.append(linalg.mat_mul(ctx, linalg.transpose(cols), Binv))
+    return out
+
+
+def padding_profiles_by_ranks(ctx, pi):
+    """center._padding_profiles by ranks of powers: for N = [[U, P], [0, I]]
+    with colspan(P) = Y, rank (N-I)^j = rank [ (U-I)^j | (U-I)^{j-1} Y ],
+    and the rank drops give the Jordan blocks of size >= 2."""
+    u = sum(pi)
+    if u == 0:
+        return {(0, ()): 1}
+    U = jordan_matrix(Polypartition(ctx, ((fields.linear_poly(ctx, 1), Partition(pi)),)))
+    Nm = linalg.mat_sub(ctx, U, linalg.identity(u))
+    pows = [linalg.identity(u)]
+    while any(any(r) for r in pows[-1]):
+        pows.append(linalg.mat_mul(ctx, pows[-1], Nm))
+    zero = linalg.zeros(u, u)
+    out = {}
+    for d in range(u + 1):
+        for Y in subspaces.enumerate_subspaces(ctx, u, d):
+            ranks, j = [], 1
+            while not ranks or ranks[-1]:
+                Pj = pows[j] if j < len(pows) else zero
+                Pjm1 = pows[j - 1] if j - 1 < len(pows) else zero
+                cols = list(linalg.transpose(Pj))
+                cols += [mat_vec(ctx, Pjm1, y) for y in Y.basis]
+                ranks.append(linalg.rank(ctx, tuple(cols)))
+                j += 1
+            # ranks[j-1] - ranks[j] is the number of Jordan blocks of size
+            # >= j + 1; conjugating gives the padded type minus its parts 1
+            drops = [c for c in (ranks[i - 1] - ranks[i] for i in range(1, len(ranks))) if c > 0]
+            core = tuple(x + 1 for x in Partition(tuple(drops)).conjugate().parts)
+            out[d, core] = out.get((d, core), 0) + 1
     return out

@@ -2,7 +2,6 @@
 Laurent polynomials in X = q^n and the symbolic structure polynomials."""
 
 import itertools
-import json
 from fractions import Fraction
 
 import oracles
@@ -17,6 +16,7 @@ from glfq.conjtype import (
     empty_polypartition,
     jordan_matrix,
     parse_polypartition,
+    partitions_of,
     type_of,
 )
 from glfq.fields import linear_poly, make_field
@@ -92,6 +92,21 @@ def test_padded_unipotent_law_vs_enumeration(q, pi, m):
         tau = unipotent_type(ctx, sigma)
         want[tau] = num_free_families(q, n, k) * pr / class_size(tau, n)
     assert center.transport(unipotent_type(ctx, pi), n).terms == want
+
+
+def test_padding_profiles_match_ranks_of_powers():
+    # the core read off the type of [[U, Y], [0, I]] against the rank drops
+    # of (N - I)^j, on every partition of size <= 5 at q = 2, <= 3 at
+    # q = 3 and 4, and <= 2 at q = 5
+    checked = 0
+    for (p, e), top in (((2, 1), 5), ((3, 1), 3), ((2, 2), 3), ((5, 1), 2)):
+        ctx = make_field(p, e)
+        for size in range(top + 1):
+            for part in partitions_of(size):
+                assert center._padding_profiles(ctx, part.parts) == \
+                    oracles.padding_profiles_by_ranks(ctx, part.parts)
+                checked += 1
+    assert checked == 37
 
 
 @pytest.mark.parametrize("q,nu_s,n", [
@@ -216,19 +231,6 @@ def test_fh_verify_rejects_small_n():
     lam = parse_polypartition(ctx, "{X+1:(1)}")
     with pytest.raises(ValueError):
         center.verify_fh(center.fh_polynomials(lam, lam), [1])
-
-
-def test_generic_product_json_roundtrip():
-    ctx = make_field(3)
-    lam = parse_polypartition(ctx, "{X+1:(1)}")
-    gp = center.fh_polynomials(lam, lam)
-    data = json.loads(gp.to_json())
-    assert data["q"] == 3
-    assert len(data["lhs"]) == 2
-    assert {d["type"] for d in data["rhs"]} == {
-        center.format_polypartition(nu) for nu in gp.rhs}
-    for d in data["rhs"]:
-        assert all("/" in c for c in d["poly"])
 
 
 def test_laurent_basics():

@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -53,6 +54,24 @@ def test_generic_product_names_inputs_with_unipotent_parts(capsys):
     assert out == ""
     assert err.strip() == (
         "error: inputs must have no (X-1) parts after reduction: {X+1:(2)}")
+
+
+def test_generic_product_json_roundtrip(capsys):
+    code, out, _ = run(capsys, "generic-product", "--q", "3", "--a", "{X+1:(1)}",
+                       "--b", "{X+1:(1)}", "--json")
+    assert code == 0
+    data = json.loads(out)
+    ctx = make_field(3)
+    lam = parse_polypartition(ctx, "{X+1:(1)}")
+    gp = center.fh_polynomials(lam, lam)
+    assert data["q"] == 3
+    assert data["lhs"] == ["{X+1:(1)}", "{X+1:(1)}"]
+    # every coefficient is a fraction "a/b", also when it is an integer
+    assert all("/" in c for d in data["rhs"] for c in d["poly"])
+    assert {d["type"]: [Fraction(c) for c in d["poly"]] for d in data["rhs"]} == {
+        center.format_polypartition(nu): list(poly.coeffs) for nu, poly in gp.rhs.items()}
+    assert {d["type"]: Fraction(d["coeff"]) for d in data["S"]} == {
+        center.format_polypartition(nu): c for nu, c in gp.S.items()}
 
 
 def test_census_json_consistent_with_class_size(capsys):

@@ -11,8 +11,10 @@ from glfq import linalg, partial_iso as pi, subspaces
 from glfq.conjtype import (
     Partition,
     Polypartition,
+    class_orbit,
     empty_polypartition,
     enumerate_polypartitions,
+    jordan_matrix,
     parse_polypartition,
     type_of,
 )
@@ -310,18 +312,26 @@ def test_naive_extensions_match_gl_scan(q, n):
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
 def test_supported_automorphisms_match_image_loop(q, n):
-    """_supported_automorphisms, one fixed-completion group per u, against
-    the loop over the images of a basis: the same multiset for every
-    middle dimension m <= n, every subspace S of (F_q)^m and every type of
-    size dim S, with the class frozen or not."""
+    """The engine's middle-space automorphisms in block form, T [[u, Q],
+    [0, I]] T^-1 with T the fixed completion of S as columns, against the
+    loop over the images of a basis: the same multiset for every middle
+    dimension m <= n, every subspace S of (F_q)^m and every type of size
+    dim S, with u the Jordan representative or every u of the type."""
     ctx = make_field(q)
     checked = 0
     for m in range(1, n + 1):
+        full = subspaces.full_subspace(m)
         for s in range(m + 1):
+            cols = subspaces.full_subspace(s).vectors(ctx)
             for S in subspaces.enumerate_subspaces(ctx, m, s):
+                T = linalg.transpose(subspaces.extend_basis(ctx, S, full))
+                T_inv = linalg.inverse(ctx, T)
                 for nu in enumerate_polypartitions(ctx, s):
                     for fix_class in (True, False):
-                        got = pi._supported_automorphisms(ctx, nu, S, m, fix_class)
+                        reps = [jordan_matrix(nu)] if fix_class else class_orbit(nu, s)
+                        got = [linalg.mat_mul(ctx, linalg.mat_mul(ctx, T, linalg.block(u, Q)),
+                                              T_inv)
+                               for u in reps for Q in itertools.product(cols, repeat=m - s)]
                         want = oracles.supported_automorphisms_by_images(
                             ctx, nu, S, m, fix_class)
                         assert sorted(got) == sorted(want)
@@ -465,7 +475,8 @@ def test_invariant_product_engines_agree(q, n):
 
 
 def classes_over_every_w(ctx, lam, mu, n):
-    """The middle-dimension engine without its orbit reduction: for each
+    """The middle-dimension engine without its orbit reduction and with
+    the middle-space automorphisms of the image-loop oracle: for each
     middle dimension m, W runs over every l-dimensional subspace of
     (F_q)^m with V + W = (F_q)^m."""
     k, l = lam.size, mu.size
@@ -479,13 +490,13 @@ def classes_over_every_w(ctx, lam, mu, n):
             out[e] = out.get(e, Fraction(0)) + pm
             continue
         V = subspaces.from_rows(ctx, linalg.identity(m)[:k], m)
-        A_list = pi._supported_automorphisms(ctx, lam, V, m, fix_class=True)
+        A_list = oracles.supported_automorphisms_by_images(ctx, lam, V, m, fix_class=True)
         counts = {}
         total = 0
         for W in subspaces.enumerate_subspaces(ctx, m, l):
             if subspaces.subspace_sum(ctx, V, W).dim != m:
                 continue
-            B_list = pi._supported_automorphisms(ctx, mu, W, m)
+            B_list = oracles.supported_automorphisms_by_images(ctx, mu, W, m)
             for A in A_list:
                 for B in B_list:
                     t = type_of(ctx, linalg.mat_mul(ctx, B, A))
@@ -518,6 +529,8 @@ def test_invariant_product_orbit_reduction(q, n, left, right):
     (3, "{X+2:(1)}", "{X+1:(1)}", 2),
     (3, "{X+1:(2)}", "{X+1:(1)}", 3),
     (2, "{X+1:(1)}", "{}", 2),
+    (3, "{X+1:(2)}", "{X+2:(2)}", 3),
+    (2, "{X+1:(2)}", "{X^2+X+1:(1)}", 3),
 ])
 def test_invariant_product_work_counts_type_of_calls(monkeypatch, q, a, b, n):
     ctx = make_field(q)
