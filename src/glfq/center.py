@@ -29,6 +29,7 @@ from .conjtype import (
     type_of,
 )
 from .fields import linear_poly
+from .memo import memo
 from .partial_iso import AlgElem, invariant_product, invariant_product_work
 
 # A request that would make more type_of calls than this, or enumerate more
@@ -232,6 +233,7 @@ def _split_x1(nu):
     return tuple(other), pi
 
 
+@memo
 def _padding_profiles(ctx, pi):
     """Classify the subspaces Y <= (F_q)^u, u = |pi|, by the unipotent type
     they induce on [[U, P], [0, I_m]] with colspan(P) = Y.
@@ -241,7 +243,8 @@ def _padding_profiles(ctx, pi):
     core + (1^(u + m - |core|)).  The core does not depend on m, nor on P
     beyond Y: conjugating by diag(I, h) with h in GL(m) turns P into
     [Y | 0], which splits off an identity block, so core is read off the
-    type of [[U, Y], [0, I_dim Y]], the basis of Y as the columns."""
+    type of [[U, Y], [0, I_dim Y]], the basis of Y as the columns.
+    Cached: callers share the returned dict and only read it."""
     if not pi:
         return {(0, ()): 1}
     # the profile counts are invariant under conjugating U, so any matrix of

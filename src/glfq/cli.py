@@ -13,6 +13,7 @@ refused for its cost).  All output is deterministic given the flags and
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -39,23 +40,15 @@ def _field_from_args(args):
         if args.p is not None or args.e != 1:
             raise SystemExit2("give either --q or --p/--e, not both")
         q = args.q
-        if q < 2:
-            raise SystemExit2("--q must be a prime power, got %d" % q)
-        p = q
-        for f in range(2, q):
-            if f * f > q:
-                break
-            if q % f == 0:
-                p = f
-                break
-        e = 0
-        qq = q
-        while qq % p == 0 and qq > 1:
-            qq //= p
-            e += 1
-        if qq != 1 or p ** e != q:
-            raise SystemExit2("--q must be a prime power, got %d" % q)
-        return _parsed(make_field, p, e)
+        if q >= 2:
+            # p is the smallest factor of q; q is a prime power iff q = p^e
+            p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+            e = 1
+            while p ** e < q:
+                e += 1
+            if p ** e == q:
+                return _parsed(make_field, p, e)
+        raise SystemExit2("--q must be a prime power, got %d" % q)
     if args.p is None:
         raise SystemExit2("a field is required: --q or --p [--e]")
     return _parsed(make_field, args.p, args.e)
@@ -124,34 +117,34 @@ def cmd_class_size(args):
 
 def _census(ctx, n):
     """census(ctx, n), refused before enumerating when |GL(n, F_q)| is above
-    the type_of cap."""
-    center.check_work("census", gl_order(ctx.q, n))
-    return census(ctx, n)
+    the type_of cap, and checked: each type counts class_size elements, and
+    the types cover GL(n, F_q)."""
+    order = gl_order(ctx.q, n)
+    center.check_work("census", order)
+    buckets = census(ctx, n)
+    for mu, cnt in buckets.items():
+        size = class_size(mu, n)
+        if cnt != size:
+            raise AssertionError("census counts %d of type %s, class_size %d"
+                                 % (cnt, format_polypartition(mu), size))
+    total = sum(buckets.values())
+    if total != order:
+        raise AssertionError("census counts %d elements, |GL(%d, F_%d)| = %d"
+                             % (total, n, ctx.q, order))
+    return buckets
 
 
 def cmd_census(args):
     ctx = _field_from_args(args)
     buckets = _census(ctx, _at_least("--n", args.n, 0))
-    total = 0
-    rows = []
-    for mu in sorted(buckets, key=format_polypartition):
-        cnt, size = buckets[mu], class_size(mu, args.n)
-        if cnt != size:
-            raise AssertionError("census counts %d of type %s, class_size %d"
-                                 % (cnt, format_polypartition(mu), size))
-        total += cnt
-        rows.append((format_polypartition(mu), cnt))
-    order = gl_order(ctx.q, args.n)
-    if total != order:
-        raise AssertionError("census counts %d elements, |GL(%d, F_%d)| = %d"
-                             % (total, args.n, ctx.q, order))
+    rows = sorted((format_polypartition(mu), cnt) for mu, cnt in buckets.items())
     if args.json:
         print(json.dumps(
             [{"type": t, "size": c} for t, c in rows], indent=2))
     else:
         for t, c in rows:
             print("%s  %d" % (t, c))
-        print("total  %d" % total)
+        print("total  %d" % sum(buckets.values()))
     return 0
 
 
@@ -253,16 +246,13 @@ def cmd_degree1(args):
 def cmd_count(args):
     ctx = _field_from_args(args)
     q = ctx.q
-    try:
-        if args.what == "E":
-            out = partial_iso.count_E(q, args.n, args.kplus, args.k, args.k1)
-        elif args.what == "F":
-            out = partial_iso.count_F(q, args.kplus, args.k, args.k1)
-        else:
-            out = subspaces.num_subspaces(
-                q, _at_least("--n", args.n, 0), _at_least("--k", args.k, 0))
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from None
+    if args.what == "E":
+        out = _parsed(partial_iso.count_E, q, args.n, args.kplus, args.k, args.k1)
+    elif args.what == "F":
+        out = _parsed(partial_iso.count_F, q, args.kplus, args.k, args.k1)
+    else:
+        out = subspaces.num_subspaces(
+            q, _at_least("--n", args.n, 0), _at_least("--k", args.k, 0))
     print(out)
     return 0
 
@@ -280,19 +270,14 @@ def cmd_ranklaw(args):
     q = ctx.q
     for flag in _LAW_FLAGS[args.law]:
         _at_least("--" + flag, getattr(args, flag), 0)
-    try:
-        if args.law == "rank":
-            out = ranklaw.rank_law(args.d, q, args.a, args.c)
-        elif args.law == "cond":
-            out = ranklaw.rank_law_conditional(
-                args.d, q, args.a, args.b, args.c, args.dd)
-        elif args.law == "dimsum":
-            out = ranklaw.dim_sum_law(args.n, q, args.j, args.k, args.l, args.m)
-        else:
-            out = ranklaw.count_constrained_subspaces(
-                args.j, args.k, args.l, args.m, q)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from None
+    if args.law == "rank":
+        out = _parsed(ranklaw.rank_law, args.d, q, args.a, args.c)
+    elif args.law == "cond":
+        out = _parsed(ranklaw.rank_law_conditional, args.d, q, args.a, args.b, args.c, args.dd)
+    elif args.law == "dimsum":
+        out = _parsed(ranklaw.dim_sum_law, args.n, q, args.j, args.k, args.l, args.m)
+    else:
+        out = _parsed(ranklaw.count_constrained_subspaces, args.j, args.k, args.l, args.m, q)
     print(out)
     return 0
 
@@ -358,9 +343,10 @@ def _suite_extensions(ctx, n, rng, samples):
             exts = partial_iso.trivial_extensions_fixed_right(ctx, x, W_plus)
             if len(exts) != partial_iso.count_E(q, n, k_plus, k, k1):
                 return False, "E count mismatch at %r" % (x,)
+            # the extensions with both spaces fixed are one V+-slice of exts
             V_plus = subspaces.enumerate_subspaces(
                 ctx, n, k_plus, containing=x.V)[0]
-            both = partial_iso.trivial_extensions_fixed_right(ctx, x, W_plus, V_plus)
+            both = [e for e in exts if e.V == V_plus]
             if len(both) != partial_iso.count_F(q, k_plus, k, k1):
                 return False, "F count mismatch at %r" % (x,)
             checked += 2
@@ -371,14 +357,10 @@ def _suite_extensions(ctx, n, rng, samples):
 
 
 def _suite_census(ctx, n, rng, samples):
-    buckets = _census(ctx, n)
-    total = 0
-    for mu, cnt in buckets.items():
-        if cnt != class_size(mu, n):
-            return False, "size mismatch for %s" % format_polypartition(mu)
-        total += cnt
-    if total != gl_order(ctx.q, n):
-        return False, "census does not cover GL"
+    try:
+        buckets = _census(ctx, n)
+    except AssertionError as exc:
+        return False, str(exc)
     return True, "%d classes cover GL(%d, F_%d)" % (len(buckets), n, ctx.q)
 
 

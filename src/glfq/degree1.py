@@ -21,13 +21,14 @@ partial-isomorphism engine for every pair of units and q in {2, 3, 4, 5}.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import center
 from .conjtype import Partition, Polypartition, format_polypartition
 from .fields import linear_poly
 
 
-class Degree1Case:
+class Degree1Case(NamedTuple):
     """Classification of a pair of units (a, b) for the degree-1 product.
 
     tag is one of odd-square, odd-nonsquare, even-generic, odd-equal,
@@ -36,21 +37,8 @@ class Degree1Case:
     root; the product is invariant under delta -> -delta because both roots
     contribute symmetrically)."""
 
-    __slots__ = ("ctx", "a", "b", "tag", "delta")
-
-    def __init__(self, ctx, a, b, tag, delta):
-        self.ctx = ctx
-        self.a = a
-        self.b = b
-        self.tag = tag
-        self.delta = delta
-        if delta is not None and ctx.mul(delta, delta) != ctx.mul(a, b):
-            raise AssertionError("delta = %s does not square to ab = %s"
-                                 % (ctx.elem_str(delta), ctx.elem_str(ctx.mul(a, b))))
-
-    def __repr__(self):
-        return "Degree1Case(a=%r, b=%r, tag=%r, delta=%r)" % (
-            self.a, self.b, self.tag, self.delta)
+    tag: str
+    delta: object
 
 
 def classify(ctx, a, b):
@@ -58,19 +46,23 @@ def classify(ctx, a, b):
     if a == 0 or b == 0:
         raise ValueError("a and b must be units")
     odd = ctx.p != 2
-    if a == 1 and b == 1:
-        return Degree1Case(ctx, a, b, "both-unit", None)
-    if a == 1 or b == 1:
-        return Degree1Case(ctx, a, b, "b-unit", None)
     ab = ctx.mul(a, b)
-    if a == b:
-        tag = "odd-equal" if odd else "even-equal"
-        return Degree1Case(ctx, a, b, tag, a if odd else ctx.sqrt(ab))
-    if not odd:
-        return Degree1Case(ctx, a, b, "even-generic", ctx.sqrt(ab))
-    if ctx.is_square(ab):
-        return Degree1Case(ctx, a, b, "odd-square", ctx.sqrt(ab))
-    return Degree1Case(ctx, a, b, "odd-nonsquare", None)
+    if a == 1 and b == 1:
+        case = Degree1Case("both-unit", None)
+    elif a == 1 or b == 1:
+        case = Degree1Case("b-unit", None)
+    elif a == b:
+        case = Degree1Case("odd-equal", a) if odd else Degree1Case("even-equal", ctx.sqrt(ab))
+    elif not odd:
+        case = Degree1Case("even-generic", ctx.sqrt(ab))
+    elif ctx.is_square(ab):
+        case = Degree1Case("odd-square", ctx.sqrt(ab))
+    else:
+        case = Degree1Case("odd-nonsquare", None)
+    if case.delta is not None and ctx.mul(case.delta, case.delta) != ab:
+        raise AssertionError("delta = %s does not square to ab = %s"
+                             % (ctx.elem_str(case.delta), ctx.elem_str(ab)))
+    return case
 
 
 def irreducible_quadratics_I(ctx, b):

@@ -157,26 +157,25 @@ def count_F(q, k_plus, k, k1):
     return count_E(q, k_plus, k_plus, k, k1)
 
 
-def trivial_extensions_fixed_right(ctx, x, W_plus, left_inside=None):
-    """The strict trivial extensions of x with right space W_plus, over
-    which the restriction operators average; the left space is free, or
-    constrained inside `left_inside`, which must contain x.V.
+def trivial_extensions_fixed_right(ctx, x, W_plus):
+    """The strict trivial extensions of x with right space W_plus and the
+    left space free, over which the restriction operators average.  Those
+    with both spaces fixed are the slice with a given left space V_plus.
 
     A new list each call: the groups of trivial_extensions_grouped, in
     their order, flattened.
     """
     return [PartialIso(V_plus, W_plus, g1, g2)
-            for V_plus, g1, g2s in trivial_extensions_grouped(
-                ctx, x, W_plus, left_inside, True)
+            for V_plus, g1, g2s in trivial_extensions_grouped(ctx, x, W_plus, True)
             for g2 in g2s]
 
 
 @memo(limit=1024)
-def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
-    """The extensions of x with right space W_plus (left space free, or
-    inside left_inside) grouped by completion: one (V_plus, g1, g2s) per
-    completion E+ of the g1-preimage basis E of V, given by
-    e_i = g1^{-1}(f_i).  Cached; every argument is positional.
+def trivial_extensions_grouped(ctx, x, W_plus, strict):
+    """The extensions of x with right space W_plus (left space free)
+    grouped by completion: one (V_plus, g1, g2s) per completion E+ of the
+    g1-preimage basis E of V, given by e_i = g1^{-1}(f_i).  Cached; every
+    argument is positional.
 
     Each extension has mat(g1+) = identity and mat(g2+) = [[G, P], [0, I]]
     in the bases E+ and F+, with G the matrix of g1g2 in basis E and F+ the
@@ -206,13 +205,11 @@ def trivial_extensions_grouped(ctx, x, W_plus, left_inside, strict):
     n, k = x.n, x.dim
     if not W_plus.contains(ctx, x.W):
         raise ValueError("W_plus must contain the right space")
-    if left_inside is not None and not left_inside.contains(ctx, x.V):
-        raise ValueError("left_inside must contain the left space")
     if W_plus.dim == k:
         return ((x.V, x.g1, (x.g2,)),)
     E = (linalg.mat_mul(ctx, linalg.transpose(linalg.inverse(ctx, x.g1)), x.V.basis)
          if k else ())
-    completions = subspaces.enumerate_completions(ctx, E, W_plus.dim, n, within=left_inside)
+    completions = subspaces.enumerate_completions(ctx, E, W_plus.dim, n)
     return tuple(_extension_groups(ctx, x, W_plus, strict, completions))
 
 
@@ -324,10 +321,10 @@ def _basis_product(ctx, a, b):
         t = PartialIso(a.V, b.W, mat_mul(ctx, b.g1, a.g1), mat_mul(ctx, a.g2, b.g2))
         return {t: Fraction(1)}
     M = subspaces.subspace_sum(ctx, a.W, b.V)
-    right = trivial_extensions_grouped(ctx, a, M, None, False)
+    right = trivial_extensions_grouped(ctx, a, M, False)
     # an extension (V_b | h1 <-> h2 | M) of rev(b) is the left extension
     # (M | h2 <-> h1 | V_b) of b: its g1 runs over the group, its g2 is shared
-    left = trivial_extensions_grouped(ctx, rev(b), M, None, False)
+    left = trivial_extensions_grouped(ctx, rev(b), M, False)
     counts = {}
     for Va, a1, a2s in right:
         firsts = [[mat_mul(ctx, h2, a1) for h2 in h2s] for _, _, h2s in left]

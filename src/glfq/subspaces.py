@@ -136,11 +136,10 @@ def num_subspaces(q, n, k):
     return num // den
 
 
-def enumerate_completions(ctx, basis_rows, k_plus, n, within=None):
+def enumerate_completions(ctx, basis_rows, k_plus, n):
     """All ways to extend basis_rows (rank k, rows in (F_q)^n) by k_plus - k
-    further vectors keeping the family free; appended vectors range over
-    `within` (default: the full space).  Count:
-    prod_{i=k}^{k_plus-1} (|within| - q^i).  With no rows and k_plus = n
+    further vectors of (F_q)^n keeping the family free.  Count:
+    prod_{i=k}^{k_plus-1} (q^n - q^i).  With no rows and k_plus = n
     these are the invertible n x n matrices, rows in lexicographic order."""
     k = len(basis_rows)
     if not (k <= k_plus <= n):
@@ -148,8 +147,8 @@ def enumerate_completions(ctx, basis_rows, k_plus, n, within=None):
     R, piv = linalg.rref(ctx, basis_rows)
     if len(piv) != k:
         raise ValueError("input rows are not independent")
-    pool = within.vectors(ctx) if within is not None else full_subspace(n).vectors(ctx)
-    return list(_free_families(ctx, list(basis_rows), R[:k], pool, k_plus))
+    return list(_free_families(ctx, list(basis_rows), R[:k],
+                               full_subspace(n).vectors(ctx), k_plus))
 
 
 def extend_basis(ctx, sub, sup):

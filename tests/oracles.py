@@ -148,12 +148,11 @@ def extension_average(x, extend):
     return AlgElem(x.n, out)
 
 
-def compatible_extensions(ctx, x, W_plus, left_inside=None):
+def compatible_extensions(ctx, x, W_plus):
     """The compatible extensions of x with right space W_plus: the groups
     of trivial_extensions_grouped, flattened."""
     return [PartialIso(V_plus, W_plus, g1, g2)
-            for V_plus, g1, g2s in trivial_extensions_grouped(
-                ctx, x, W_plus, left_inside, False)
+            for V_plus, g1, g2s in trivial_extensions_grouped(ctx, x, W_plus, False)
             for g2 in g2s]
 
 

@@ -183,8 +183,9 @@ def test_extension_counts_all_admissible_shapes():
                                 ctx, x, W_plus)
                             assert len(right) == pi.count_E(
                                 q, n, k_plus, k, k1)
-                            both = pi.trivial_extensions_fixed_right(
-                                ctx, x, W_plus, W_plus)
+                            # x.V = x.W lies in W_plus, so W_plus is also
+                            # a left space: the both-fixed slice
+                            both = [e for e in right if e.V == W_plus]
                             assert len(both) == pi.count_F(q, k_plus, k, k1)
 
 

@@ -282,6 +282,17 @@ def test_census_mismatch_is_a_computation_error(capsys, monkeypatch):
     assert err.strip().endswith(", class_size 0")
 
 
+@pytest.mark.parametrize("name,patch,message", [
+    ("class_size", lambda mu, n: 0, "census counts 3 of type {X+1:(2)}, class_size 0"),
+    ("gl_order", lambda q, n: 7, "census counts 6 elements, |GL(2, F_2)| = 7"),
+])
+def test_verify_census_fails_with_the_census_check_message(capsys, monkeypatch, name, patch,
+                                                           message):
+    monkeypatch.setattr(cli, name, patch)
+    code, out, err = run(capsys, "verify", "--suite", "census")
+    assert (code, out, err) == (1, "suite census: FAIL (%s)\n" % message, "")
+
+
 def test_ranklaw_subcommand(capsys):
     code, out, _ = run(
         capsys, "ranklaw", "--q", "2", "--law", "rank", "--d", "2", "--a",
@@ -303,6 +314,13 @@ def test_field_flag_validation(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("q,field", [(2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (27, (3, 3)),
+                                     (49, (7, 2)), (4096, (2, 12)), (65521, (65521, 1))])
+def test_q_is_split_into_its_prime_and_degree(q, field):
+    args = cli.build_parser().parse_args(["type", "--q", str(q), "--mat", "1"])
+    assert cli._field_from_args(args) is make_field(*field)
+
+
 @pytest.mark.parametrize("flags,named", [
     (["--q", "0"], "got 0"),
     (["--q", "1"], "got 1"),
@@ -310,6 +328,8 @@ def test_field_flag_validation(capsys):
     (["--p", "4"], "p = 4"),
     (["--p", "1"], "p = 1"),
     (["--p", "3", "--e", "0"], "got 0"),
+    (["--q", "12"], "--q must be a prime power, got 12"),
+    (["--q", "65522"], "--q must be a prime power, got 65522"),
 ])
 def test_bad_field_is_a_usage_error(capsys, flags, named):
     code, out, err = run(capsys, "type", *flags, "--mat", "1")

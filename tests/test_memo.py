@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from glfq import conjtype, fields, partial_iso
+from glfq import center, conjtype, fields, partial_iso
 from glfq.fields import make_field
 from glfq.memo import memo
 
@@ -61,6 +61,7 @@ def test_wrapped_bypasses_the_store():
     (partial_iso, "orbit_of_type"),
     (partial_iso, "_basis_product"),
     (partial_iso, "trivial_extensions_grouped"),
+    (center, "_padding_profiles"),
 ])
 def test_memoized_functions_stay_plain_module_functions(module, name):
     fn = getattr(module, name)

@@ -41,20 +41,17 @@ def test_every_parameter_is_read():
     assert found == []
 
 
-def _traced_names():
-    """The "module.name" strings that perfbench/tracer.py lists: the names
-    its per-layer metrics read, which count as callers."""
-    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text())
-    return {node.value for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and node.value.count(".") == 1}
+# Traced by perfbench/tracer.py, which reads them by name, and called by no
+# library function: they stay in the library until the benchmark's tracer
+# list changes.
+TRACED_WITHOUT_CALLER = {"center.transport", "partial_iso.canonical_piso",
+                         "partial_iso._invariant_product_orbits"}
 
 
 def test_every_library_function_has_a_library_caller():
-    # a function or method that only the tests call belongs in tests/; the
-    # console script, dunder methods and the names the tracer reads are
-    # exempt, and a function's own body does not count as its caller
-    exempt = _traced_names() | {"cli.main"}
+    # a function or method that only the tests call belongs in tests/;
+    # dunder methods and the traced functions above are exempt, and a
+    # function's own body does not count as its caller
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     assert trees
@@ -64,15 +61,18 @@ def test_every_library_function_has_a_library_caller():
             if isinstance(n, (ast.Name, ast.Attribute)):
                 name = n.id if isinstance(n, ast.Name) else n.attr
                 refs.setdefault(name, []).append(id(n))
-    found = []
+    found = set()
     for mod, tree in trees.items():
         defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
         defs += [item for cls in tree.body if isinstance(cls, ast.ClassDef)
                  for item in cls.body if isinstance(item, ast.FunctionDef)]
         for fn in defs:
-            if fn.name.startswith("__") or "%s.%s" % (mod, fn.name) in exempt:
+            if fn.name.startswith("__"):
                 continue
             inside = {id(n) for n in ast.walk(fn)}
             if all(i in inside for i in refs.get(fn.name, ())):
-                found.append("%s.%s" % (mod, fn.name))
-    assert found == []
+                found.add("%s.%s" % (mod, fn.name))
+    # each exemption still lacks a caller, and nothing else does
+    assert found == TRACED_WITHOUT_CALLER
+    tracer = (SRC.parent.parent / "perfbench" / "tracer.py").read_text()
+    assert all('"%s"' % name in tracer for name in TRACED_WITHOUT_CALLER)

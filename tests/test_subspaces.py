@@ -72,16 +72,6 @@ def test_completions_count(q, p, e):
         assert len(got) == want
 
 
-def test_completions_within():
-    ctx = make_field(2)
-    n = 3
-    W = subspaces.from_rows(ctx, [(1, 0, 0), (0, 1, 0)], n)
-    got = subspaces.enumerate_completions(ctx, [(1, 0, 0)], 2, n, within=W)
-    assert len(got) == 2 ** 2 - 2
-    for fam in got:
-        assert all(W.contains_vector(ctx, v) for v in fam)
-
-
 def test_extend_basis_completes_a_subspace_basis():
     ctx = make_field(3)
     n = 4
@@ -133,19 +123,17 @@ def free_families_by_rref(ctx, rows, rref_rows, pool, size):
 def test_completions_match_full_rref_oracle(p, e, n):
     """The same lists, in the same order, as the full-reduction enumerator:
     GL(n, F_q) itself, then seeded free families of each size completed
-    in the whole space and inside a subspace one dimension larger."""
+    by one vector and to a basis."""
     ctx = make_field(p, e)
     rng = random.Random(p ** e * 10 + n)
-    cases = [((), n, None)]
+    cases = [((), n)]
     for k in range(1, n):
         basis = rng.choice(subspaces.enumerate_completions(ctx, (), k, n))
-        within = rng.choice(subspaces.enumerate_subspaces(
-            ctx, n, k + 1, containing=subspaces.from_rows(ctx, basis, n)))
-        cases += [(basis, n, None), (basis, k + 1, within)]
-    for basis, k_plus, within in cases:
-        pool = (within or subspaces.full_subspace(n)).vectors(ctx)
+        cases += [(basis, k_plus) for k_plus in sorted({k + 1, n})]
+    pool = subspaces.full_subspace(n).vectors(ctx)
+    for basis, k_plus in cases:
         R, piv = linalg.rref(ctx, basis)
         want = list(free_families_by_rref(ctx, list(basis), R[: len(piv)], pool, k_plus))
-        got = subspaces.enumerate_completions(ctx, basis, k_plus, n, within=within)
+        got = subspaces.enumerate_completions(ctx, basis, k_plus, n)
         assert got == want
         assert len(got) == len(set(got)) > 0
