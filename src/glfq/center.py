@@ -34,7 +34,8 @@ from .partial_iso import AlgElem, invariant_product, invariant_product_work
 
 # A request that would make more type_of calls than this, or enumerate more
 # partial isomorphisms, is refused before it enumerates anything (several
-# minutes at 0.3 ms or more a call)
+# minutes: class-product at q = 2, n = 8 of {X+1:(2)} by itself, 32,385
+# elements, takes 0.31 ms an element on a 2-vCPU VM, orbit walk included)
 MAX_TYPE_OF_CALLS = 10 ** 6
 
 
@@ -61,9 +62,6 @@ class CentralVector(AlgElem):
             raise ValueError("central vector of GL(%d) needs types of size %d" % (n, n))
         self.ctx = ctx
         super().__init__(n, terms)
-
-    def _like(self, terms):
-        return CentralVector(self.ctx, self.n, terms)
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())

@@ -332,20 +332,21 @@ def _suite_operators(ctx, n, rng, samples):
 
 def _suite_extensions(ctx, n, rng, samples):
     q = ctx.q
+    full = subspaces.full_subspace(n)
     checked = 0
     for x in _all_pisos(ctx, n):
         k = x.dim
         tp = partial_iso.piso_type(ctx, x)
         k1 = tp.k1
+        W_ext = subspaces.extend_basis(ctx, x.W, full)
+        V_ext = subspaces.extend_basis(ctx, x.V, full)
         for k_plus in range(k, n + 1):
-            W_plus = subspaces.enumerate_subspaces(
-                ctx, n, k_plus, containing=x.W)[0]
+            W_plus = subspaces.from_rows(ctx, W_ext[:k_plus], n)
             exts = partial_iso.trivial_extensions_fixed_right(ctx, x, W_plus)
             if len(exts) != partial_iso.count_E(q, n, k_plus, k, k1):
                 return False, "E count mismatch at %r" % (x,)
             # the extensions with both spaces fixed are one V+-slice of exts
-            V_plus = subspaces.enumerate_subspaces(
-                ctx, n, k_plus, containing=x.V)[0]
+            V_plus = subspaces.from_rows(ctx, V_ext[:k_plus], n)
             both = [e for e in exts if e.V == V_plus]
             if len(both) != partial_iso.count_F(q, k_plus, k, k1):
                 return False, "F count mismatch at %r" % (x,)

@@ -405,83 +405,56 @@ def census(ctx, n):
     return buckets
 
 
-def gl_generators(ctx, n):
-    """A generating set of GL(n, F_q): all transvections I + E_ij (i != j)
-    plus diag(c, 1, ..., 1) for a generator c of the multiplicative group.
+def _conjugation_moves(ctx, n):
+    """The maps x -> g x g^{-1} for a generating set of GL(n, F_q), each as
+    one row operation and one column operation: row i loses r row j, then
+    column j loses s column i.  The transvection I + E_ij is (i, j, -1, 1);
+    diag(c, 1, ..., 1) is (0, 0, 1 - c, 1 - c^{-1}).
 
-    Transvections generate SL(n, F_q); the diagonal matrix supplies the
-    missing determinants.  Deliberately redundant for robustness.
-    """
-    if n == 0:
-        return []
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [list(r) for r in linalg.identity(n)]
-                rows[i][j] = 1
-                gens.append(linalg.mat(rows))
-    c = ctx.primitive_element()
-    if c != 1:
-        rows = [list(r) for r in linalg.identity(n)]
-        rows[0][0] = c
-        gens.append(linalg.mat(rows))
-    return gens
+    The generators are I + E_{i,i+1} and I + E_{i+1,i}, plus diag(c, 1, ...,
+    1) for a primitive c when q > 2.  Commutators of adjacent transvections,
+    [I + a E_ij, I + b E_jk] = I + ab E_ik, give every I + E_ij; conjugation
+    by the dilation multiplies the entry of I + E_0j by c and that of I + E_j0
+    by c^{-1}, so products give every I + t E_0j and I + t E_j0 with t in
+    F_p[c] = F_q, and commutators with I + E_0j every I + t E_ij.  These
+    generate SL(n, F_q), and det = c supplies the other determinants."""
+    minus_one = ctx.neg(1)
+    ops = [(i, i + 1, minus_one, 1) for i in range(n - 1)]
+    ops += [(i + 1, i, minus_one, 1) for i in range(n - 1)]
+    if n and ctx.q > 2:
+        c = ctx.primitive_element()
+        ops.append((0, 0, ctx.sub(1, c), ctx.sub(1, ctx.inv(c))))
+    submul = ctx.row_submul
 
-
-def conjugation_move(ctx, g):
-    """The map x -> g x g^{-1} for a generator g of gl_generators, as one
-    row operation and one column operation (a row operation on the
-    transpose) instead of two matrix products.  For g = I + E_ij it adds
-    row j to row i, then subtracts column i from column j; for g = I except
-    g_ii = c it scales row i by c and column i by c^{-1}."""
-    off = [(i, j, x) for i, row in enumerate(g) for j, x in enumerate(row)
-           if x != (1 if i == j else 0)]
-    if len(off) != 1 or (off[0][0] != off[0][1] and off[0][2] != 1):
-        raise ValueError("conjugation_move needs I + E_ij or a diagonal "
-                         "matrix with one entry c != 1, got %r" % (g,))
-    i, j, c = off[0]
-    submul, scale = ctx.row_submul, ctx.row_scale
-    if i != j:
-        minus_one = ctx.neg(1)
-
-        def move(x):
+    def move(i, j, r, s):
+        def apply(x):
             rows = list(x)
-            rows[i] = submul(x[i], minus_one, x[j])
+            rows[i] = submul(x[i], r, x[j])
             cols = list(zip(*rows))
-            cols[j] = submul(cols[j], 1, cols[i])
+            cols[j] = submul(cols[j], s, cols[i])
             return tuple(zip(*cols))
-    else:
-        cinv = ctx.inv(c)
+        return apply
 
-        def move(x):
-            rows = list(x)
-            rows[i] = scale(c, x[i])
-            cols = list(zip(*rows))
-            cols[i] = scale(cinv, cols[i])
-            return tuple(zip(*cols))
-    return move
+    return [move(*op) for op in ops]
 
 
 @memo
 def class_orbit(mu, n):
-    """All elements of the conjugacy class C_{mu^n}, by BFS under conjugation
-    by standard generators starting from the Jordan representative (cached)."""
-    ctx = mu.ctx
+    """All elements of the conjugacy class C_{mu^n}, by a walk under
+    conjugation by the generators of _conjugation_moves starting from the
+    Jordan representative (cached)."""
     mu_n = complete(mu, n)
     start = jordan_matrix(mu_n)
-    moves = [conjugation_move(ctx, g) for g in gl_generators(ctx, n)]
+    moves = _conjugation_moves(mu.ctx, n)
     seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for move in moves:
-                y = move(x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
     out = sorted(seen)
     size = class_size(mu_n, n)
     if len(out) != size:

@@ -22,7 +22,6 @@ from . import linalg, subspaces
 from .conjtype import (
     class_orbit,
     class_size,
-    empty_polypartition,
     enumerate_gl,
     gl_order,
     jordan_matrix,
@@ -270,27 +269,8 @@ class AlgElem:
                 if c:
                     self.terms[t] = c if type(c) is Fraction else Fraction(c)
 
-    def _like(self, terms):
-        """A vector of the same kind and ambient data with other terms."""
-        return type(self)(self.n, terms)
-
     def __eq__(self, other):
         return self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("cannot add vectors of different ambient dimension")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0) + c
-        return self._like(out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return self._like({t: c * x for t, x in self.terms.items()})
-
-    def mass(self):
-        return sum(self.terms.values(), Fraction(0))
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda tc: tc[0])
@@ -564,10 +544,6 @@ def _invariant_product_classes(ctx, lam, mu, n):
         pm = dim_sum_law(n, q, 0, k, l, m)
         if pm == 0:
             continue
-        if m == 0:
-            e = empty_polypartition(ctx)
-            out[e] = out.get(e, Fraction(0)) + pm
-            continue
         A_list = blocks(jordan_matrix(lam), m)
         B_list = [B for u in class_orbit(mu, l) for B in blocks(u, m)]
         ident, full = linalg.identity(m), subspaces.full_subspace(m)
@@ -611,7 +587,7 @@ def invariant_product_work(lam, mu, n):
     q = lam.ctx.q
     work = 0
     for m in range(max(k, l), min(n, k + l) + 1):
-        if m and dim_sum_law(n, q, 0, k, l, m):
+        if dim_sum_law(n, q, 0, k, l, m):
             work += (q ** (k * (m - k)) * class_size(mu, l) * q ** (l * (m - l))
                      * subspaces.num_subspaces(q, k, k + l - m))
     return work

@@ -88,20 +88,15 @@ def reduce_against(ctx, v, rref_rows):
     return tuple(v)
 
 
-def enumerate_subspaces(ctx, n, k, containing=None):
-    """All k-dimensional subspaces of (F_q)^n, optionally those containing a
-    given subspace; canonical RREF form, deterministic order.
+def enumerate_subspaces(ctx, n, k):
+    """All k-dimensional subspaces of (F_q)^n; canonical RREF form,
+    deterministic order.
 
     Generation is by RREF shape: choose pivot columns, then fill the free
     entries (entries right of a pivot and not in a pivot column).
     """
     if not (0 <= k <= n):
         raise ValueError("need 0 <= k <= n")
-    if containing is not None:
-        if containing.ambient != n:
-            raise ValueError("containing subspace has wrong ambient dimension")
-        if containing.dim > k:
-            return []
     out = []
     for pivs in itertools.combinations(range(n), k):
         free_pos = [
@@ -116,9 +111,7 @@ def enumerate_subspaces(ctx, n, k, containing=None):
                 rows[i][c] = 1
             for (i, j), v in zip(free_pos, vals):
                 rows[i][j] = v
-            S = Subspace(n, tuple(tuple(r) for r in rows), tuple(pivs))
-            if containing is None or S.contains(ctx, containing):
-                out.append(S)
+            out.append(Subspace(n, tuple(tuple(r) for r in rows), tuple(pivs)))
     return out
 
 

@@ -377,8 +377,9 @@ def test_rank_and_dimension_laws_vs_enumeration():
                         for l in range(j, n + 1):
                             counts = {}
                             onto = 0
-                            for Up in subspaces.enumerate_subspaces(
-                                    ctx, n, l, containing=U):
+                            for Up in subspaces.enumerate_subspaces(ctx, n, l):
+                                if not Up.contains(ctx, U):
+                                    continue
                                 m = subspaces.subspace_sum(ctx, Up, W).dim
                                 counts[m] = counts.get(m, 0) + 1
                                 onto += m == n

@@ -266,8 +266,6 @@ def test_laurent_division_raises_at_once():
 def test_central_vector_algebra():
     ctx = make_field(2)
     mu = complete(parse_polypartition(ctx, "{X+1:(2)}"), 2)
-    a = center.CentralVector(ctx, 2, {mu: Fraction(1, 2)})
-    assert (a + a).terms == {mu: Fraction(1)}
-    assert a.scale(2).is_integral()
-    assert not a.is_integral()
-    assert (a + a.scale(-1)).terms == {}
+    assert center.CentralVector(ctx, 2, {mu: Fraction(1)}).is_integral()
+    assert not center.CentralVector(ctx, 2, {mu: Fraction(1, 2)}).is_integral()
+    assert center.CentralVector(ctx, 2, {mu: 0}).terms == {}

@@ -51,26 +51,30 @@ TRACED_WITHOUT_CALLER = {"center.transport", "partial_iso.canonical_piso",
 def test_every_library_function_has_a_library_caller():
     # a function or method that only the tests call belongs in tests/;
     # dunder methods and the traced functions above are exempt, and a
-    # function's own body does not count as its caller
+    # function's own body does not count as its caller.  A method is
+    # reached only through an attribute, so a local variable of the same
+    # name does not count as its caller.
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py"))}
     assert trees
-    refs = {}
+    names, attrs = {}, {}
     for tree in trees.values():
         for n in ast.walk(tree):
-            if isinstance(n, (ast.Name, ast.Attribute)):
-                name = n.id if isinstance(n, ast.Name) else n.attr
-                refs.setdefault(name, []).append(id(n))
+            if isinstance(n, ast.Name):
+                names.setdefault(n.id, []).append(id(n))
+            elif isinstance(n, ast.Attribute):
+                attrs.setdefault(n.attr, []).append(id(n))
     found = set()
     for mod, tree in trees.items():
-        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defs += [item for cls in tree.body if isinstance(cls, ast.ClassDef)
+        defs = [(node, False) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(item, True) for cls in tree.body if isinstance(cls, ast.ClassDef)
                  for item in cls.body if isinstance(item, ast.FunctionDef)]
-        for fn in defs:
+        for fn, is_method in defs:
             if fn.name.startswith("__"):
                 continue
+            refs = attrs.get(fn.name, []) + ([] if is_method else names.get(fn.name, []))
             inside = {id(n) for n in ast.walk(fn)}
-            if all(i in inside for i in refs.get(fn.name, ())):
+            if all(i in inside for i in refs):
                 found.add("%s.%s" % (mod, fn.name))
     # each exemption still lacks a caller, and nothing else does
     assert found == TRACED_WITHOUT_CALLER

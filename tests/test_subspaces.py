@@ -43,10 +43,9 @@ def test_containing_filter():
     ctx = make_field(2)
     n = 4
     L = subspaces.from_rows(ctx, [(1, 0, 0, 0)], n)
-    got = subspaces.enumerate_subspaces(ctx, n, 2, containing=L)
+    got = [S for S in subspaces.enumerate_subspaces(ctx, n, 2) if S.contains(ctx, L)]
     # subspaces of dim 2 containing a line = [n-1 choose 1]_q
     assert len(got) == subspaces.num_subspaces(2, n - 1, 1)
-    assert all(S.contains(ctx, L) for S in got)
 
 
 def test_sum_and_zero_full():
@@ -76,7 +75,9 @@ def test_extend_basis_completes_a_subspace_basis():
     ctx = make_field(3)
     n = 4
     for S in subspaces.enumerate_subspaces(ctx, n, 1):
-        for sup in subspaces.enumerate_subspaces(ctx, n, 3, containing=S):
+        for sup in subspaces.enumerate_subspaces(ctx, n, 3):
+            if not sup.contains(ctx, S):
+                continue
             rows = subspaces.extend_basis(ctx, S, sup)
             assert rows[:1] == S.basis
             assert all(r in sup.basis for r in rows[1:])
