@@ -55,13 +55,12 @@ def check_work(what, calls, unit="type_of calls"):
 class CentralVector(AlgElem):
     """Sparse element of Z(C GL(n, F_q)): {size-n polypartition: coefficient}."""
 
-    __slots__ = ("ctx",)
+    __slots__ = ()
 
-    def __init__(self, ctx, n, terms=None):
+    def __init__(self, n, terms=None):
         if terms and any(mu.size != n for mu in terms):
             raise ValueError("central vector of GL(%d) needs types of size %d" % (n, n))
-        self.ctx = ctx
-        super().__init__(n, terms)
+        AlgElem.__init__(self, n, terms)
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.terms.values())
@@ -112,7 +111,7 @@ def completed_product(lam, mu, n):
     if mass != size_lam * size_mu:
         raise AssertionError("class product has mass %d, not %d * %d"
                              % (mass, size_lam, size_mu))
-    return CentralVector(ctx, n, out)
+    return CentralVector(n, out)
 
 
 def hat_from_tilde(ctx, tilde_coeffs, lam, mu, n):
@@ -306,7 +305,7 @@ def transport(nu, n):
         if w:
             tau = complete(tau, n)
             out[tau] = w / class_size(tau, n)
-    return CentralVector(ctx, n, out)
+    return CentralVector(n, out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ class GenericProduct:
             raise ValueError("n must be at least |lam| + |mu|")
         x = Fraction(self.ctx.q) ** n
         # no class C_{nu^n} exists for |nu| > n: its size vanishes at q^n
-        return CentralVector(self.ctx, n, {
+        return CentralVector(n, {
             complete(nu, n): poly(x) for nu, poly in self.rhs.items() if nu.size <= n})
 
 

@@ -285,8 +285,10 @@ def cmd_ranklaw(args):
 # -- verify suites ------------------------------------------------------------
 
 def _all_pisos(ctx, n):
-    """all_pisos(ctx, n), refused before enumerating when |I(n, F_q)| is
-    above the cap."""
+    """all_pisos(ctx, n), refused when |I(n, F_q)| is above the cap.  The
+    basis is an indexed sequence and nothing is enumerated to draw from it,
+    but the cap still refuses above 10^6 partial isomorphisms, before the
+    subspace and GL(k) lists it indexes are built."""
     center.check_work("verify suite", partial_iso.card_iso(ctx.q, n),
                       "partial isomorphisms")
     return partial_iso.all_pisos(ctx, n)

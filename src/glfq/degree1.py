@@ -158,7 +158,7 @@ def project_degree1(ctx, a, b, n):
         raise ValueError("a and b must be units")
     lam, mu = _single(ctx, a, (1,)), _single(ctx, b, (1,))
     if a == 1 or b == 1:
-        return center.CentralVector(ctx, n, {center.complete(mu if a == 1 else lam, n): 1})
+        return center.CentralVector(n, {center.complete(mu if a == 1 else lam, n): 1})
     result = center.GenericProduct(lam, mu, degree1_product(ctx, a, b)).at(n)
     if not result.is_integral():
         raise AssertionError("projected product is not integral: %r" % result)

@@ -2,12 +2,13 @@
 
 Each one is the definition of a quantity that the library computes another
 way: the class product by a double loop over both classes, the Pi_n scalar
-of a type without spread, the two extension predicates on partial
-isomorphisms, the per-term averages over left-fixed and over compatible
-extensions, the naive extensions by a scan of GL(k+), the middle-space
-automorphisms by a loop over their images and the padding law by ranks of
-powers.  They are slow and kept simple on purpose.  A few small helpers
-that only the tests read live here too.
+of a type without spread, the basis I(n, F_q) as a nested-loop list, the
+projection pi_n through the product with the identity, the two extension
+predicates on partial isomorphisms, the per-term averages over left-fixed
+and over compatible extensions, the naive extensions by a scan of GL(k+),
+the middle-space automorphisms by a loop over their images and the padding
+law by ranks of powers.  They are slow and kept simple on purpose.  A few
+small helpers that only the tests read live here too.
 """
 
 import itertools
@@ -28,8 +29,12 @@ from glfq.conjtype import (
 )
 from glfq.partial_iso import (
     AlgElem,
+    PairAlgElem,
     PartialIso,
+    basis_elem,
+    empty_piso,
     piso_type,
+    product,
     rev,
     trivial_extensions_fixed_right,
     trivial_extensions_grouped,
@@ -68,7 +73,7 @@ def class_convolution(lam, mu, n):
         coeff, rem = divmod(c, class_size(t, n))
         assert not rem, (t, c)
         out[t] = coeff
-    return CentralVector(ctx, n, out)
+    return CentralVector(n, out)
 
 
 def pi_scalar(mu, n):
@@ -87,14 +92,41 @@ def pi_scalar(mu, n):
     )
 
 
-def pi_expansion(ctx, hat_coeffs, n):
+def pi_expansion(hat_coeffs, n):
     """Pi_n applied to sum S_nu Ahat_nu by the pi_scalar display: a rational
     CentralVector."""
     out = {}
     for nu, c in hat_coeffs.items():
         key = complete(nu, n)
         out[key] = out.get(key, 0) + c * pi_scalar(nu, n) / class_size(nu, nu.size)
-    return CentralVector(ctx, n, out)
+    return CentralVector(n, out)
+
+
+def all_pisos_by_loops(ctx, n):
+    """The basis I(n, F_q) as a list, by nested loops: the empty partial
+    isomorphism, then for each k = 1..n every V, W, g1, g2 in turn."""
+    out = [empty_piso(n)]
+    for k in range(1, n + 1):
+        subs = subspaces.enumerate_subspaces(ctx, n, k)
+        gl = enumerate_gl(ctx, k)
+        for V in subs:
+            for W in subs:
+                for g1 in gl:
+                    for g2 in gl:
+                        out.append(PartialIso(V, W, g1, g2))
+    return out
+
+
+def pi_n_by_lift(ctx, x):
+    """pi_n by its definition: the lift x * id_{(F_q)^n} through the
+    product, each term read as its pair (g1, g2)."""
+    full = subspaces.full_subspace(x.n)
+    ident = linalg.identity(x.n)
+    lifted = product(ctx, x, basis_elem(PartialIso(full, full, ident, ident)))
+    out = {}
+    for t, c in lifted.terms.items():
+        out[t.g1, t.g2] = out.get((t.g1, t.g2), 0) + c
+    return PairAlgElem(x.n, out)
 
 
 def _fwd(ctx, x, v):

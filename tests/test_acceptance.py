@@ -15,7 +15,6 @@ from glfq.conjtype import (
     Polypartition,
     census,
     class_size,
-    complete,
     enumerate_polypartitions,
     gl_order,
     jordan_matrix,

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -474,3 +477,27 @@ def test_verify_extensions_default_stdout(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "extensions")
     assert code == 0
     assert out == "suite extensions: PASS (114 extension counts match at (n=2, q=2))\n"
+
+
+def peak_rss_kb(*argv):
+    """Peak resident set size, in kB, of one CLI request run in a child
+    process; the request must succeed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-m", "glfq.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss
+
+
+def test_assoc_suite_memory_budget():
+    # the sampled associativity suite at (n, q) = (3, 2) holds no copy of the
+    # 30,038-element basis and a product memo of at most 4,096 entries: its
+    # peak RSS stays within 12 MB of a request that builds almost nothing
+    base = peak_rss_kb("verify", "--suite", "extensions", "--n", "2", "--q", "2",
+                       "--samples", "1")
+    assoc = peak_rss_kb("verify", "--suite", "assoc", "--n", "3", "--q", "2",
+                        "--samples", "600", "--seed", "0")
+    assert assoc - base < 12 * 1024, (assoc, base)

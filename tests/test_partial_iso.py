@@ -9,8 +9,6 @@ import pytest
 
 from glfq import linalg, partial_iso as pi, subspaces
 from glfq.conjtype import (
-    Partition,
-    Polypartition,
     class_orbit,
     empty_polypartition,
     enumerate_polypartitions,
@@ -18,7 +16,7 @@ from glfq.conjtype import (
     parse_polypartition,
     type_of,
 )
-from glfq.fields import linear_poly, make_field
+from glfq.fields import make_field
 from glfq.ranklaw import dim_sum_law
 
 
@@ -46,6 +44,26 @@ def test_cardinality_n2_q2():
 def test_cardinality_formula(q, n):
     ctx = make_field(q)
     assert len(pi.all_pisos(ctx, n)) == pi.card_iso(q, n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_basis_sequence_matches_nested_loops(q, n):
+    """all_pisos indexes I(n, F_q) without building it: element for element
+    and in order the nested-loop list; seeded choice and sample draws equal
+    the list's; past the end is IndexError."""
+    ctx = make_field(q)
+    basis = pi.all_pisos(ctx, n)
+    want = oracles.all_pisos_by_loops(ctx, n)
+    assert len(basis) == len(want) == pi.card_iso(q, n)
+    assert list(basis) == want
+    assert [repr(x) for x in basis] == [repr(x) for x in want]
+    assert basis[-1] == want[-1]
+    for seed in range(3):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [a.choice(basis) for _ in range(50)] == [b.choice(want) for _ in range(50)]
+        assert a.sample(basis, 40) == b.sample(want, 40)
+    with pytest.raises(IndexError):
+        basis[len(basis)]
 
 
 def test_rev_involution_and_type():
@@ -233,7 +251,9 @@ def test_basis_product_matches_pair_sum(q, n, pairs):
         todo = [(rng.choice(basis), rng.choice(basis)) for _ in range(pairs)]
     shortcuts = 0
     for a, b in todo:
-        got = pi._basis_product.__wrapped__(ctx, a, b)
+        total, counts = pi._basis_product.__wrapped__(ctx, a, b)
+        assert sum(counts.values()) == total
+        got = {t: Fraction(c, total) for t, c in counts.items()}
         want = pair_sum_product(ctx, a, b)
         assert got == want
         assert list(got) == list(want)
@@ -474,6 +494,24 @@ def test_pi_n_morphism_sampled():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("q,n,samples", [(2, 2, None), (3, 2, 60), (2, 3, 60)])
+def test_pi_n_matches_lift_through_identity(q, n, samples):
+    """pi_n against the product x * id_{(F_q)^n} it averages: every basis
+    element at (2, 2), seeded ones elsewhere, and seeded products of two
+    basis elements, whose terms carry different denominators."""
+    ctx = make_field(q)
+    basis = pi.all_pisos(ctx, n)
+    rng = random.Random(q * 10 + n)
+    xs = basis if samples is None else [rng.choice(basis) for _ in range(samples)]
+    for x in xs:
+        xe = pi.basis_elem(x)
+        assert pi.pi_n(ctx, xe) == oracles.pi_n_by_lift(ctx, xe)
+    for _ in range(20):
+        x, y = (pi.basis_elem(rng.choice(basis)) for _ in range(2))
+        xy = pi.product(ctx, x, y)
+        assert pi.pi_n(ctx, xy) == oracles.pi_n_by_lift(ctx, xy)
+
+
 def test_invariant_elem_census():
     ctx = make_field(2)
     n = 2
@@ -592,7 +630,7 @@ def test_enumeration_size_checks_raise(monkeypatch):
     ctx = make_field(2)
     monkeypatch.setattr(pi, "card_iso", lambda q, n: 7)
     with pytest.raises(AssertionError,
-                       match=r"built 2 partial isomorphisms, \|I\(1, F_2\)\| = 7"):
+                       match=r"indexes 2 partial isomorphisms, \|I\(1, F_2\)\| = 7"):
         pi.all_pisos.__wrapped__(ctx, 1)
     mu = parse_polypartition(ctx, "{X+1:(1)}")
     monkeypatch.setattr(pi, "orbit_size", lambda mu, n: 5)

@@ -5,7 +5,8 @@ import pathlib
 
 from glfq import cli
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "glfq"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "glfq"
 
 
 def test_library_has_no_assert_statements():
@@ -38,6 +39,22 @@ def test_every_parameter_is_read():
             read = {n.id for n in ast.walk(node)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             found += ["%s:%d %s" % (path.name, node.lineno, p) for p in params if p not in read]
+    assert found == []
+
+
+def test_every_imported_name_is_read():
+    # an import that no line of its module reads is dead weight, in the
+    # library and in the tests alike
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += ["%s:%d %s" % (path.name, node.lineno, name)
+                  for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                  if name not in read]
     assert found == []
 
 
