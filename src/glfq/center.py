@@ -16,37 +16,39 @@ from fractions import Fraction
 from . import linalg, subspaces
 from .conjtype import (
     Partition,
-    Polypartition,
     centralizer_order,
     class_orbit,
     class_size,
     complete,
+    empty_polypartition,
     format_polypartition,
     jordan_matrix,
-    num_free_families,
     pochhammer,
     reduce_polypartition,
     type_of,
+    with_unipotent,
 )
-from .fields import linear_poly
 from .memo import memo
 from .partial_iso import AlgElem, invariant_product, invariant_product_work
 
-# A request that would make more type_of calls than this, or enumerate more
-# partial isomorphisms, is refused before it enumerates anything (several
-# minutes: class-product at q = 2, n = 8 of {X+1:(2)} by itself, 32,385
-# elements, takes 0.31 ms an element on a 2-vCPU VM, orbit walk included)
+# A request that would make more type_of calls than this, enumerate more
+# partial isomorphisms, or build a field with more trial divisions or table
+# elements, is refused before it enumerates anything (several minutes:
+# class-product at q = 2, n = 8 of {X+1:(2)} by itself, 32,385 elements,
+# takes 0.31 ms an element on a 2-vCPU VM, orbit walk included)
 MAX_TYPE_OF_CALLS = 10 ** 6
 
 
 class WorkCapExceeded(ValueError):
     """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
-    enumerate as many partial isomorphisms."""
+    enumerate as many partial isomorphisms, trial divisions or field table
+    elements."""
 
 
 def check_work(what, calls, unit="type_of calls"):
-    """Refuse a request (a "product", a "census" or a "verify suite") that
-    needs more than MAX_TYPE_OF_CALLS calls or enumerated elements."""
+    """Refuse a request (a "product", a "census", a "verify suite" or a
+    "field") that needs more than MAX_TYPE_OF_CALLS calls or enumerated
+    elements."""
     if calls > MAX_TYPE_OF_CALLS:
         raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
                               % (what, calls, unit, MAX_TYPE_OF_CALLS))
@@ -114,26 +116,14 @@ def completed_product(lam, mu, n):
     return CentralVector(n, out)
 
 
-def hat_from_tilde(ctx, tilde_coeffs, lam, mu, n):
-    """Convert Atilde-basis structure constants at ambient n to the Ahat
-    basis: Ahat = num_free_families * Atilde."""
-    q = ctx.q
-    nf = num_free_families(q, n, lam.size) * num_free_families(q, n, mu.size)
-    return {
-        nu: c * Fraction(nf, num_free_families(q, n, nu.size))
-        for nu, c in tilde_coeffs.items()
-    }
-
-
 def generic_S(lam, mu):
     """Generic structure constants: Ahat_lam * Ahat_mu = sum S^nu Ahat_nu.
 
     Computed at n0 = |lam| + |mu| (the smallest ambient dimension where all
     output degrees fit); the compatibility maps make the coefficients
     independent of n >= n0, which the test suite verifies by recomputing at
-    n0 + 1."""
-    n = lam.size + mu.size
-    return hat_from_tilde(lam.ctx, invariant_product(lam, mu, n), lam, mu, n)
+    n0 + 1 and n0 + 2."""
+    return invariant_product(lam, mu, lam.size + mu.size)
 
 
 class Laurent:
@@ -218,18 +208,6 @@ class Laurent:
 # through Y = colspan(P), which makes it computable by enumerating the
 # subspaces Y of the unipotent block.
 
-def _split_x1(nu):
-    """(non-(X-1) entries, (X-1) partition as a tuple of parts)."""
-    xm1 = linear_poly(nu.ctx, 1)
-    other, pi = [], ()
-    for poly, part in nu.entries:
-        if poly == xm1:
-            pi = part.parts
-        else:
-            other.append((poly, part))
-    return tuple(other), pi
-
-
 @memo
 def _padding_profiles(ctx, pi):
     """Classify the subspaces Y <= (F_q)^u, u = |pi|, by the unipotent type
@@ -246,12 +224,11 @@ def _padding_profiles(ctx, pi):
         return {(0, ()): 1}
     # the profile counts are invariant under conjugating U, so any matrix of
     # unipotent type pi will do
-    xm1 = linear_poly(ctx, 1)
-    U = jordan_matrix(Polypartition(ctx, ((xm1, Partition(pi)),)))
+    U = jordan_matrix(with_unipotent(empty_polypartition(ctx), pi))
     out = {}
     for d in range(len(U) + 1):
         for Y in subspaces.enumerate_subspaces(ctx, len(U), d):
-            parts = type_of(ctx, linalg.block(U, Y.basis)).partition(xm1).parts
+            parts = type_of(ctx, linalg.block(U, Y.basis)).unipotent
             key = (d, tuple(x for x in parts if x > 1))
             out[key] = out.get(key, 0) + 1
     return out
@@ -268,17 +245,14 @@ def _transport_poly(nu):
     ctx = nu.ctx
     q = ctx.q
     k = nu.size
-    other, pi = _split_x1(nu)
+    pi = nu.unipotent
     u = sum(pi)
     law = {}
     for (d, core), cnt in _padding_profiles(ctx, pi).items():
         wt = Laurent({-u: cnt * q ** (k * u)})
         for i in range(d):
             wt = wt * Laurent({1: Fraction(1, q ** k), 0: -(q ** i)})
-        entries = list(other)
-        if core:
-            entries.append((linear_poly(ctx, 1), Partition(core)))
-        tau = Polypartition(ctx, tuple(sorted(entries)))
+        tau = with_unipotent(nu, core)
         law[tau] = law[tau] + wt if tau in law else wt
     total = sum(law.values(), Laurent())
     if total != Laurent({0: 1}):
@@ -329,21 +303,20 @@ def completed_class_size_poly(tau):
     s = |tau| - len(tau(X-1)) the q-power exponents are linear in n and
     (q^{-1})_n / (q^{-1})_{n-|tau|} is a polynomial in 1/X, giving
     X^{2s} q^{-s^2 - c} prod_{j<|tau|} (1 - q^j/X) / (B Z_other)."""
-    ctx = tau.ctx
-    q = ctx.q
-    other, pi = _split_x1(tau)
+    q = tau.ctx.q
+    pi = tau.unipotent
     if 1 in pi:
         raise ValueError("type %r is not reduced: it has parts 1 on X - 1" % tau)
     t = tau.size
     ell = len(pi)
     s = t - ell
     # conjugate columns of the (X-1) partition beyond the first
-    conj = Partition(pi).conjugate().parts if pi else ()
+    conj = Partition(pi).conjugate().parts
     c2 = sum(c * c for c in conj[1:])
     B = Fraction(1)
     for i in set(pi):
         B *= pochhammer(Fraction(1, q), sum(1 for x in pi if x == i))
-    z_other = centralizer_order(Polypartition(ctx, other))
+    z_other = centralizer_order(with_unipotent(tau, ()))
     out = Laurent({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
     for j in range(t):
         out = out * Laurent({0: 1, -1: -(q ** j)})
@@ -404,7 +377,7 @@ def fh_polynomials(lam, mu):
     would make more than MAX_TYPE_OF_CALLS type_of calls."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
-    bad = [t for t in (lam, mu) if _split_x1(t)[1]]
+    bad = [t for t in (lam, mu) if t.unipotent]
     if bad:
         raise ValueError("inputs must have no (X-1) parts after reduction: %s"
                          % ", ".join(map(format_polypartition, bad)))

@@ -20,19 +20,18 @@ from fractions import Fraction
 
 from . import center, degree1, linalg, partial_iso, ranklaw, subspaces
 from .conjtype import (
-    Partition,
-    Polypartition,
     census,
     class_size,
     enumerate_polypartitions,
     format_polypartition,
     gl_order,
+    linear_type,
     num_free_families,
     parse_polypartition,
     reduce_polypartition,
     type_of,
 )
-from .fields import linear_poly, make_field
+from .fields import make_field
 
 
 def _field_from_args(args):
@@ -42,16 +41,31 @@ def _field_from_args(args):
         q = args.q
         if q >= 2:
             # p is the smallest factor of q; q is a prime power iff q = p^e
+            center.check_work("field", math.isqrt(q) - 1, "trial divisions")
             p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
             e = 1
             while p ** e < q:
                 e += 1
             if p ** e == q:
-                return _parsed(make_field, p, e)
+                return _checked_field(p, e)
         raise SystemExit2("--q must be a prime power, got %d" % q)
     if args.p is None:
         raise SystemExit2("a field is required: --q or --p [--e]")
-    return _parsed(make_field, args.p, args.e)
+    return _checked_field(args.p, args.e)
+
+
+def _checked_field(p, e):
+    """make_field(p, e), refused before it starts when testing p takes more
+    trial divisions than the cap (sqrt(p) of them) or an extension field
+    would keep tables of more elements than the cap (p^e of them).  p^e is
+    not formed for an e past the cap's bit length, where p^e >= 2^e is
+    above the cap for every p >= 2."""
+    center.check_work("field", math.isqrt(max(p, 0)) - 1, "trial divisions")
+    if e > 1 and p > 1:
+        top = center.MAX_TYPE_OF_CALLS.bit_length()
+        center.check_work("field", p ** min(e, top),
+                          "table elements" if e <= top else "table elements or more")
+    return _parsed(make_field, p, e)
 
 
 class SystemExit2(Exception):
@@ -387,7 +401,7 @@ def _suite_ranklaw(ctx, n, rng, samples):
 def _unit_pairs(ctx):
     """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b."""
     units = range(1, ctx.q)
-    types = {a: Polypartition(ctx, ((linear_poly(ctx, a), Partition((1,))),)) for a in units}
+    types = {a: linear_type(ctx, a) for a in units}
     return [(a, b, types[a], types[b]) for a in units for b in units]
 
 

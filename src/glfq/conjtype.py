@@ -33,10 +33,6 @@ class Partition:
     def size(self):
         return sum(self.parts)
 
-    @property
-    def length(self):
-        return len(self.parts)
-
     def mult(self, k):
         """m_k: the number of parts equal to k."""
         return sum(1 for x in self.parts if x == k)
@@ -99,9 +95,14 @@ class Polypartition:
         return Partition(())
 
     @property
+    def unipotent(self):
+        """The parts of the (X-1) partition, largest first."""
+        return self.partition(fields.linear_poly(self.ctx, 1)).parts
+
+    @property
     def k1(self):
         """Number of parts of the (X-1) partition."""
-        return self.partition(fields.linear_poly(self.ctx, 1)).length
+        return len(self.unipotent)
 
     def b(self):
         return sum(pdeg(P) * mu.b() for P, mu in self.entries)
@@ -133,7 +134,7 @@ def parse_polypartition(ctx, s):
         raise ValueError("polypartition must be wrapped in { }: %r" % s)
     body = s[1:-1]
     if not body:
-        return Polypartition(ctx, {})
+        return empty_polypartition(ctx)
     entries = {}
     for chunk in body.split(";"):
         poly_s, _, part_s = chunk.rpartition(":")
@@ -154,6 +155,23 @@ def parse_polypartition(ctx, s):
 
 def empty_polypartition(ctx):
     return Polypartition(ctx, {})
+
+
+def linear_type(ctx, a, parts=(1,)):
+    """The type {X-a: parts}, with the one label X - a."""
+    return Polypartition(ctx, ((fields.linear_poly(ctx, a), Partition(parts)),))
+
+
+def with_unipotent(mu, parts):
+    """mu with its (X-1) partition replaced by parts, in any order; without
+    the (X-1) label when parts is empty.  With Polypartition.unipotent, the
+    one reader and writer of the (X-1) block."""
+    ctx = mu.ctx
+    xm1 = fields.linear_poly(ctx, 1)
+    entries = [(P, part) for P, part in mu.entries if P != xm1]
+    if parts:
+        entries.append((xm1, Partition(sorted(parts, reverse=True))))
+    return Polypartition(ctx, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -315,27 +333,14 @@ def complete(mu, n):
     """mu with n - |mu| extra parts 1 added to the (X-1) partition."""
     if mu.size > n:
         raise ValueError("cannot complete size %d to %d" % (mu.size, n))
-    extra = n - mu.size
-    if extra == 0:
+    if mu.size == n:
         return mu
-    ctx = mu.ctx
-    xm1 = fields.linear_poly(ctx, 1)
-    entries = dict(mu.entries)
-    old = entries.get(xm1, Partition(()))
-    entries[xm1] = Partition(tuple(sorted(old.parts + (1,) * extra, reverse=True)))
-    return Polypartition(ctx, entries)
+    return with_unipotent(mu, mu.unipotent + (1,) * (n - mu.size))
 
 
 def reduce_polypartition(mu):
     """mu with all parts 1 stripped from its (X-1) partition."""
-    ctx = mu.ctx
-    xm1 = fields.linear_poly(ctx, 1)
-    entries = dict(mu.entries)
-    old = entries.pop(xm1, Partition(()))
-    kept = tuple(x for x in old.parts if x > 1)
-    if kept:
-        entries[xm1] = Partition(kept)
-    return Polypartition(ctx, entries)
+    return with_unipotent(mu, [x for x in mu.unipotent if x > 1])
 
 
 def partitions_of(n):

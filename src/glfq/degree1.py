@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import center
-from .conjtype import Partition, Polypartition, format_polypartition
+from .conjtype import Partition, Polypartition, format_polypartition, linear_type
 from .fields import linear_poly
 
 
@@ -85,18 +85,10 @@ def irreducible_quadratics_I(ctx, b):
         if c != 0 and ctx.abs_trace(ctx.mul(b, ctx.inv(ctx.mul(c, c)))) == 1)
 
 
-def _single(ctx, c, parts):
-    return Polypartition(ctx, ((linear_poly(ctx, c), Partition(parts)),))
-
-
 def _merge(ctx, x, y):
     if x == y:
-        return _single(ctx, x, (1, 1))
-    entries = tuple(sorted([
-        (linear_poly(ctx, x), Partition((1,))),
-        (linear_poly(ctx, y), Partition((1,))),
-    ]))
-    return Polypartition(ctx, entries)
+        return linear_type(ctx, x, (1, 1))
+    return Polypartition(ctx, {linear_poly(ctx, c): Partition((1,)) for c in (x, y)})
 
 
 def degree1_product(ctx, a, b):
@@ -115,7 +107,7 @@ def degree1_product(ctx, a, b):
             del out[pp]
 
     ab = ctx.mul(a, b)
-    add(_single(ctx, ab, (1,)), Fraction(q - 1))
+    add(linear_type(ctx, ab), Fraction(q - 1))
     add(_merge(ctx, a, b), Fraction(1, q))
     w = Fraction(q - 1, q * q)
     for c in irreducible_quadratics_I(ctx, ab):
@@ -125,11 +117,11 @@ def degree1_product(ctx, a, b):
             continue
         add(_merge(ctx, ctx.mul(a, ctx.inv(d)), ctx.mul(b, d)), w / 2)
     for delta in _square_roots(ctx, ab):
-        add(_single(ctx, delta, (2,)), w)
-        add(_single(ctx, delta, (1, 1)), -w / 2)
+        add(linear_type(ctx, delta, (2,)), w)
+        add(linear_type(ctx, delta, (1, 1)), -w / 2)
     if a == b:
-        add(_single(ctx, a, (2,)), w)
-        add(_single(ctx, a, (1, 1)), -w)
+        add(linear_type(ctx, a, (2,)), w)
+        add(linear_type(ctx, a, (1, 1)), -w)
     for pp, coeff in out.items():
         if (2 * q * q) % coeff.denominator:
             raise AssertionError("coefficient %s of %s has a denominator not dividing 2q^2"
@@ -156,7 +148,7 @@ def project_degree1(ctx, a, b, n):
         raise ValueError("need n >= 2")
     if a == 0 or b == 0:
         raise ValueError("a and b must be units")
-    lam, mu = _single(ctx, a, (1,)), _single(ctx, b, (1,))
+    lam, mu = linear_type(ctx, a), linear_type(ctx, b)
     if a == 1 or b == 1:
         return center.CentralVector(n, {center.complete(mu if a == 1 else lam, n): 1})
     result = center.GenericProduct(lam, mu, degree1_product(ctx, a, b)).at(n)

@@ -9,10 +9,11 @@ and the composite automorphism of V is mat(g2) mat(g1).
 
 The product of two basis elements averages over compatible extensions to
 the common middle space (see trivial_extensions_grouped for the two
-extension notions and why the product uses the larger one); the uniform
-averages over the type orbits span a commutative subalgebra whose
-structure constants feed the center module.  All coefficients are exact
-Fractions; products are counted in integers and divided once per term.
+extension notions and why the product uses the larger one); the invariant
+elements Ahat_mu, one per type orbit, span a commutative subalgebra whose
+structure constants in that basis feed the center module.  All
+coefficients are exact Fractions; products are counted in integers and
+divided once per term.
 """
 
 import itertools
@@ -511,16 +512,15 @@ def orbit_of_type(mu, n):
 
 def invariant_elem(ctx, mu, n):
     """The invariant class Ahat_mu: the orbit sum of type mu divided by the
-    square root of its cardinality (= the free-family count).  Dividing by
-    num_free_families(q, n, |mu|) gives Atilde_mu, the orbit average."""
+    square root of its cardinality (= the free-family count)."""
     orbit = orbit_of_type(mu, n)
     c = Fraction(num_free_families(ctx.q, n, mu.size), len(orbit))
     return AlgElem(n, {x: c for x in orbit})
 
 
 def type_census(ctx, x):
-    """Expand an invariant element in the tilde basis: returns {type: c} with
-    x = sum c_mu Atilde_mu.  Raises AssertionError unless the coefficient is
+    """Expand an invariant element in the hat basis: returns {type: c} with
+    x = sum c_mu Ahat_mu.  Raises AssertionError unless the coefficient is
     constant on each type orbit and whole orbits are present."""
     buckets = {}
     for t, c in x.terms.items():
@@ -531,7 +531,7 @@ def type_census(ctx, x):
             raise AssertionError("coefficient not constant on orbit %r" % mu)
         if len(coeffs) != orbit_size(mu, x.n):
             raise AssertionError("incomplete orbit %r" % mu)
-        out[mu] = sum(coeffs, Fraction(0))
+        out[mu] = sum(coeffs, Fraction(0)) / num_free_families(ctx.q, x.n, mu.size)
     return out
 
 
@@ -542,7 +542,9 @@ def _invariant_product_orbits(ctx, lam, mu, n):
     orbit sizes, so it bypasses the product memo."""
     O1 = orbit_of_type(lam, n)
     O2 = orbit_of_type(mu, n)
-    w = Fraction(1, len(O1) * len(O2))
+    q = ctx.q
+    w = Fraction(num_free_families(q, n, lam.size) * num_free_families(q, n, mu.size),
+                 len(O1) * len(O2))
     acc = {}
     for a in O1:
         for b in O2:
@@ -578,7 +580,11 @@ def _invariant_product_classes(ctx, lam, mu, n):
     for W are T B' T^-1 with B' = [[u, Q], [0, I]] running over one list
     shared by every U, and type(B A) = type(B' T^-1 A T); each A is
     conjugated once per U.  Cross-checked exactly against the double orbit
-    sum and against the sum over every W in the test suite."""
+    sum and against the sum over every W in the test suite.
+
+    The averages expand the product of the orbit averages Ahat_nu / nf(|nu|),
+    nf(j) = num_free_families(q, n, j); one rescaling per output type at the
+    end, by nf(k) nf(l) / nf(|nu|), turns them into Ahat-basis constants."""
     k, l = lam.size, mu.size
     q = ctx.q
     mat_mul = linalg.mat_mul
@@ -611,11 +617,14 @@ def _invariant_product_classes(ctx, lam, mu, n):
                     total += 1
         for t, c in counts.items():
             out[t] = out.get(t, Fraction(0)) + pm * Fraction(c, total)
-    return {t: c for t, c in out.items() if c}
+    nf = num_free_families(q, n, k) * num_free_families(q, n, l)
+    return {t: c * Fraction(nf, num_free_families(q, n, t.size))
+            for t, c in out.items() if c}
 
 
 def invariant_product(lam, mu, n):
-    """Structure constants of Atilde_lam * Atilde_mu in the tilde basis.
+    """Structure constants of Ahat_lam * Ahat_mu in the hat basis at
+    ambient dimension n.
 
     Conditions on the middle dimension and reduces to completed
     conjugacy-class products (_invariant_product_classes); the double orbit
@@ -718,7 +727,7 @@ def naive_product(ctx, x, y):
     return {k: c for k, c in out.items() if c}
 
 
-def naive_product_counterexample(ctx, n=2):
+def naive_product_counterexample(ctx, n):
     """A triple of naive partial isomorphisms with (G*H)*I != G*(H*I),
     demonstrating that the one-automorphism construction is not associative.
 

@@ -1,7 +1,8 @@
 """Reference implementations that only the tests call.
 
 Each one is the definition of a quantity that the library computes another
-way: the class product by a double loop over both classes, the Pi_n scalar
+way: the class product by a double loop over both classes, the change from
+orbit-average (Atilde) to Ahat structure constants, the Pi_n scalar
 of a type without spread, the basis I(n, F_q) as a nested-loop list, the
 projection pi_n through the product with the identity, the two extension
 predicates on partial isomorphisms, the per-term averages over left-fixed
@@ -24,6 +25,7 @@ from glfq.conjtype import (
     complete,
     enumerate_gl,
     jordan_matrix,
+    num_free_families,
     pochhammer,
     type_of,
 )
@@ -90,6 +92,17 @@ def pi_scalar(mu, n):
         * pochhammer(qi, n - k + k11)
         / (pochhammer(qi, k11) * pochhammer(qi, n - k))
     )
+
+
+def hat_from_tilde(ctx, tilde_coeffs, lam, mu, n):
+    """Convert Atilde-basis structure constants at ambient n to the Ahat
+    basis: Ahat = num_free_families * Atilde."""
+    q = ctx.q
+    nf = num_free_families(q, n, lam.size) * num_free_families(q, n, mu.size)
+    return {
+        nu: c * Fraction(nf, num_free_families(q, n, nu.size))
+        for nu, c in tilde_coeffs.items()
+    }
 
 
 def pi_expansion(hat_coeffs, n):

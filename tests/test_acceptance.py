@@ -11,16 +11,15 @@ import pytest
 
 from glfq import center, degree1, linalg, partial_iso as pi, ranklaw, subspaces
 from glfq.conjtype import (
-    Partition,
-    Polypartition,
     census,
     class_size,
     enumerate_polypartitions,
     gl_order,
     jordan_matrix,
+    linear_type,
     parse_polypartition,
 )
-from glfq.fields import linear_poly, make_field
+from glfq.fields import make_field
 
 
 class budget:
@@ -43,10 +42,6 @@ class budget:
 
 def field(q):
     return make_field(2, 2) if q == 4 else make_field(q)
-
-
-def linear_type(ctx, a, parts=(1,)):
-    return Polypartition(ctx, ((linear_poly(ctx, a), Partition(parts)),))
 
 
 def test_class_size_gl6_f5():

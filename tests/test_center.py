@@ -189,13 +189,23 @@ def test_generic_S_known_values_q2():
     assert S == want
 
 
-def test_generic_S_independent_of_ambient_dimension():
-    ctx = make_field(2)
-    lam = parse_polypartition(ctx, "{X+1:(1)}")
-    at_n0 = center.generic_S(lam, lam)
-    at_n0_plus_1 = center.hat_from_tilde(
-        ctx, invariant_product(lam, lam, 3), lam, lam, 3)
-    assert at_n0 == at_n0_plus_1
+@pytest.mark.parametrize("q,a,b", [
+    (2, "{X+1:(1)}", "{X+1:(1)}"),
+    (2, "{X+1:(1)}", "{X^2+X+1:(1)}"),
+    (2, "{X+1:(2)}", "{X+1:(1)}"),
+    (3, "{X+1:(1)}", "{X+2:(1)}"),
+    (3, "{X+2:(1)}", "{X+2:(1)}"),
+    (3, "{X+1:(2)}", "{X+1:(1)}"),
+    (4, "{X+t:(1)}", "{X+t+1:(1)}"),
+])
+@pytest.mark.parametrize("extra", [1, 2])
+def test_generic_S_independent_of_ambient_dimension(q, a, b, extra):
+    # the Ahat-basis constants at n0 + 1 and n0 + 2 equal those at
+    # n0 = |lam| + |mu|
+    ctx = make_field(2, 2) if q == 4 else make_field(q)
+    lam, mu = parse_polypartition(ctx, a), parse_polypartition(ctx, b)
+    n = lam.size + mu.size + extra
+    assert invariant_product(lam, mu, n) == center.generic_S(lam, mu)
 
 
 def test_fh_polynomials_reject_unipotent_parts():

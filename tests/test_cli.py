@@ -333,12 +333,30 @@ def test_q_is_split_into_its_prime_and_degree(q, field):
     (["--p", "3", "--e", "0"], "got 0"),
     (["--q", "12"], "--q must be a prime power, got 12"),
     (["--q", "65522"], "--q must be a prime power, got 65522"),
+    (["--q", "6"], "--q must be a prime power, got 6"),
 ])
 def test_bad_field_is_a_usage_error(capsys, flags, named):
     code, out, err = run(capsys, "type", *flags, "--mat", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and named in err
 
+
+@pytest.mark.parametrize("flags,message", [
+    # a prime q or p near 10^18 takes 10^9 trial divisions to test
+    (["--q", "1000000000000000003"], "999999999 trial divisions"),
+    (["--p", "1000000000000000003"], "999999999 trial divisions"),
+    # the tables of F_{2^20} take about 20 s and 136 MB to build
+    (["--p", "2", "--e", "20"], "1048576 table elements"),
+    # and 2^e for such an e is not formed
+    (["--p", "2", "--e", "5000000"], "1048576 table elements or more"),
+    (["--p", "3", "--e", "10000000000000"], "3486784401 table elements or more"),
+])
+def test_oversized_field_is_refused_at_once(capsys, flags, message):
+    start = time.monotonic()
+    code, out, err = run(capsys, "class-size", *flags, "--n", "1", "--type", "{X+1:(1)}")
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (
+        2, "", "usage error: this field needs %s, above the cap of 1000000\n" % message)
 
 @pytest.mark.parametrize("argv,message", [
     (["census", "--q", "3", "--n", "-1"], "--n must be at least 0, got -1"),

@@ -27,6 +27,7 @@ from glfq.conjtype import (
     partitions_of,
     reduce_polypartition,
     type_of,
+    with_unipotent,
 )
 from glfq.fields import PX, enumerate_irreducibles, linear_poly, make_field, pdeg
 
@@ -81,14 +82,27 @@ def test_class_orbit_matches_class_size():
 
 
 def test_complete_and_reduce_roundtrip():
-    ctx = make_field(3)
-    mu = parse_polypartition(ctx, "{X+1:(2);X+2:(1)}")
-    up = complete(mu, 6)
-    assert up.size == 6
-    red = reduce_polypartition(up)
-    assert red == reduce_polypartition(mu)
-    # each stripped part has size 1
-    assert up.size - red.size == 3 + mu.size - reduce_polypartition(mu).size
+    # every type of size <= 3 at q = 2 and 3: with_unipotent rewrites the
+    # (X-1) block and nothing else, and complete and reduce_polypartition
+    # add and strip parts 1 there
+    for ctx in (make_field(2), make_field(3)):
+        xm1 = linear_poly(ctx, 1)
+        for mu in (mu for size in range(4) for mu in enumerate_polypartitions(ctx, size)):
+            pi = mu.unipotent
+            assert list(pi) == sorted(pi, reverse=True)
+            assert with_unipotent(mu, pi) == mu
+            assert with_unipotent(mu, pi[::-1]) == mu
+            assert with_unipotent(mu, (2,) + pi) == with_unipotent(mu, pi + (2,))
+            bare = with_unipotent(mu, ())
+            assert bare.unipotent == ()
+            assert bare.entries == tuple((P, part) for P, part in mu.entries if P != xm1)
+            up = complete(mu, 6)
+            assert up.size == 6
+            red = reduce_polypartition(up)
+            assert red == reduce_polypartition(mu)
+            assert red.unipotent == tuple(x for x in pi if x > 1)
+            # each stripped part has size 1
+            assert up.size - red.size == up.unipotent.count(1) == 6 - mu.size + pi.count(1)
 
 
 def test_class_size_multiplicative_over_labels():

@@ -6,16 +6,12 @@ from fractions import Fraction
 import pytest
 
 from glfq import center, degree1
-from glfq.conjtype import Partition, Polypartition, class_size, complete
+from glfq.conjtype import Partition, Polypartition, class_size, complete, linear_type
 from glfq.fields import is_irreducible, linear_poly, make_field
 
 
 def units(ctx):
     return [a for a in ctx.elements() if a != 0]
-
-
-def linear_type(ctx, a, parts=(1,)):
-    return Polypartition(ctx, ((linear_poly(ctx, a), Partition(parts)),))
 
 
 EXPECTED_TAGS = {

@@ -97,3 +97,20 @@ def test_every_library_function_has_a_library_caller():
     assert found == TRACED_WITHOUT_CALLER
     tracer = (SRC.parent.parent / "perfbench" / "tracer.py").read_text()
     assert all('"%s"' % name in tracer for name in TRACED_WITHOUT_CALLER)
+
+
+def test_only_conjtype_builds_the_unipotent_label():
+    # conjtype owns the (X-1) block: Polypartition.unipotent and
+    # with_unipotent read and write it, and no other module builds the
+    # label X - 1 as linear_poly(ctx, 1)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "conjtype":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linear_poly"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == 1):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
