@@ -22,6 +22,7 @@ from . import center, degree1, linalg, partial_iso, ranklaw, subspaces
 from .conjtype import (
     census,
     class_size,
+    complete,
     enumerate_polypartitions,
     format_polypartition,
     gl_order,
@@ -31,7 +32,7 @@ from .conjtype import (
     reduce_polypartition,
     type_of,
 )
-from .fields import make_field
+from .fields import make_field, prime_factors
 
 
 def _field_from_args(args):
@@ -39,16 +40,14 @@ def _field_from_args(args):
         if args.p is not None or args.e != 1:
             raise SystemExit2("give either --q or --p/--e, not both")
         q = args.q
-        if q >= 2:
-            # p is the smallest factor of q; q is a prime power iff q = p^e
-            center.check_work("field", math.isqrt(q) - 1, "trial divisions")
-            p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
-            e = 1
-            while p ** e < q:
-                e += 1
-            if p ** e == q:
-                return _checked_field(p, e)
-        raise SystemExit2("--q must be a prime power, got %d" % q)
+        center.check_work("field", math.isqrt(max(q, 0)) - 1, "trial divisions")
+        primes = prime_factors(q)
+        if len(primes) != 1:  # q is a prime power iff it has one prime factor
+            raise SystemExit2("--q must be a prime power, got %d" % q)
+        p, e = primes[0], 1
+        while p ** e < q:
+            e += 1
+        return _checked_field(p, e)
     if args.p is None:
         raise SystemExit2("a field is required: --q or --p [--e]")
     return _checked_field(args.p, args.e)
@@ -383,6 +382,9 @@ def _suite_census(ctx, n, rng, samples):
 
 def _suite_ranklaw(ctx, n, rng, samples):
     q = ctx.q
+    # (n+2)^2 (n+1)/2 rank laws, and (n+1)(n+1-j)^2 dimension laws for each j
+    center.check_work("verify suite", (n + 2) ** 2 * (n + 1) // 2
+                      + (n + 1) * sum(i * i for i in range(1, n + 2)), "law evaluations")
     for d in range(n + 1):
         for a in range(n + 2):
             s = sum(ranklaw.rank_law(d, q, a, c) for c in range(d + 1))
@@ -398,22 +400,40 @@ def _suite_ranklaw(ctx, n, rng, samples):
     return True, "laws are probability measures up to n=%d, q=%d" % (n, q)
 
 
-def _unit_pairs(ctx):
-    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b."""
-    units = range(1, ctx.q)
+def _unit_pairs(ctx, work):
+    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b, refused
+    before the first pair when work(lam, mu) summed over the pairs is above
+    the cap.  The types {X-a:(1)} with a != 1 differ only in their label,
+    so a pair's work depends only on which of a, b is 1, and the sum weighs
+    one pair of each kind by its number of pairs (the unit q - 1 stands for
+    the q - 2 units other than 1, none at q = 2)."""
+    q = ctx.q
+    kinds = ((linear_type(ctx, 1), 1), (linear_type(ctx, q - 1), q - 2))
+    center.check_work("verify suite", sum(i * j * work(lam, mu) for lam, i in kinds
+                                          for mu, j in kinds))
+    units = range(1, q)
     types = {a: linear_type(ctx, a) for a in units}
     return [(a, b, types[a], types[b]) for a in units for b in units]
 
 
 def _suite_degree1(ctx, n, rng, samples):
-    for a, b, lam, mu in _unit_pairs(ctx):
+    for a, b, lam, mu in _unit_pairs(
+            ctx, lambda lam, mu: partial_iso.invariant_product_work(lam, mu, 2)):
         if degree1.degree1_product(ctx, a, b) != center.generic_S(lam, mu):
             return False, "closed form != engine at a=%d b=%d" % (a, b)
     return True, "closed form matches engine for all units, q=%d" % ctx.q
 
 
+def _fh_work(lam, mu):
+    """The type_of calls of fh_polynomials(lam, mu) and of verify_fh at
+    n = 2 and 3, which enumerates the smaller completed class."""
+    lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
+    return (partial_iso.invariant_product_work(lam, mu, lam.size + mu.size)
+            + sum(min(class_size(complete(t, n), n) for t in (lam, mu)) for n in (2, 3)))
+
+
 def _suite_fh(ctx, n, rng, samples):
-    for a, b, lam, mu in _unit_pairs(ctx):
+    for a, b, lam, mu in _unit_pairs(ctx, _fh_work):
         report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])
         if any(report.values()):
             return False, "fh mismatch at a=%d b=%d" % (a, b)

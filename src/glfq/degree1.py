@@ -55,7 +55,7 @@ def classify(ctx, a, b):
         case = Degree1Case("odd-equal", a) if odd else Degree1Case("even-equal", ctx.sqrt(ab))
     elif not odd:
         case = Degree1Case("even-generic", ctx.sqrt(ab))
-    elif ctx.is_square(ab):
+    elif ctx.sqrt(ab) is not None:
         case = Degree1Case("odd-square", ctx.sqrt(ab))
     else:
         case = Degree1Case("odd-nonsquare", None)
@@ -79,7 +79,7 @@ def irreducible_quadratics_I(ctx, b):
         four = ctx.add(ctx.add(1, 1), ctx.add(1, 1))
         return tuple(
             c for c in ctx.elements()
-            if not ctx.is_square(ctx.sub(ctx.mul(c, c), ctx.mul(four, b))))
+            if ctx.sqrt(ctx.sub(ctx.mul(c, c), ctx.mul(four, b))) is None)
     return tuple(
         c for c in ctx.elements()
         if c != 0 and ctx.abs_trace(ctx.mul(b, ctx.inv(ctx.mul(c, c)))) == 1)

@@ -9,9 +9,10 @@ extension field writes each nonzero element as a power of its smallest
 primitive element g and keeps three tables of O(q) entries, built once:
 the powers of g, their logs, and the Zech logs log(1 + g^k); every
 operation is then a few table lookups.  Both kinds build a table of square
-roots (q entries) on the first call of sqrt only.  Enumerations
-(subspaces, GL(n), classes) are only practical for small q; closed forms
-serve any q, prime q = 65521 and q = 2^12 included.
+roots (q entries) on the first call of sqrt only; it also tells squares
+from non-squares.  Enumerations (subspaces, GL(n), classes) are only
+practical for small q; closed forms serve any q, prime q = 65521 and
+q = 2^12 included.
 
 The matrix and polynomial kernels work a row at a time through three row
 primitives of the context, bound once when it is built: row_submul (u - c v),
@@ -31,15 +32,19 @@ import operator
 from .memo import memo
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
+def prime_factors(n):
+    """The distinct primes dividing n, ascending, by trial division up to
+    the square root of what is left (none for n < 2)."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class FieldCtx:
@@ -50,7 +55,7 @@ class FieldCtx:
     """
 
     def __init__(self, p, e, modulus=None):
-        if not _is_prime(p):
+        if prime_factors(p) != [p]:
             raise ValueError("p = %d is not prime" % p)
         if e < 1:
             raise ValueError("e must be >= 1, got %d" % e)
@@ -206,7 +211,7 @@ class FieldCtx:
         power(a, k) = a^k: g qualifies iff g^((q-1)/r) != 1 for every
         prime r dividing q - 1."""
         q1 = self.q - 1
-        cofactors = [q1 // r for r in range(2, q1 + 1) if q1 % r == 0 and _is_prime(r)]
+        cofactors = [q1 // r for r in prime_factors(q1)]
         return next(g for g in range(1, self.q)
                     if all(power(g, k) != 1 for k in cofactors))
 
@@ -216,8 +221,8 @@ class FieldCtx:
         return self._smallest_primitive(self.pow)
 
     # -- element arithmetic ----------------------------------------------
-    # An extension-field element a != 0 is g^log[a]: mul adds logs, and add
-    # uses g^i + g^j = g^(i + zech[j - i]).
+    # An extension-field element a != 0 is g^log[a]: mul adds logs, add
+    # uses g^i + g^j = g^(i + zech[j - i]), and sub adds the negative.
 
     def add(self, a, b):
         if self.e == 1:
@@ -235,15 +240,7 @@ class FieldCtx:
     def sub(self, a, b):
         if self.e == 1:
             return (a - b) % self.p
-        if not b:
-            return a
-        nb = self._exp[self._log[b] + self._half]  # -b
-        if not a:
-            return nb
-        log = self._log
-        la = log[a]
-        z = self._zech[log[nb] - la]
-        return 0 if z is None else self._exp[la + z]
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
         if self.e == 1:
@@ -276,18 +273,9 @@ class FieldCtx:
     def elements(self):
         return range(self.q)
 
-    def is_square(self, a):
-        """True iff a is a square in F_q.
-
-        Odd q: Euler criterion a^((q-1)/2) = 1 (a = 0 counts as a square).
-        Even q: squaring is the Frobenius bijection, everything is a square.
-        """
-        if a == 0 or self.p == 2:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
-
     def sqrt(self, a):
-        """A square root of a, or None; the smaller encoding of the two roots."""
+        """A square root of a, or None when a is not a square; the smaller
+        encoding of the two roots."""
         if self._sqrt is None:
             roots = [None] * self.q
             for r in range(self.q - 1, -1, -1):
@@ -313,20 +301,9 @@ class FieldCtx:
     # -- element text syntax ----------------------------------------------
 
     def elem_str(self, a):
-        if self.e == 1:
-            return str(a)
-        digs = self.digits(a)
-        terms = []
-        for i in range(self.e - 1, -1, -1):
-            c = digs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "t" if i == 1 else "t^%d" % i
-                terms.append(var if c == 1 else "%d*%s" % (c, var))
-        return "+".join(terms) if terms else "0"
+        """The sum of c*t^i over the base-p digits c of a; a prime field
+        element is its one digit."""
+        return _sum_str(self.digits(a), "t", str)
 
     def elem_parse(self, s):
         """Parse the element syntax.  A prime field reads an integer mod p;
@@ -442,10 +419,6 @@ def pdivmod(ctx, A, B):
     return pnorm(q), pnorm(A)
 
 
-def pmod(ctx, A, B):
-    return pdivmod(ctx, A, B)[1]
-
-
 def ppow(ctx, A, n):
     r = (1,)
     while n:
@@ -465,31 +438,23 @@ def enumerate_irreducibles(ctx, d):
     out = []
     for tail in itertools.product(range(ctx.q), repeat=d):
         cand = tail + (1,)
-        if _irreducible_by_trial_division(ctx, cand):
+        if is_irreducible(ctx, cand):
             out.append(cand)
     return out
 
 
-def _irreducible_by_trial_division(ctx, P):
-    d = pdeg(P)
-    if d == 1:
-        return True
-    if P[0] == 0:  # divisible by X
-        return False
-    for k in range(1, d // 2 + 1):
-        for Q in enumerate_irreducibles(ctx, k):
-            if not pmod(ctx, P, Q):
-                return False
-    return True
-
-
 def is_irreducible(ctx, P):
-    """Irreducibility by trial division against sieved low-degree irreducibles."""
+    """Irreducibility of monic P by trial division against the sieved
+    irreducibles of each degree up to half its own."""
     if not is_monic(P):
         raise ValueError("irreducibility test requires a monic polynomial")
-    if pdeg(P) < 1:
+    d = pdeg(P)
+    if d < 1:
         raise ValueError("degree must be >= 1")
-    return _irreducible_by_trial_division(ctx, P)
+    if d > 1 and not P[0]:  # divisible by X
+        return False
+    return all(pdivmod(ctx, P, Q)[1] for k in range(1, d // 2 + 1)
+               for Q in enumerate_irreducibles(ctx, k))
 
 
 @memo(limit=10 ** 4)
@@ -532,26 +497,26 @@ def factor(ctx, P):
 # sparse descending in X, '+'-separated; coefficients in the element syntax.
 
 
-def poly_str(ctx, P):
-    if not P:
-        return "0"
+def _sum_str(coeffs, var, coef_str):
+    """The sum of c*var^i over the nonzero coefficients c of the ascending
+    list coeffs, highest power first, "0" when there is none; coef_str(c)
+    is the text of c, put in parentheses before var when it contains '+'."""
     terms = []
-    for i in range(len(P) - 1, -1, -1):
-        c = P[i]
-        if c == 0:
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if not c:
             continue
-        cs = ctx.elem_str(c)
+        cs = coef_str(c)
         if i == 0:
             terms.append(cs)
         else:
-            var = "X" if i == 1 else "X^%d" % i
-            if c == 1:
-                terms.append(var)
-            elif ctx.e > 1 and ("+" in cs):
-                terms.append("(%s)*%s" % (cs, var))
-            else:
-                terms.append("%s*%s" % (cs, var))
-    return "+".join(terms)
+            v = var if i == 1 else "%s^%d" % (var, i)
+            terms.append(v if c == 1 else ("(%s)*%s" if "+" in cs else "%s*%s") % (cs, v))
+    return "+".join(terms) or "0"
+
+
+def poly_str(ctx, P):
+    return _sum_str(P, "X", ctx.elem_str)
 
 
 def poly_parse(ctx, s):

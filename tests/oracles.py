@@ -8,7 +8,9 @@ projection pi_n through the product with the identity, the two extension
 predicates on partial isomorphisms, the per-term averages over left-fixed
 and over compatible extensions, the naive extensions by a scan of GL(k+),
 the middle-space automorphisms by a loop over their images and the padding
-law by ranks of powers.  They are slow and kept simple on purpose.  A few
+law by ranks of powers, the text of field elements and polynomials by
+term loops, and squareness by Euler's criterion.  They are slow and kept
+simple on purpose.  A few
 small helpers that only the tests read live here too.
 """
 
@@ -54,6 +56,54 @@ def peval(ctx, P, x):
     for c in reversed(P):
         r = ctx.add(ctx.mul(r, x), c)
     return r
+
+
+def is_square_by_euler(ctx, a):
+    """Euler's criterion: a is a square iff a = 0, q is even (squaring is
+    the Frobenius bijection) or a^((q-1)/2) = 1."""
+    return a == 0 or ctx.p == 2 or ctx.pow(a, (ctx.q - 1) // 2) == 1
+
+
+def elem_str_by_terms(ctx, a):
+    """The element syntax by a loop over the base-p digits, highest first."""
+    if ctx.e == 1:
+        return str(a)
+    digs = ctx.digits(a)
+    terms = []
+    for i in range(ctx.e - 1, -1, -1):
+        c = digs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        else:
+            var = "t" if i == 1 else "t^%d" % i
+            terms.append(var if c == 1 else "%d*%s" % (c, var))
+    return "+".join(terms) if terms else "0"
+
+
+def poly_str_by_terms(ctx, P):
+    """The polynomial syntax by a loop over the coefficients, highest first;
+    an extension-field coefficient with a '+' is parenthesised."""
+    if not P:
+        return "0"
+    terms = []
+    for i in range(len(P) - 1, -1, -1):
+        c = P[i]
+        if c == 0:
+            continue
+        cs = elem_str_by_terms(ctx, c)
+        if i == 0:
+            terms.append(cs)
+        else:
+            var = "X" if i == 1 else "X^%d" % i
+            if c == 1:
+                terms.append(var)
+            elif ctx.e > 1 and ("+" in cs):
+                terms.append("(%s)*%s" % (cs, var))
+            else:
+                terms.append("%s*%s" % (cs, var))
+    return "+".join(terms)
 
 
 def k11_of(mu):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from glfq import center, cli, partial_iso
-from glfq.conjtype import parse_polypartition
+from glfq.conjtype import linear_type, parse_polypartition
 from glfq.fields import make_field
 
 
@@ -204,6 +204,67 @@ def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, 
     assert (code, out) == (2, "")
     assert err == ("usage error: this verify suite needs %d partial isomorphisms, "
                    "above the cap of 1000000\n" % count)
+
+
+@pytest.mark.parametrize("argv,message", [
+    # (q - 1)^2 (q^2 + 1) invariant-product calls at q = 37
+    (("verify", "--suite", "degree1", "--q", "37"), "1775520 type_of calls"),
+    # the completed classes at n = 3 dominate: q^2 (q^2 + q + 1) per pair
+    (("verify", "--suite", "fh", "--q", "11"), "1324164 type_of calls"),
+    (("verify", "--suite", "fh", "--q", "16"), "13801819 type_of calls"),
+    (("verify", "--suite", "ranklaw", "--n", "40"), "1012823 law evaluations"),
+])
+def test_verify_suites_refuse_their_total_above_cap(capsys, monkeypatch, argv, message):
+    # the total over every unit pair, or over every law, is checked before
+    # the first one is computed
+    def compute_nothing(*args):
+        raise AssertionError("computation started")
+
+    for module, name in ((center, "generic_S"), (center, "fh_polynomials"),
+                         (cli.ranklaw, "rank_law")):
+        monkeypatch.setattr(module, name, compute_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == "usage error: this verify suite needs %s, above the cap of 1000000\n" % message
+
+
+def degree1_work(lam, mu):
+    return partial_iso.invariant_product_work(lam, mu, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("suite,work", [("degree1", degree1_work), ("fh", cli._fh_work)])
+def test_unit_pair_suites_name_the_sum_over_every_pair(capsys, monkeypatch, q, suite, work):
+    # the total weighs one pair of each kind; it equals the sum over all pairs
+    args = cli.build_parser().parse_args(["verify", "--suite", suite, "--q", str(q)])
+    ctx = cli._field_from_args(args)
+    units = range(1, q)
+    total = sum(work(linear_type(ctx, a), linear_type(ctx, b)) for a in units for b in units)
+    monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", total - 1)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--q", str(q))
+    assert (code, out, err) == (2, "", "usage error: this verify suite needs %d type_of calls, "
+                                       "above the cap of %d\n" % (total, total - 1))
+
+
+@pytest.mark.parametrize("suite", sorted(set(cli._SUITES) - {"naive"}))
+def test_every_suite_answers_at_once_over_a_large_field(capsys, suite):
+    # each suite at its default flags over F_65521 computes or is refused
+    t0 = time.monotonic()
+    code, _, _ = run(capsys, "verify", "--suite", suite, "--q", "65521")
+    assert time.monotonic() - t0 < 5.0
+    assert code in (0, 2)
+
+
+def test_class_product_over_a_large_prime_field_answers_at_once(capsys):
+    # the primitive element of F_q is tested on the divisors (q - 1)/r of
+    # the prime factors r of q - 1, not on every r <= q - 1
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "class-product", "--q", "100000007", "--n", "1",
+                         "--a", "{X+2:(1)}", "--b", "{X+3:(1)}")
+    assert time.monotonic() - t0 < 2.0
+    assert (code, out, err) == (0, "{X+100000001:(1)}  1\n", "")
 
 
 @pytest.mark.parametrize("q,a,b", [

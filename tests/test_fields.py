@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import peval
+from oracles import elem_str_by_terms, is_square_by_euler, peval, poly_str_by_terms
 
 from glfq.fields import (
     FieldCtx,
@@ -19,8 +19,10 @@ from glfq.fields import (
     linear_poly,
     make_field,
     pmul,
+    pnorm,
     poly_parse,
     poly_str,
+    prime_factors,
 )
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
@@ -52,10 +54,48 @@ def test_sqrt_and_is_square(p, e):
     ctx = make_field(p, e)
     squares = {ctx.mul(a, a) for a in ctx.elements()}
     for a in ctx.elements():
-        assert ctx.is_square(a) == (a in squares)
+        assert (ctx.sqrt(a) is not None) == (a in squares)
         if a in squares:
             r = ctx.sqrt(a)
             assert ctx.mul(r, r) == a
+
+
+# every field with q <= 49
+FIELDS_TO_49 = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+                for e in range(1, 6) if p ** e <= 49]
+
+
+@pytest.mark.parametrize("p,e", FIELDS_TO_49)
+def test_element_text_and_squares_match_the_oracles(p, e):
+    ctx = make_field(p, e)
+    for a in ctx.elements():
+        assert ctx.elem_str(a) == elem_str_by_terms(ctx, a)
+        assert (ctx.sqrt(a) is not None) == is_square_by_euler(ctx, a)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p, e in FIELDS_TO_49 if p ** e <= 9])
+def test_polynomial_text_matches_the_oracle(p, e):
+    # every polynomial of degree <= 2, the zero polynomial included
+    ctx = make_field(p, e)
+    for P in map(pnorm, itertools.product(ctx.elements(), repeat=3)):
+        assert poly_str(ctx, P) == poly_str_by_terms(ctx, P)
+        assert poly_parse(ctx, poly_str(ctx, P)) == P
+
+
+def test_prime_factors_match_a_sieve():
+    N = 3000
+    smallest = list(range(N))  # smallest prime factor, by the sieve of Eratosthenes
+    for d in range(2, N):
+        if smallest[d] == d:
+            for m in range(d * d, N, d):
+                smallest[m] = min(smallest[m], d)
+    for n in range(N):
+        expected, m = [], n
+        while m > 1:
+            expected.append(smallest[m])
+            while m % expected[-1] == 0:
+                m //= expected[-1]
+        assert prime_factors(n) == expected, n
 
 
 def test_abs_trace_additive_and_onto():
