@@ -1,16 +1,20 @@
 """Products of completed conjugacy classes in the centers Z(C GL(n, F_q)).
 
 The completed class of a polypartition mu with |mu| <= n pads mu(X - 1) with
-parts 1 so the matrices act on all of (F_q)^n.  This module computes the
-expansion C_{lam^n} * C_{mu^n} = sum_nu c^nu(n) C_nu by direct counting in
-the group, extracts the generic structure constants S^nu from the
-partial-isomorphism engine, and assembles, in GenericProduct, the
-polynomials p^nu(X), X = q^n, that describe the n-dependence of the c^nu in
-closed form; GenericProduct.at(n) evaluates them, for the engine's table and
-for the degree-1 closed form alike.  transport is the numeric Pi_n of one
-generic invariant at one n, through which the tests read the padding law.
+parts 1 so the matrices act on all of (F_q)^n.  This module expands each
+completed class in the images Pi_n(Ahat_nu) of the generic invariants
+(class_expansion), takes the generic structure constants S^nu of their
+products from the partial-isomorphism engine, and assembles, in
+GenericProduct, the polynomials p^nu(X), X = q^n, of the expansion
+C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n) evaluates
+them, for the engine's tables and for the degree-1 closed form alike, and
+class_product is their value at one n.  completed_product counts the same
+expansion in the group, as the oracle of verify_fh.  transport is the
+numeric Pi_n of one generic invariant at one n, through which the tests read
+the padding law.
 """
 
+import itertools
 from fractions import Fraction
 
 from . import linalg, subspaces
@@ -33,22 +37,22 @@ from .partial_iso import AlgElem, invariant_product, invariant_product_work
 
 # A request that would make more type_of calls than this, enumerate more
 # partial isomorphisms, or build a field with more trial divisions or table
-# elements, is refused before it enumerates anything (several minutes:
-# class-product at q = 2, n = 8 of {X+1:(2)} by itself, 32,385 elements,
-# takes 0.31 ms an element on a 2-vCPU VM, orbit walk included)
+# elements, is refused before it enumerates anything (several minutes: the
+# oracle completed_product at q = 2, n = 8 of {X+1:(2)} by itself, 32,385
+# elements, takes 0.31 ms an element on a 2-vCPU VM, orbit walk included)
 MAX_TYPE_OF_CALLS = 10 ** 6
 
 
 class WorkCapExceeded(ValueError):
     """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
-    enumerate as many partial isomorphisms, trial divisions or field table
-    elements."""
+    enumerate as many partial isomorphisms, subspaces, search atoms, trial
+    divisions or field elements."""
 
 
 def check_work(what, calls, unit="type_of calls"):
-    """Refuse a request (a "product", a "census", a "verify suite" or a
-    "field") that needs more than MAX_TYPE_OF_CALLS calls or enumerated
-    elements."""
+    """Refuse a request (a "product", a "padding law", a "census", a
+    "verify suite", a "closed form" or a "field") that needs more than
+    MAX_TYPE_OF_CALLS calls or enumerated elements."""
     if calls > MAX_TYPE_OF_CALLS:
         raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
                               % (what, calls, unit, MAX_TYPE_OF_CALLS))
@@ -116,14 +120,21 @@ def completed_product(lam, mu, n):
     return CentralVector(n, out)
 
 
-def generic_S(lam, mu):
+def generic_S(lam, mu, n=None):
     """Generic structure constants: Ahat_lam * Ahat_mu = sum S^nu Ahat_nu.
 
     Computed at n0 = |lam| + |mu| (the smallest ambient dimension where all
     output degrees fit); the compatibility maps make the coefficients
     independent of n >= n0, which the test suite verifies by recomputing at
-    n0 + 1 and n0 + 2."""
-    return invariant_product(lam, mu, lam.size + mu.size)
+    n0 + 1 and n0 + 2.  With n below n0 the table is computed at n, where
+    the same maps make it the S^nu with |nu| <= n."""
+    return invariant_product(lam, mu, _table_dim(lam, mu, n))
+
+
+def _table_dim(lam, mu, n):
+    """The ambient dimension of generic_S(lam, mu, n): min(n, n0)."""
+    n0 = lam.size + mu.size
+    return n0 if n is None else min(n, n0)
 
 
 class Laurent:
@@ -219,9 +230,14 @@ def _padding_profiles(ctx, pi):
     beyond Y: conjugating by diag(I, h) with h in GL(m) turns P into
     [Y | 0], which splits off an identity block, so core is read off the
     type of [[U, Y], [0, I_dim Y]], the basis of Y as the columns.
-    Cached: callers share the returned dict and only read it."""
+    Cached: callers share the returned dict and only read it.  Raises
+    WorkCapExceeded, before enumerating, when there are more than
+    MAX_TYPE_OF_CALLS subspaces Y (one type_of call each)."""
     if not pi:
         return {(0, ()): 1}
+    u = sum(pi)
+    check_work("padding law", sum(subspaces.num_subspaces(ctx.q, u, d) for d in range(u + 1)),
+               "subspaces")
     # the profile counts are invariant under conjugating U, so any matrix of
     # unipotent type pi will do
     U = jordan_matrix(with_unipotent(empty_polypartition(ctx), pi))
@@ -323,66 +339,155 @@ def completed_class_size_poly(tau):
     return out
 
 
+def _norm(tau):
+    """||tau|| = |tau| - l(tau(X-1)) = rank(g - 1) for g in C_tau, for a
+    reduced tau."""
+    return tau.size - len(tau.unipotent)
+
+
+def _gather(acc, key, value):
+    """acc[key] += value, for Laurent values."""
+    acc[key] = acc[key] + value if key in acc else value
+
+
+@memo
+def class_expansion(lam):
+    """C_{lam^n} = sum_nu a_nu(q^n) Pi_n(Ahat_nu) for every n >= |lam|, as
+    {nu: Laurent a_nu(X)}, for a reduced lam.  Cached: callers share the
+    returned dict and only read it.
+
+    Without (X-1) parts C_{lam^n} / card is Pi_n(Ahat_lam) / nf(|lam|), a
+    single term.  Otherwise Pi_n(Ahat_{lam-}), lam- with every (X-1) part
+    lowered by one, spreads over the completed classes as sum_tau c_tau C_tau
+    with c_tau = w_tau / card C_tau (_transport_poly): c_lam is a monomial
+    c X^e and every other tau has ||tau|| < ||lam||, so
+    C_lam = X^-e / c (Pi_n(Ahat_{lam-}) - sum_{tau != lam} c_tau C_tau)
+    recurses down ||.||."""
+    card = completed_class_size_poly(lam)  # refuses a lam that is not reduced
+    if not lam.unipotent:
+        return {lam: card / num_free_poly(lam.ctx.q, lam.size)}
+    low = with_unipotent(lam, [p - 1 for p in lam.unipotent])
+    rest = {tau: wt / completed_class_size_poly(tau)
+            for tau, wt in _transport_poly(low).items()}
+    lead = rest.pop(lam).terms
+    if len(lead) != 1 or any(_norm(tau) >= _norm(lam) for tau in rest):
+        raise AssertionError("Pi_n(Ahat) of %s does not lead with one monomial on %s"
+                             % (format_polypartition(low), format_polypartition(lam)))
+    ((e, c),) = lead.items()
+    inv = Laurent({-e: 1 / Fraction(c)})
+    out = {low: inv}
+    for tau, c_tau in rest.items():
+        scale = inv * c_tau * -1
+        for nu, a in class_expansion(tau).items():
+            _gather(out, nu, scale * a)
+    return {nu: a for nu, a in out.items() if a}
+
+
+def product_work(lam, mu, n=None):
+    """The type_of calls of fh_polynomials(lam, mu, n), in closed form: the
+    invariant-product work of every pair of the two class expansions, which
+    does not grow with n."""
+    lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
+    return sum(invariant_product_work(nu, nu2, _table_dim(nu, nu2, n))
+               for nu in class_expansion(lam) for nu2 in class_expansion(mu))
+
+
 class GenericProduct:
-    """C_{lam^n} * C_{mu^n} for all n >= |lam| + |mu| at once, from a table S
-    of Ahat-basis constants of two types lam, mu without (X-1) parts.  Then
-    C_{lam^n}/card is exactly Pi_n(Ahat_lam)/num_free_families, so
+    """C_{lam^n} * C_{mu^n} for every n >= max(|lam|, |mu|) at once, for
+    reduced lam and mu, from tables {(nu, nu2): S} of Ahat-basis constants
+    Ahat_nu Ahat_nu2 = sum_rho S^rho Ahat_rho, one per pair of the class
+    expansions (class_expansion).  Pi_n is an algebra morphism, so
 
-        C_{lam^n} C_{mu^n} = card C_{lam^n} card C_{mu^n}
-                             / (nf_k nf_l) * sum_nu S^nu Pi_n(Ahat_nu),
+        C_{lam^n} C_{mu^n} = sum_{nu, nu2} a_nu a_nu2 sum_rho S^rho Pi_n(Ahat_rho),
 
-    and expanding each Pi_n(Ahat_nu) by the padded-unipotent law
-    (_transport_poly) gives rhs: per reduced output type, a ratio of Laurent
-    polynomials in X = q^n whose exact quotient p^nu(X) is checked to be a
-    genuine polynomial."""
+    and expanding each Pi_n(Ahat_rho) by the padded-unipotent law
+    (_transport_poly) gives rhs: per reduced output type tau, the exact
+    quotient p^tau(X) of a Laurent polynomial by card C_{tau^n}, checked to
+    be a genuine polynomial of degree at most ||lam|| + ||mu|| - ||tau||.
+    Without (X-1) parts the one pair is (lam, mu), and a_lam a_mu is
+    card C_lam card C_mu / (nf(|lam|) nf(|mu|)).
 
-    __slots__ = ("ctx", "lhs", "rhs", "S")
+    Tables taken at an ambient dimension top below n0 = |nu| + |nu2| hold
+    only the S^rho with |rho| <= top; the Pi_n(Ahat_rho) they leave out
+    vanish for n <= top, so at(n) then answers for n <= top."""
 
-    def __init__(self, lam, mu, S):
-        self.ctx, self.lhs, self.S = lam.ctx, (lam, mu), S
-        q = lam.ctx.q
+    __slots__ = ("ctx", "lhs", "tables", "rhs", "top")
+
+    def __init__(self, lam, mu, tables, top=None):
+        self.ctx, self.lhs, self.tables, self.top = lam.ctx, (lam, mu), tables, top
+        expansions = class_expansion(lam), class_expansion(mu)
+        if set(tables) != set(itertools.product(*expansions)):
+            raise ValueError("need one table per pair of the class expansions")
+        coeff = {}
+        for (nu, nu2), S in tables.items():
+            a = expansions[0][nu] * expansions[1][nu2]
+            for rho, s in S.items():
+                _gather(coeff, rho, a * s)
         gathered = {}
-        for nu, S_nu in S.items():
-            for tau, wt in _transport_poly(nu).items():
-                wt = wt * S_nu
-                gathered[tau] = gathered[tau] + wt if tau in gathered else wt
-        # scale by card C_{lam^n} card C_{mu^n} / (nf_k nf_l) / card C_{tau^n}
-        scale = ((completed_class_size_poly(lam) * completed_class_size_poly(mu))
-                 / (num_free_poly(q, lam.size) * num_free_poly(q, mu.size)))
+        for rho, c in coeff.items():
+            for tau, wt in _transport_poly(rho).items():
+                _gather(gathered, tau, c * wt)
+        bound = _norm(lam) + _norm(mu)
         self.rhs = {}
         for tau, wt in gathered.items():
-            poly = wt * scale / completed_class_size_poly(tau)
+            poly = wt / completed_class_size_poly(tau)
             if not poly:
                 continue
             if min(poly.terms) < 0:
                 raise AssertionError("negative powers survive for %r" % (tau,))
+            if max(poly.terms) > bound - _norm(tau):
+                raise AssertionError("p^%s has degree %d, above %d"
+                                     % (format_polypartition(tau), max(poly.terms),
+                                        bound - _norm(tau)))
             self.rhs[tau] = poly
 
     def at(self, n):
         """C_{lam^n} * C_{mu^n} as a CentralVector: p^nu(q^n) on C_{nu^n}
-        for every nu with |nu| <= n.  Needs n >= |lam| + |mu|."""
+        for every nu with |nu| <= n.  Needs max(|lam|, |mu|) <= n, and
+        n <= top when the tables stop at top."""
         lam, mu = self.lhs
-        if n < lam.size + mu.size:
-            raise ValueError("n must be at least |lam| + |mu|")
+        if n < max(lam.size, mu.size):
+            raise ValueError("n must be at least max(|lam|, |mu|)")
+        if self.top is not None and n > self.top:
+            raise ValueError("the tables hold n <= %d only" % self.top)
         x = Fraction(self.ctx.q) ** n
-        # no class C_{nu^n} exists for |nu| > n: its size vanishes at q^n
+        # no class C_{nu^n} exists for |nu| > n: its size vanishes at q^n,
+        # although p^nu(q^n) need not
         return CentralVector(n, {
             complete(nu, n): poly(x) for nu, poly in self.rhs.items() if nu.size <= n})
 
 
-def fh_polynomials(lam, mu):
-    """The GenericProduct of the reduced lam and mu, with the engine's table
-    generic_S; refused when either keeps (X-1) parts.  Raises WorkCapExceeded,
-    before any enumeration, when the invariant product at n0 = |lam| + |mu|
+def fh_polynomials(lam, mu, n=None):
+    """The GenericProduct of the reduced lam and mu, with the engine's
+    tables generic_S(nu, nu2) over the pairs of the class expansions.  With
+    n, each table is generic_S(nu, nu2, n), which is all at(n) reads, and
+    the result answers up to n.  Raises
+    WorkCapExceeded, before any enumeration, when those invariant products
     would make more than MAX_TYPE_OF_CALLS type_of calls."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
-    bad = [t for t in (lam, mu) if t.unipotent]
-    if bad:
-        raise ValueError("inputs must have no (X-1) parts after reduction: %s"
-                         % ", ".join(map(format_polypartition, bad)))
-    check_work("product", invariant_product_work(lam, mu, lam.size + mu.size))
-    return GenericProduct(lam, mu, generic_S(lam, mu))
+    check_work("product", product_work(lam, mu, n))
+    tables = {(nu, nu2): generic_S(nu, nu2, n)
+              for nu in class_expansion(lam) for nu2 in class_expansion(mu)}
+    return GenericProduct(lam, mu, tables, n)
+
+
+def class_product(lam, mu, n):
+    """C_{lam^n} * C_{mu^n} as an integer CentralVector, from
+    fh_polynomials(lam, mu, n).at(n): nothing is enumerated but the class
+    expansions and their invariant products, whose cost does not grow with
+    n.  Checked integral and by the mass identity
+    sum_nu c^nu card C_nu = card C_{lam^n} card C_{mu^n}."""
+    if lam.size > n or mu.size > n:
+        raise ValueError("type size exceeds n")
+    out = fh_polynomials(lam, mu, n).at(n)
+    if not out.is_integral():
+        raise AssertionError("class product is not integral: %r" % out)
+    mass = sum(c * class_size(t, n) for t, c in out.terms.items())
+    want = class_size(complete(lam, n), n) * class_size(complete(mu, n), n)
+    if mass != want:
+        raise AssertionError("class product has mass %s, not %d" % (mass, want))
+    return out
 
 
 def verify_fh(gp, n_list):

@@ -170,7 +170,7 @@ def cmd_class_product(args):
         if t.size > n:
             raise SystemExit2("%s has size %d, above --n %d"
                               % (format_polypartition(t), t.size, n))
-    out = center.completed_product(lam, mu, n)
+    out = center.class_product(lam, mu, n)
     _print_coeffs(out.terms, args.json)
     return 0
 
@@ -202,9 +202,14 @@ def cmd_generic_product(args):
                      "poly": [_frac_str(c) for c in poly.coeffs]}
                     for nu, poly in sorted(gp.rhs.items())
                 ],
+                # S^type of Ahat_lhs[0] Ahat_lhs[1], one table per pair of the
+                # class expansions; lhs defaults to the request's own
                 "S": [
-                    {"type": format_polypartition(nu), "coeff": _frac_str(c)}
-                    for nu, c in sorted(gp.S.items())
+                    dict({"type": format_polypartition(nu), "coeff": _frac_str(c)},
+                         **({} if pair == gp.lhs else
+                            {"lhs": [format_polypartition(t) for t in pair]}))
+                    for pair, S in sorted(gp.tables.items())
+                    for nu, c in sorted(S.items())
                 ],
             },
             indent=2,
@@ -231,6 +236,9 @@ def cmd_degree1(args):
     a = _unit(ctx, "--a", args.a)
     b = _unit(ctx, "--b", args.b)
     if args.n is None:
+        # the closed form sums over every element of F_q, and its answer
+        # has about q terms
+        center.check_work("closed form", ctx.q, "field elements")
         case = degree1.classify(ctx, a, b)
         out = degree1.degree1_product(ctx, a, b)
         if args.json:
@@ -319,8 +327,17 @@ def _suite_assoc(ctx, n, rng, samples):
         samples, n, ctx.q)
 
 
+def _naive_atoms(q, n):
+    """The atoms naive_product_counterexample searches, in closed form: a
+    k-space L of (F_q)^n, two automorphisms of L other than the identity and
+    a (k+1)-space containing L, for k = 1, 2."""
+    return sum(subspaces.num_subspaces(q, n, k) * (gl_order(q, k) - 1) ** 2
+               * subspaces.num_subspaces(q, n - k, 1) for k in (1, 2))
+
+
 def _suite_naive(ctx, n, rng, samples):
     _at_least("--n", n, 3 if ctx.q == 2 else 2)
+    center.check_work("verify suite", _naive_atoms(ctx.q, n), "atoms")
     triple = partial_iso.naive_product_counterexample(ctx, n)
     return True, "counterexample found: %r" % (triple,)
 
@@ -400,20 +417,23 @@ def _suite_ranklaw(ctx, n, rng, samples):
     return True, "laws are probability measures up to n=%d, q=%d" % (n, q)
 
 
-def _unit_pairs(ctx, work):
-    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b, refused
-    before the first pair when work(lam, mu) summed over the pairs is above
-    the cap.  The types {X-a:(1)} with a != 1 differ only in their label,
-    so a pair's work depends only on which of a, b is 1, and the sum weighs
-    one pair of each kind by its number of pairs (the unit q - 1 stands for
-    the q - 2 units other than 1, none at q = 2)."""
+def _unit_pairs(ctx, work, left=()):
+    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b, then
+    (the text of lam, b, lam, {X-b:(1)}) for each type lam of left and every
+    unit b; refused before the first pair when work(lam, mu) summed over the
+    pairs is above the cap.  The types {X-a:(1)} with a != 1 differ only in
+    their label, so a pair's work depends only on which of a, b is 1, and
+    the sum weighs one pair of each kind by its number of pairs (the unit
+    q - 1 stands for the q - 2 units other than 1, none at q = 2)."""
     q = ctx.q
     kinds = ((linear_type(ctx, 1), 1), (linear_type(ctx, q - 1), q - 2))
-    center.check_work("verify suite", sum(i * j * work(lam, mu) for lam, i in kinds
+    lefts = kinds + tuple((lam, 1) for lam in left)
+    center.check_work("verify suite", sum(i * j * work(lam, mu) for lam, i in lefts
                                           for mu, j in kinds))
     units = range(1, q)
     types = {a: linear_type(ctx, a) for a in units}
-    return [(a, b, types[a], types[b]) for a in units for b in units]
+    return ([(a, b, types[a], types[b]) for a in units for b in units]
+            + [(format_polypartition(lam), b, lam, types[b]) for lam in left for b in units])
 
 
 def _suite_degree1(ctx, n, rng, samples):
@@ -428,16 +448,19 @@ def _fh_work(lam, mu):
     """The type_of calls of fh_polynomials(lam, mu) and of verify_fh at
     n = 2 and 3, which enumerates the smaller completed class."""
     lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
-    return (partial_iso.invariant_product_work(lam, mu, lam.size + mu.size)
+    return (center.product_work(lam, mu)
             + sum(min(class_size(complete(t, n), n) for t in (lam, mu)) for n in (2, 3)))
 
 
 def _suite_fh(ctx, n, rng, samples):
-    for a, b, lam, mu in _unit_pairs(ctx, _fh_work):
+    # the degree-1 pairs, then the transvections {X-1:(2)}, whose class
+    # expansion has several terms, against each of them
+    for a, b, lam, mu in _unit_pairs(ctx, _fh_work, [linear_type(ctx, 1, (2,))]):
         report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])
         if any(report.values()):
-            return False, "fh mismatch at a=%d b=%d" % (a, b)
-    return True, "fh polynomials verified for degree-1 pairs, q=%d" % ctx.q
+            return False, "fh mismatch at a=%s b=%d" % (a, b)
+    return True, ("fh polynomials verified for degree-1 pairs and {X-1:(2)}, q=%d"
+                  % ctx.q)
 
 
 def _suite_phi(ctx, n, rng, samples):

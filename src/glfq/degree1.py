@@ -140,7 +140,7 @@ def project_degree1(ctx, a, b, n):
     """C_{{X-a:(1)}^n} * C_{{X-b:(1)}^n} as an integer CentralVector.
 
     Unit factors are trivial (the completed class of {X-1:(1)} is the
-    identity class); otherwise the degree-1 closed form is the table of
+    identity class); otherwise the degree-1 closed form is the one table of
     center.GenericProduct, whose structure polynomials are evaluated at n.
     The test suite checks the result against the brute-force class
     product."""
@@ -151,7 +151,7 @@ def project_degree1(ctx, a, b, n):
     lam, mu = linear_type(ctx, a), linear_type(ctx, b)
     if a == 1 or b == 1:
         return center.CentralVector(n, {center.complete(mu if a == 1 else lam, n): 1})
-    result = center.GenericProduct(lam, mu, degree1_product(ctx, a, b)).at(n)
+    result = center.GenericProduct(lam, mu, {(lam, mu): degree1_product(ctx, a, b)}).at(n)
     if not result.is_integral():
         raise AssertionError("projected product is not integral: %r" % result)
     return result

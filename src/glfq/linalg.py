@@ -170,17 +170,22 @@ def charpoly(ctx, A):
 
 
 def apply_poly(ctx, P, A):
-    """P(A) for a square matrix A, by Horner's rule from the leading
-    coefficient times the identity."""
+    """P(A) for a square matrix A, by Horner's rule.  Its first step, the
+    leading coefficient times A, is A itself for a monic P: no product by
+    the identity."""
     n, _ = shape(A)
-    if not P:
-        return zeros(n, n)
-    R = tuple(tuple(P[-1] if i == j else 0 for j in range(n)) for i in range(n))
-    for c in reversed(P[:-1]):
-        R = mat_mul(ctx, R, A)
-        if c:
-            R = tuple(row[:i] + (ctx.add(row[i], c),) + row[i + 1:]
-                      for i, row in enumerate(R))
+
+    def plus(R, c):  # R + c I
+        if not c:
+            return R
+        return tuple(row[:i] + (ctx.add(row[i], c),) + row[i + 1:] for i, row in enumerate(R))
+
+    if len(P) < 2:
+        return plus(zeros(n, n), P[0] if P else 0)
+    R = A if P[-1] == 1 else tuple(tuple(ctx.row_scale(P[-1], row)) for row in A)
+    R = plus(R, P[-2])
+    for c in reversed(P[:-2]):
+        R = plus(mat_mul(ctx, R, A), c)
     return R
 
 

@@ -590,8 +590,9 @@ def _invariant_product_classes(ctx, lam, mu, n):
     mat_mul = linalg.mat_mul
 
     def blocks(G, size):
-        # every [[G, P], [0, I]] of the given size
-        cols = subspaces.full_subspace(len(G)).vectors(ctx)
+        # every [[G, P], [0, I]] of the given size; the q^k columns P draws
+        # from are not listed when P has none
+        cols = subspaces.full_subspace(len(G)).vectors(ctx) if size > len(G) else ()
         return [linalg.block(G, P) for P in itertools.product(cols, repeat=size - len(G))]
 
     out = {}

@@ -159,9 +159,14 @@ def _free_families(ctx, rows, rref_rows, pool, size):
         yield tuple(rows)
         return
     zero = (0,) * len(pool[0])
+    last = len(rows) + 1 == size  # the family is then full: no RREF to update
     for v in pool:
         r = reduce_against(ctx, v, rref_rows)
-        if r != zero:
+        if r == zero:
+            continue
+        if last:
+            yield tuple(rows) + (v,)
+        else:
             yield from _free_families(ctx, rows + [v], _rref_with(ctx, rref_rows, r),
                                       pool, size)
 

@@ -9,7 +9,9 @@ predicates on partial isomorphisms, the per-term averages over left-fixed
 and over compatible extensions, the naive extensions by a scan of GL(k+),
 the middle-space automorphisms by a loop over their images and the padding
 law by ranks of powers, the text of field elements and polynomials by
-term loops, and squareness by Euler's criterion.  They are slow and kept
+term loops, squareness by Euler's criterion, GL(n, F_q) by the rank of
+every matrix, polynomials of matrices by sums of powers, and the atoms of
+the naive search by a scan of the subspaces.  They are slow and kept
 simple on purpose.  A few
 small helpers that only the tests read live here too.
 """
@@ -352,3 +354,36 @@ def padding_profiles_by_ranks(ctx, pi):
             core = tuple(x + 1 for x in Partition(tuple(drops)).conjugate().parts)
             out[d, core] = out.get((d, core), 0) + 1
     return out
+
+
+def invertible_by_rank(ctx, n):
+    """GL(n, F_q) as every one of the q^(n^2) matrices of full rank, rows
+    in lexicographic order (the order of enumerate_completions)."""
+    rows = list(itertools.product(ctx.elements(), repeat=n))
+    return [M for M in itertools.product(rows, repeat=n) if linalg.rank(ctx, M) == n]
+
+
+def apply_poly_by_powers(ctx, P, A):
+    """P(A) as sum_i P[i] A^i, term by term."""
+    n = len(A)
+    out, power = linalg.zeros(n, n), linalg.identity(n)
+    for c in P:
+        out = tuple(tuple(ctx.add(x, ctx.mul(c, y)) for x, y in zip(orow, prow))
+                    for orow, prow in zip(out, power))
+        power = linalg.mat_mul(ctx, power, A)
+    return out
+
+
+def naive_atoms_by_scan(ctx, n):
+    """The number of atoms of partial_iso.naive_product_counterexample: for
+    k = 1, 2, a k-space L, two automorphisms of it other than the identity,
+    and a (k+1)-space containing L, counted by a scan of the subspaces."""
+    total = 0
+    for k in (1, 2):
+        if k + 1 > n:
+            continue
+        others = len(enumerate_gl(ctx, k)) - 1
+        bigs = subspaces.enumerate_subspaces(ctx, n, k + 1)
+        for L in subspaces.enumerate_subspaces(ctx, n, k):
+            total += others * others * sum(1 for P in bigs if P.contains(ctx, L))
+    return total

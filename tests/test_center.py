@@ -14,9 +14,11 @@ from glfq.conjtype import (
     class_size,
     complete,
     empty_polypartition,
+    enumerate_polypartitions,
     jordan_matrix,
     parse_polypartition,
     partitions_of,
+    reduce_polypartition,
     type_of,
 )
 from glfq.fields import linear_poly, make_field
@@ -209,13 +211,17 @@ def test_generic_S_independent_of_ambient_dimension(q, a, b, extra):
 
 
 def test_fh_polynomials_reject_unipotent_parts():
+    # parts 1 on X - 1 are refused where the types must be reduced, and
+    # fh_polynomials reduces before it expands: {X+1:(2,1)} is {X+1:(2)}
     ctx = make_field(2)
-    lam = parse_polypartition(ctx, "{X+1:(2)}")
+    lam = parse_polypartition(ctx, "{X+1:(2,1)}")
     good = parse_polypartition(ctx, "{X^2+X+1:(1)}")
-    with pytest.raises(ValueError):
-        center.fh_polynomials(lam, good)
-    with pytest.raises(ValueError):
-        center.fh_polynomials(good, lam)
+    with pytest.raises(ValueError, match="not reduced"):
+        center.class_expansion(lam)
+    with pytest.raises(ValueError, match="not reduced"):
+        center.GenericProduct(good, lam, {})
+    reduced = center.fh_polynomials(parse_polypartition(ctx, "{X+1:(2)}"), good)
+    assert center.fh_polynomials(lam, good).rhs == reduced.rhs
 
 
 @pytest.mark.parametrize("q,lam_s,mu_s,n_list", [
@@ -236,11 +242,134 @@ def test_fh_polynomials_match_brute_force(q, lam_s, mu_s, n_list):
     assert all(max(p.terms) >= 0 for p in gp.rhs.values())
 
 
+def field(q):
+    return make_field(2, 2) if q == 4 else make_field(q)
+
+
+@pytest.mark.parametrize("q,size", [(2, 4), (3, 3), (4, 2)])
+def test_class_expansion_sums_to_the_completed_class(q, size):
+    # sum_nu a_nu(q^n) Pi_n(Ahat_nu) is C_{lam^n} itself at n = |lam| and
+    # |lam| + 1, for every reduced type with (X-1) parts up to the size
+    ctx = field(q)
+    lams = {reduce_polypartition(t) for s in range(1, size + 1)
+            for t in enumerate_polypartitions(ctx, s)}
+    for lam in (t for t in lams if t.unipotent):
+        expansion = center.class_expansion(lam)
+        assert len(expansion) > 1
+        for n in (lam.size, lam.size + 1):
+            x = Fraction(q) ** n
+            got = {}
+            for nu, a in expansion.items():
+                for tau, c in center.transport(nu, n).terms.items():
+                    got[tau] = got.get(tau, 0) + a(x) * c
+            assert center.CentralVector(n, got) == center.CentralVector(n, {complete(lam, n): 1})
+
+
+# ROADMAP item 1: pairs with (X-1) parts at n0 = |lam| + |mu| and above;
+# item 3: pairs at max(|lam|, |mu|) <= n < n0.  Left out for time here:
+# {X+1:(3)}^2 at q = 2, n = 5 and 6, {X^2+1:(1)}^2 at q = 3 and
+# {X+4:(2)}.{X+2:(1)} at q = 5, n = 4 (6 s, 143 s, 4 s and 3 s).
+@pytest.mark.parametrize("q,lam_s,mu_s,n_list", [
+    (2, "{}", "{X+1:(2)}", [2, 3]),
+    (2, "{X+1:(2)}", "{X+1:(2)}", [2, 3, 4, 5]),
+    (2, "{X+1:(2)}", "{X^2+X+1:(1)}", [2, 3, 4, 5]),
+    (2, "{X^2+X+1:(1)}", "{X^2+X+1:(1)}", [2, 3]),
+    (2, "{X+1:(3)}", "{X+1:(2)}", [3, 4, 5]),
+    (2, "{X+1:(2,2)}", "{X+1:(2)}", [6]),
+    (2, "{X+1:(3)}", "{X+1:(3)}", [3, 4]),
+    (3, "{X+2:(1)}", "{X+2:(1)}", [1]),
+    (3, "{X+1:(1)}", "{X+1:(1)}", [1]),
+    (3, "{X+1:(2)}", "{X+2:(1)}", [2]),
+    (3, "{}", "{X+2:(2)}", [2, 3]),
+    (3, "{X+1:(1)}", "{X+2:(2)}", [3, 4]),
+    (3, "{X+2:(2)}", "{X+2:(2)}", [2, 3, 4]),
+    (3, "{X+1:(2)}", "{X+2:(2)}", [4]),
+    (3, "{X+1:(1,1)}", "{X+2:(2)}", [4]),
+    (3, "{X^2+1:(1)}", "{X+2:(2)}", [4]),
+    (3, "{X^2+X+2:(1)}", "{X+2:(2)}", [4]),
+    (3, "{X^2+2*X+2:(1)}", "{X+2:(2)}", [4]),
+    (4, "{X+1:(2)}", "{X+1:(2)}", [4]),
+    (4, "{X+1:(2)}", "{X+t:(1)}", [3]),
+    (4, "{X+t:(1)}", "{X+t+1:(1)}", [1]),
+    (5, "{X+4:(2)}", "{X+2:(1)}", [3]),
+])
+def test_fh_polynomials_match_enumeration_at_every_n(q, lam_s, mu_s, n_list):
+    ctx = field(q)
+    lam, mu = parse_polypartition(ctx, lam_s), parse_polypartition(ctx, mu_s)
+    gp = center.fh_polynomials(lam, mu)
+    assert center.verify_fh(gp, n_list) == {n: {} for n in n_list}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_fh_polynomials_keep_the_degree_bound(q):
+    # deg p^tau <= ||lam|| + ||mu|| - ||tau||, ||tau|| = rank(g - 1) on C_tau,
+    # on the pairs of reduced types of size <= 2 whose tables are cheap
+    ctx = field(q)
+    types = sorted({reduce_polypartition(t) for s in range(3)
+                    for t in enumerate_polypartitions(ctx, s)})
+    norm = center._norm
+    checked = 0
+    for lam, mu in itertools.combinations_with_replacement(types, 2):
+        if center.product_work(lam, mu) > 10 ** 4:
+            continue
+        gp = center.fh_polynomials(lam, mu)
+        for tau, poly in gp.rhs.items():
+            assert 0 <= min(poly.terms) <= max(poly.terms) <= norm(lam) + norm(mu) - norm(tau)
+        checked += 1
+    assert checked >= (6 if q == 2 else 20)
+
+
+def test_small_tables_answer_at_small_n_only():
+    # tables taken at n below n0 hold the S^nu with |nu| <= n; the product
+    # they give equals the generic one at that n and is refused above it
+    ctx = make_field(3)
+    lam = parse_polypartition(ctx, "{X+2:(2)}")
+    mu = parse_polypartition(ctx, "{X+1:(1)}")
+    full = center.fh_polynomials(lam, mu)
+    for n in (2, 3):
+        small = center.fh_polynomials(lam, mu, n)
+        assert small.at(n) == full.at(n) == center.completed_product(lam, mu, n)
+        with pytest.raises(ValueError, match="n <= %d only" % n):
+            small.at(n + 1)
+
+
+def test_class_product_at_large_n_keeps_the_mass(monkeypatch):
+    # n = 50: nothing is enumerated, and the constants are integers whose
+    # masses add up to card C_lam card C_mu
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(center, "class_orbit", enumerate_nothing)
+    monkeypatch.setattr(center, "completed_product", enumerate_nothing)
+    ctx = make_field(2)
+    lam = parse_polypartition(ctx, "{X+1:(3)}")
+    mu = parse_polypartition(ctx, "{X+1:(2,2)}")
+    n = 50
+    out = center.class_product(lam, mu, n)
+    assert out.is_integral() and len(out.terms) > 10
+    assert all(t.size == n for t in out.terms)
+    assert (sum(c * class_size(t, n) for t, c in out.terms.items())
+            == class_size(complete(lam, n), n) * class_size(complete(mu, n), n))
+
+
+def test_padding_law_refused_above_cap(monkeypatch):
+    # sum_d [6 choose d]_3 = 56,632 subspaces for pi = (2, 2, 2) at q = 3,
+    # counted before any of them is listed
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(center.subspaces, "enumerate_subspaces", enumerate_nothing)
+    monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 56631)
+    with pytest.raises(center.WorkCapExceeded,
+                       match="this padding law needs 56632 subspaces, above the cap of 56631"):
+        center._padding_profiles.__wrapped__(make_field(3), (2, 2, 2))
+
+
 def test_fh_verify_rejects_small_n():
     ctx = make_field(3)
     lam = parse_polypartition(ctx, "{X+1:(1)}")
     with pytest.raises(ValueError):
-        center.verify_fh(center.fh_polynomials(lam, lam), [1])
+        center.verify_fh(center.fh_polynomials(lam, lam), [0])
 
 
 def test_laurent_basics():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,16 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from glfq import center, cli, partial_iso
-from glfq.conjtype import linear_type, parse_polypartition
+from glfq.conjtype import (
+    class_size,
+    complete,
+    enumerate_polypartitions,
+    format_polypartition,
+    linear_type,
+    parse_polypartition,
+)
 from glfq.fields import make_field
 
 
@@ -50,13 +59,16 @@ def test_class_size_at_q_4096(capsys):
 
 
 def test_generic_product_names_inputs_with_unipotent_parts(capsys):
+    # {X+1:(2)} expands over Pi_n(Ahat_{X+1:(1)}) and Pi_n(Ahat_{}): one S
+    # table per pair, each naming its pair, and the polynomials verified
     code, out, err = run(
         capsys, "generic-product", "--q", "2", "--a", "{X+1:(2)}",
-        "--b", "{X^2+X+1:(1)}")
-    assert code == 1
-    assert out == ""
-    assert err.strip() == (
-        "error: inputs must have no (X-1) parts after reduction: {X+1:(2)}")
+        "--b", "{X^2+X+1:(1)}", "--verify-at", "4", "--json")
+    assert (code, err) == (0, "verification at n=4: PASS\n")
+    data = json.loads(out)
+    assert data["lhs"] == ["{X+1:(2)}", "{X^2+X+1:(1)}"]
+    assert {tuple(d["lhs"]) for d in data["S"]} == {
+        ("{X+1:(1)}", "{X^2+X+1:(1)}"), ("{}", "{X^2+X+1:(1)}")}
 
 
 def test_generic_product_json_roundtrip(capsys):
@@ -73,8 +85,10 @@ def test_generic_product_json_roundtrip(capsys):
     assert all("/" in c for d in data["rhs"] for c in d["poly"])
     assert {d["type"]: [Fraction(c) for c in d["poly"]] for d in data["rhs"]} == {
         center.format_polypartition(nu): list(poly.coeffs) for nu, poly in gp.rhs.items()}
+    # one table, for the pair of the inputs themselves: no entry names it
+    assert all(set(d) == {"type", "coeff"} for d in data["S"])
     assert {d["type"]: Fraction(d["coeff"]) for d in data["S"]} == {
-        center.format_polypartition(nu): c for nu, c in gp.S.items()}
+        center.format_polypartition(nu): c for nu, c in gp.tables[lam, lam].items()}
 
 
 def test_census_json_consistent_with_class_size(capsys):
@@ -135,20 +149,22 @@ def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
 
 
 def test_class_product_refuses_work_above_cap(capsys, monkeypatch):
-    # C_{X+1:(1)} in GL(9, F_5) has 190,734,765,625 elements; the closed-form
-    # count is refused before any enumeration
+    # the invariant product of {X^2+2:(1)} with itself at n0 = 4 makes
+    # 7,887,520 type_of calls at any n >= 4; the closed-form count is
+    # refused before any enumeration
     def enumerate_nothing(*args):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(center, "class_orbit", enumerate_nothing)
+    monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
     t0 = time.monotonic()
     code, out, err = run(
         capsys, "class-product", "--q", "5", "--n", "9",
-        "--a", "{X+1:(1)}", "--b", "{X+1:(1)}")
+        "--a", "{X^2+2:(1)}", "--b", "{X^2+2:(1)}")
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert err == ("usage error: this product needs 190734765625 type_of calls, "
+    assert err == ("usage error: this product needs 7887520 type_of calls, "
                    "above the cap of 1000000\n")
 
 
@@ -210,8 +226,8 @@ def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, 
     # (q - 1)^2 (q^2 + 1) invariant-product calls at q = 37
     (("verify", "--suite", "degree1", "--q", "37"), "1775520 type_of calls"),
     # the completed classes at n = 3 dominate: q^2 (q^2 + q + 1) per pair
-    (("verify", "--suite", "fh", "--q", "11"), "1324164 type_of calls"),
-    (("verify", "--suite", "fh", "--q", "16"), "13801819 type_of calls"),
+    (("verify", "--suite", "fh", "--q", "11"), "1469995 type_of calls"),
+    (("verify", "--suite", "fh", "--q", "16"), "14783615 type_of calls"),
     (("verify", "--suite", "ranklaw", "--n", "40"), "1012823 law evaluations"),
 ])
 def test_verify_suites_refuse_their_total_above_cap(capsys, monkeypatch, argv, message):
@@ -237,18 +253,22 @@ def degree1_work(lam, mu):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
 @pytest.mark.parametrize("suite,work", [("degree1", degree1_work), ("fh", cli._fh_work)])
 def test_unit_pair_suites_name_the_sum_over_every_pair(capsys, monkeypatch, q, suite, work):
-    # the total weighs one pair of each kind; it equals the sum over all pairs
+    # the total weighs one pair of each kind; it equals the sum over all
+    # pairs, and fh pairs {X-1:(2)} with every unit as well
     args = cli.build_parser().parse_args(["verify", "--suite", suite, "--q", str(q)])
     ctx = cli._field_from_args(args)
     units = range(1, q)
-    total = sum(work(linear_type(ctx, a), linear_type(ctx, b)) for a in units for b in units)
+    lefts = [linear_type(ctx, a) for a in units]
+    if suite == "fh":
+        lefts.append(linear_type(ctx, 1, (2,)))
+    total = sum(work(lam, linear_type(ctx, b)) for lam in lefts for b in units)
     monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", total - 1)
     code, out, err = run(capsys, "verify", "--suite", suite, "--q", str(q))
     assert (code, out, err) == (2, "", "usage error: this verify suite needs %d type_of calls, "
                                        "above the cap of %d\n" % (total, total - 1))
 
 
-@pytest.mark.parametrize("suite", sorted(set(cli._SUITES) - {"naive"}))
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
 def test_every_suite_answers_at_once_over_a_large_field(capsys, suite):
     # each suite at its default flags over F_65521 computes or is refused
     t0 = time.monotonic()
@@ -267,6 +287,81 @@ def test_class_product_over_a_large_prime_field_answers_at_once(capsys):
     assert (code, out, err) == (0, "{X+100000001:(1)}  1\n", "")
 
 
+def enumerate_nothing(*args):
+    raise AssertionError("enumeration started")
+
+
+def test_class_product_matches_enumeration_on_a_seeded_sweep(capsys, monkeypatch):
+    # 40 requests drawn from the pairs of types of size <= 2 at q <= 4 and
+    # max(|lam|, |mu|) <= n <= n0 + 2, where the smaller class has at most
+    # 2,000 elements: class-product enumerates nothing, and its stdout is the
+    # text of the oracle completed_product
+    cases = []
+    for q in (2, 3, 4):
+        ctx = make_field(2, 2) if q == 4 else make_field(q)
+        types = [t for s in range(3) for t in enumerate_polypartitions(ctx, s)]
+        for i, lam in enumerate(types):
+            for mu in types[i:]:
+                for n in range(max(lam.size, mu.size, 1), lam.size + mu.size + 3):
+                    if min(class_size(complete(t, n), n) for t in (lam, mu)) <= 2000:
+                        cases.append((q, lam, mu, n))
+    for q, lam, mu, n in random.Random(0).sample(cases, 40):
+        want = center.completed_product(lam, mu, n)
+        with monkeypatch.context() as m:
+            for name in ("class_orbit", "completed_product"):
+                m.setattr(center, name, enumerate_nothing)
+            code, out, err = run(capsys, "class-product", "--q", str(q), "--n", str(n),
+                                 "--a", format_polypartition(lam),
+                                 "--b", format_polypartition(mu))
+        cli._print_coeffs(want.terms, False)
+        assert (code, out, err) == (0, capsys.readouterr().out, "")
+
+
+@pytest.mark.parametrize("q,n,a", [
+    (3, 6, "{X+1:(1)}"), (5, 9, "{X+1:(1)}"),
+    (2, 8, "{X+1:(2)}"), (2, 10, "{X+1:(2)}"), (2, 11, "{X+1:(2)}"),
+])
+def test_large_class_products_answer_at_once(capsys, monkeypatch, q, n, a):
+    # these enumerated 10^4 to 2 * 10^11 elements; the polynomials answer
+    monkeypatch.setattr(center, "class_orbit", enumerate_nothing)
+    monkeypatch.setattr(center, "completed_product", enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "class-product", "--q", str(q), "--n", str(n),
+                         "--a", a, "--b", a)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, err) == (0, "")
+    assert out.endswith("  %d\n" % {2: 4, 3: 3, 5: 5}[q])
+
+
+def test_degree1_closed_form_refused_above_cap(capsys):
+    # the closed form sums over every element of F_q: refused before the
+    # first one, where it used to take 45 s and 808 MB
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "degree1", "--q", "1000003", "--a", "2", "--b", "3")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this closed form needs 1000003 field elements, "
+                   "above the cap of 1000000\n")
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_naive_suite_counts_its_atoms(q, n):
+    ctx = make_field(2, 2) if q == 4 else make_field(q)
+    assert cli._naive_atoms(q, n) == oracles.naive_atoms_by_scan(ctx, n)
+
+
+def test_naive_suite_refused_above_cap(capsys, monkeypatch):
+    # 252 lines of (F_251)^2, 249^2 pairs of automorphisms other than the
+    # identity, one plane each
+    monkeypatch.setattr(partial_iso, "naive_product_counterexample", enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "--suite", "naive", "--q", "251")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this verify suite needs 15624252 atoms, "
+                   "above the cap of 1000000\n")
+
+
 @pytest.mark.parametrize("q,a,b", [
     # the two slowest products known to finish (about 17 s and 10 s on a
     # 2-vCPU VM), then the largest generic-product requests of perfbench
@@ -282,14 +377,19 @@ def test_documented_slow_products_stay_below_cap(q, a, b):
     assert 0 < work <= center.MAX_TYPE_OF_CALLS // 10
 
 
-def test_generic_product_rejects_unipotent_input(capsys):
-    # the (X-1) check comes before the cost cap: {X+1:(3)} x {X+1:(3)} at
-    # q = 2 would be far above the cap, yet it is refused as bad input
-    for a in ("{X+1:(2)}", "{X+1:(3)}"):
-        code, _, err = run(capsys, "generic-product", "--q", "2", "--a", a, "--b", a)
-        assert code == 1
-        assert err == ("error: inputs must have no (X-1) parts after reduction: "
-                       "%s, %s\n" % (a, a))
+def test_generic_product_rejects_unipotent_input(capsys, monkeypatch):
+    # a unipotent input is refused by the cost of the invariant products of
+    # its class expansion, before any of them starts: {X+1:(4)} at q = 2
+    # expands over types of size up to 3
+    def enumerate_nothing(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
+    a = "{X+1:(4)}"
+    code, out, err = run(capsys, "generic-product", "--q", "2", "--a", a, "--b", a)
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this product needs 12440512 type_of calls, "
+                   "above the cap of 1000000\n")
 
 
 def test_degree1_closed_form_json(capsys):

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from oracles import peval
+from oracles import apply_poly_by_powers, peval
 
 from glfq import fields, linalg
 from glfq.fields import make_field
@@ -129,3 +129,27 @@ def test_apply_poly_matches_sum_of_powers(p, e):
                            for er, pr in zip(expect, power))
             power = linalg.mat_mul(ctx, power, A)
         assert linalg.apply_poly(ctx, P, A) == expect
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2)])
+def test_apply_poly_starts_horner_from_the_matrix(p, e, monkeypatch):
+    # monic, non-monic and constant P on random matrices, against the sum of
+    # powers; a P of degree d >= 1 takes d - 1 products, none by the identity
+    ctx = make_field(p, e)
+    rng = random.Random(7)
+    units = [x for x in ctx.elements() if x]
+    calls = []
+    mat_mul = linalg.mat_mul
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        A = random_matrix(ctx, rng, n)
+        d = rng.randint(0, 4)
+        lead = 1 if rng.random() < 0.5 else rng.choice(units)
+        P = tuple(rng.choice(ctx.elements()) for _ in range(d)) + (lead,)
+        want = apply_poly_by_powers(ctx, P, A)
+        calls.clear()
+        monkeypatch.setattr(linalg, "mat_mul", lambda *a: calls.append(1) or mat_mul(*a))
+        got = linalg.apply_poly(ctx, P, A)
+        monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+        assert got == want
+        assert len(calls) == max(d - 1, 0)

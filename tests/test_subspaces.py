@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from oracles import invertible_by_rank
 
 from glfq import linalg, subspaces
+from glfq.conjtype import enumerate_gl
 from glfq.fields import make_field
 
 
@@ -138,3 +140,13 @@ def test_completions_match_full_rref_oracle(p, e, n):
         got = subspaces.enumerate_completions(ctx, basis, k_plus, n)
         assert got == want
         assert len(got) == len(set(got)) > 0
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_gl_matches_every_matrix_of_full_rank(q, n):
+    # the last row of each family is taken without updating the RREF; the
+    # same matrices come out, in the same (lexicographic) order
+    ctx = make_field(2, 2) if q == 4 else make_field(q)
+    want = invertible_by_rank(ctx, n)
+    assert list(enumerate_gl(ctx, n)) == want
+    assert subspaces.enumerate_completions(ctx, (), n, n) == want
