@@ -9,12 +9,14 @@ GenericProduct, the polynomials p^nu(X), X = q^n, of the expansion
 C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n) evaluates
 them, for the engine's tables and for the degree-1 closed form alike, and
 class_product is their value at one n.  completed_product counts the same
-expansion in the group, as the oracle of verify_fh.  transport is the
+expansion in the group: it is the oracle of verify_fh, and class_product
+takes it instead where it enumerates fewer elements.  transport is the
 numeric Pi_n of one generic invariant at one n, through which the tests read
 the padding law.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import linalg, subspaces
@@ -384,9 +386,11 @@ def class_expansion(lam):
 
 
 def product_work(lam, mu, n=None):
-    """The type_of calls of fh_polynomials(lam, mu, n), in closed form: the
-    invariant-product work of every pair of the two class expansions, which
-    does not grow with n."""
+    """The type_of calls of the invariant products of fh_polynomials(lam, mu,
+    n), in closed form: the invariant-product work of every pair of the two
+    class expansions, which does not grow with n.  It builds the class
+    expansions, and with them the padding laws of the types with (X-1)
+    parts, each under its own cap, which this count leaves out."""
     lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
     return sum(invariant_product_work(nu, nu2, _table_dim(nu, nu2, n))
                for nu in class_expansion(lam) for nu2 in class_expansion(mu))
@@ -462,8 +466,9 @@ def fh_polynomials(lam, mu, n=None):
     tables generic_S(nu, nu2) over the pairs of the class expansions.  With
     n, each table is generic_S(nu, nu2, n), which is all at(n) reads, and
     the result answers up to n.  Raises
-    WorkCapExceeded, before any enumeration, when those invariant products
-    would make more than MAX_TYPE_OF_CALLS type_of calls."""
+    WorkCapExceeded, before any invariant product starts, when they would
+    make more than MAX_TYPE_OF_CALLS type_of calls (product_work: the class
+    expansions and their padding laws are built first)."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
     check_work("product", product_work(lam, mu, n))
@@ -473,13 +478,25 @@ def fh_polynomials(lam, mu, n=None):
 
 
 def class_product(lam, mu, n):
-    """C_{lam^n} * C_{mu^n} as an integer CentralVector, from
-    fh_polynomials(lam, mu, n).at(n): nothing is enumerated but the class
-    expansions and their invariant products, whose cost does not grow with
-    n.  Checked integral and by the mass identity
-    sum_nu c^nu card C_nu = card C_{lam^n} card C_{mu^n}."""
+    """C_{lam^n} * C_{mu^n} as an integer CentralVector, by whichever of two
+    routes makes fewer type_of calls, both counted in closed form before
+    either enumerates a class or starts an invariant product.  The polynomial route, fh_polynomials(lam, mu, n).at(n),
+    enumerates only the class expansions and their invariant products
+    (product_work), whose cost does not grow with n; it is checked integral
+    and by the mass identity
+    sum_nu c^nu card C_nu = card C_{lam^n} card C_{mu^n}.  completed_product
+    enumerates the smaller completed class instead, which wins when that
+    class is near the center (a scalar class has one element) or when a
+    padding law of the expansions is itself above the cap."""
     if lam.size > n or mu.size > n:
         raise ValueError("type size exceeds n")
+    smaller = min(class_size(complete(t, n), n) for t in (lam, mu))
+    try:
+        work = product_work(lam, mu, n)
+    except WorkCapExceeded:
+        work = math.inf
+    if smaller < work:
+        return completed_product(lam, mu, n)
     out = fh_polynomials(lam, mu, n).at(n)
     if not out.is_integral():
         raise AssertionError("class product is not integral: %r" % out)

@@ -417,23 +417,21 @@ def _suite_ranklaw(ctx, n, rng, samples):
     return True, "laws are probability measures up to n=%d, q=%d" % (n, q)
 
 
-def _unit_pairs(ctx, work, left=()):
-    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b, then
-    (the text of lam, b, lam, {X-b:(1)}) for each type lam of left and every
-    unit b; refused before the first pair when work(lam, mu) summed over the
-    pairs is above the cap.  The types {X-a:(1)} with a != 1 differ only in
-    their label, so a pair's work depends only on which of a, b is 1, and
-    the sum weighs one pair of each kind by its number of pairs (the unit
-    q - 1 stands for the q - 2 units other than 1, none at q = 2)."""
+def _unit_pairs(ctx, work, extra=0):
+    """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b, refused
+    before the first pair when work(lam, mu) summed over the pairs, plus the
+    extra work of the caller's other pairs, is above the cap.  The types
+    {X-a:(1)} with a != 1 differ only in their label, so a pair's work
+    depends only on which of a, b is 1, and the sum weighs one pair of each
+    kind by its number of pairs (the unit q - 1 stands for the q - 2 units
+    other than 1, none at q = 2)."""
     q = ctx.q
     kinds = ((linear_type(ctx, 1), 1), (linear_type(ctx, q - 1), q - 2))
-    lefts = kinds + tuple((lam, 1) for lam in left)
-    center.check_work("verify suite", sum(i * j * work(lam, mu) for lam, i in lefts
-                                          for mu, j in kinds))
+    center.check_work("verify suite", extra + sum(i * j * work(lam, mu) for lam, i in kinds
+                                                  for mu, j in kinds))
     units = range(1, q)
     types = {a: linear_type(ctx, a) for a in units}
-    return ([(a, b, types[a], types[b]) for a in units for b in units]
-            + [(format_polypartition(lam), b, lam, types[b]) for lam in left for b in units])
+    return [(a, b, types[a], types[b]) for a in units for b in units]
 
 
 def _suite_degree1(ctx, n, rng, samples):
@@ -453,14 +451,20 @@ def _fh_work(lam, mu):
 
 
 def _suite_fh(ctx, n, rng, samples):
-    # the degree-1 pairs, then the transvections {X-1:(2)}, whose class
-    # expansion has several terms, against each of them
-    for a, b, lam, mu in _unit_pairs(ctx, _fh_work, [linear_type(ctx, 1, (2,))]):
+    # the degree-1 pairs, then the transvection {X-1:(2)}, whose class
+    # expansion has several terms, against each unit; its pairs weigh in
+    # the cap as _unit_pairs weighs its own
+    q = ctx.q
+    tv = linear_type(ctx, 1, (2,))
+    extra = _fh_work(tv, linear_type(ctx, 1)) + (q - 2) * _fh_work(tv, linear_type(ctx, q - 1))
+    pairs = [(lam, mu) for _, _, lam, mu in _unit_pairs(ctx, _fh_work, extra)]
+    pairs += [(tv, linear_type(ctx, b)) for b in range(1, q)]
+    for lam, mu in pairs:
         report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])
         if any(report.values()):
-            return False, "fh mismatch at a=%s b=%d" % (a, b)
-    return True, ("fh polynomials verified for degree-1 pairs and {X-1:(2)}, q=%d"
-                  % ctx.q)
+            return False, "fh mismatch at %s * %s" % (format_polypartition(lam),
+                                                      format_polypartition(mu))
+    return True, "fh polynomials verified for degree-1 pairs and {X-1:(2)}, q=%d" % q
 
 
 def _suite_phi(ctx, n, rng, samples):

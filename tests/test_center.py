@@ -25,6 +25,10 @@ from glfq.fields import linear_poly, make_field
 from glfq.partial_iso import invariant_product, num_free_families
 
 
+def enumerate_nothing(*args):
+    raise AssertionError("enumeration started")
+
+
 def unipotent_type(ctx, pi):
     if not pi:
         return empty_polypartition(ctx)
@@ -336,9 +340,6 @@ def test_small_tables_answer_at_small_n_only():
 def test_class_product_at_large_n_keeps_the_mass(monkeypatch):
     # n = 50: nothing is enumerated, and the constants are integers whose
     # masses add up to card C_lam card C_mu
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(center, "class_orbit", enumerate_nothing)
     monkeypatch.setattr(center, "completed_product", enumerate_nothing)
     ctx = make_field(2)
@@ -355,9 +356,6 @@ def test_class_product_at_large_n_keeps_the_mass(monkeypatch):
 def test_padding_law_refused_above_cap(monkeypatch):
     # sum_d [6 choose d]_3 = 56,632 subspaces for pi = (2, 2, 2) at q = 3,
     # counted before any of them is listed
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(center.subspaces, "enumerate_subspaces", enumerate_nothing)
     monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 56631)
     with pytest.raises(center.WorkCapExceeded,

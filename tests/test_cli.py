@@ -29,6 +29,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def enumerate_nothing(*args):
+    raise AssertionError("enumeration started")
+
+
 def test_class_size_example(capsys):
     code, out, _ = run(
         capsys, "class-size", "--q", "5", "--n", "6",
@@ -134,9 +138,6 @@ def test_generic_product_size_two_at_q3(capsys, a):
 
 
 def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 100)
     monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
     code, out, err = run(
@@ -152,9 +153,6 @@ def test_class_product_refuses_work_above_cap(capsys, monkeypatch):
     # the invariant product of {X^2+2:(1)} with itself at n0 = 4 makes
     # 7,887,520 type_of calls at any n >= 4; the closed-form count is
     # refused before any enumeration
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(center, "class_orbit", enumerate_nothing)
     monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
     t0 = time.monotonic()
@@ -186,9 +184,6 @@ def test_generic_product_verify_at_refuses_work_above_cap(capsys):
 def test_census_refuses_work_above_cap(capsys, monkeypatch, argv):
     # |GL(4, F_5)| = 116,064,000,000; the group order is checked before
     # enumerate_gl would build the whole list
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(cli, "census", enumerate_nothing)
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
@@ -209,9 +204,6 @@ def test_census_refuses_work_above_cap(capsys, monkeypatch, argv):
 def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, count):
     # the size of A(n), or of the type orbits phi sums over, is checked
     # before any partial isomorphism is built
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(partial_iso, "all_pisos", enumerate_nothing)
     monkeypatch.setattr(partial_iso, "invariant_elem", enumerate_nothing)
     t0 = time.monotonic()
@@ -287,15 +279,14 @@ def test_class_product_over_a_large_prime_field_answers_at_once(capsys):
     assert (code, out, err) == (0, "{X+100000001:(1)}  1\n", "")
 
 
-def enumerate_nothing(*args):
-    raise AssertionError("enumeration started")
-
-
 def test_class_product_matches_enumeration_on_a_seeded_sweep(capsys, monkeypatch):
     # 40 requests drawn from the pairs of types of size <= 2 at q <= 4 and
     # max(|lam|, |mu|) <= n <= n0 + 2, where the smaller class has at most
-    # 2,000 elements: class-product enumerates nothing, and its stdout is the
-    # text of the oracle completed_product
+    # 2,000 elements: the polynomials equal the oracle completed_product on
+    # each, and the stdout of class-product is the oracle's text.  Where the
+    # polynomials make no more type_of calls than the smaller class has
+    # elements, class-product enumerates no class; elsewhere it starts no
+    # invariant product.  Both routes occur in the sample
     cases = []
     for q in (2, 3, 4):
         ctx = make_field(2, 2) if q == 4 else make_field(q)
@@ -305,16 +296,44 @@ def test_class_product_matches_enumeration_on_a_seeded_sweep(capsys, monkeypatch
                 for n in range(max(lam.size, mu.size, 1), lam.size + mu.size + 3):
                     if min(class_size(complete(t, n), n) for t in (lam, mu)) <= 2000:
                         cases.append((q, lam, mu, n))
+    polynomial = 0
     for q, lam, mu, n in random.Random(0).sample(cases, 40):
         want = center.completed_product(lam, mu, n)
+        assert center.fh_polynomials(lam, mu, n).at(n) == want
+        smaller = min(class_size(complete(t, n), n) for t in (lam, mu))
         with monkeypatch.context() as m:
-            for name in ("class_orbit", "completed_product"):
-                m.setattr(center, name, enumerate_nothing)
+            if center.product_work(lam, mu, n) <= smaller:
+                polynomial += 1
+                for name in ("class_orbit", "completed_product"):
+                    m.setattr(center, name, enumerate_nothing)
+            else:
+                m.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
             code, out, err = run(capsys, "class-product", "--q", str(q), "--n", str(n),
                                  "--a", format_polypartition(lam),
                                  "--b", format_polypartition(mu))
         cli._print_coeffs(want.terms, False)
         assert (code, out, err) == (0, capsys.readouterr().out, "")
+    assert 0 < polynomial < 40
+
+
+@pytest.mark.parametrize("q,n,a,b,want", [
+    # 2I in GL(2, F_1009), one element, against diag(3, 1): the invariant
+    # product of the pair would make q (q + 1) = 1,019,090 type_of calls
+    (1009, 2, "{X+1007:(1,1)}", "{X+1006:(1)}", "{X+1003:(1);X+1007:(1)}  1\n"),
+    # a scalar of GL(3, F_37) against a degree-1 type: q^2 (q^2 + q + 1)
+    (37, 3, "{X+35:(1,1,1)}", "{X+1:(1)}", "{X+2:(1);X+35:(1,1)}  1\n"),
+    # the padding law of {X-1:(3)} lists 2,038,184 subspaces of (F_1009)^3
+    (1009, 4, "{X+1008:(4)}", "{X+1007:(1,1,1,1)}", "{X+1007:(4)}  1\n"),
+])
+def test_class_product_of_a_scalar_class_enumerates_it(capsys, monkeypatch, q, n, a, b, want):
+    # the scalar class has one element: class-product enumerates it rather
+    # than start invariant products that cost more
+    monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "class-product", "--q", str(q), "--n", str(n),
+                         "--a", a, "--b", b)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out, err) == (0, want, "")
 
 
 @pytest.mark.parametrize("q,n,a", [
@@ -381,9 +400,6 @@ def test_generic_product_rejects_unipotent_input(capsys, monkeypatch):
     # a unipotent input is refused by the cost of the invariant products of
     # its class expansion, before any of them starts: {X+1:(4)} at q = 2
     # expands over types of size up to 3
-    def enumerate_nothing(*args):
-        raise AssertionError("enumeration started")
-
     monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
     a = "{X+1:(4)}"
     code, out, err = run(capsys, "generic-product", "--q", "2", "--a", a, "--b", a)
