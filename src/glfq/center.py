@@ -16,7 +16,6 @@ the padding law.
 """
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import linalg, subspaces
@@ -26,7 +25,6 @@ from .conjtype import (
     class_orbit,
     class_size,
     complete,
-    empty_polypartition,
     format_polypartition,
     jordan_matrix,
     pochhammer,
@@ -47,14 +45,14 @@ MAX_TYPE_OF_CALLS = 10 ** 6
 
 class WorkCapExceeded(ValueError):
     """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
-    enumerate as many partial isomorphisms, subspaces, search atoms, trial
-    divisions or field elements."""
+    enumerate as many partial isomorphisms, search atoms, trial divisions or
+    field elements."""
 
 
 def check_work(what, calls, unit="type_of calls"):
-    """Refuse a request (a "product", a "padding law", a "census", a
-    "verify suite", a "closed form" or a "field") that needs more than
-    MAX_TYPE_OF_CALLS calls or enumerated elements."""
+    """Refuse a request (a "product", a "census", a "verify suite", a
+    "closed form" or a "field") that needs more than MAX_TYPE_OF_CALLS calls
+    or enumerated elements."""
     if calls > MAX_TYPE_OF_CALLS:
         raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
                               % (what, calls, unit, MAX_TYPE_OF_CALLS))
@@ -218,37 +216,44 @@ class Laurent:
 # with the identity padding, so the lifted composite is spread over the types
 # nu' + (X-1: sigma) where nu' is the non-(X-1) part and sigma is a random
 # enlargement of the (X-1) partition.  The law of sigma depends on P only
-# through Y = colspan(P), which makes it computable by enumerating the
-# subspaces Y of the unipotent block.
+# through Y = colspan(P), and it has a closed form in Hall polynomials.
 
 @memo
 def _padding_profiles(ctx, pi):
-    """Classify the subspaces Y <= (F_q)^u, u = |pi|, by the unipotent type
-    they induce on [[U, P], [0, I_m]] with colspan(P) = Y.
+    """Classify the subspaces Y <= F = (F_q)^u, u = |pi|, by the unipotent
+    type they induce on M = [[U, P], [0, I_m]] with colspan(P) = Y.
 
     Returns {(dim Y, core): count of Y}, where core is the padded type with
     its parts 1 stripped; the full type at padding size m is
-    core + (1^(u + m - |core|)).  The core does not depend on m, nor on P
-    beyond Y: conjugating by diag(I, h) with h in GL(m) turns P into
-    [Y | 0], which splits off an identity block, so core is read off the
-    type of [[U, Y], [0, I_dim Y]], the basis of Y as the columns.
-    Cached: callers share the returned dict and only read it.  Raises
-    WorkCapExceeded, before enumerating, when there are more than
-    MAX_TYPE_OF_CALLS subspaces Y (one type_of call each)."""
-    if not pi:
-        return {(0, ()): 1}
-    u = sum(pi)
-    check_work("padding law", sum(subspaces.num_subspaces(ctx.q, u, d) for d in range(u + 1)),
-               "subspaces")
-    # the profile counts are invariant under conjugating U, so any matrix of
-    # unipotent type pi will do
-    U = jordan_matrix(with_unipotent(empty_polypartition(ctx), pi))
+    core + (1^(u + m - |core|)).  With N = U - 1 of type pi and
+    M' = N F + Y, rank (M - 1)^j = dim N^(j-1) M' for j >= 1, so core is
+    rho + 1 (each part raised by one) for rho the type of N on M', a
+    submodule of cotype (1^e) that contains N F.  The M' of type rho number
+    g^pi_{rho,(1^e)}(q), a Hall polynomial (Macdonald, Symmetric Functions
+    and Hall Polynomials, ch. II (4.6)): rho' = pi' - r, 0 <= r_i <= s_i =
+    pi'_i - pi'_{i+1}, and g = q^(n(pi) - n(rho) - n(1^e)) prod [s_i, r_i]_{1/q}
+    with [a, b] the Gaussian binomial.  Of the Y of dimension d,
+    [D - f, d - f]_q q^(f (D - d)) span M' with N F, for D = u - e and
+    f = l(pi) - e.  Cached: callers share the returned dict and only read it."""
+    q, u, pi = ctx.q, sum(pi), Partition(pi)
+    conj = pi.conjugate().parts + (0,)
+    s = [a - b for a, b in zip(conj, conj[1:])]
     out = {}
-    for d in range(len(U) + 1):
-        for Y in subspaces.enumerate_subspaces(ctx, len(U), d):
-            parts = type_of(ctx, linalg.block(U, Y.basis)).unipotent
-            key = (d, tuple(x for x in parts if x > 1))
-            out[key] = out.get(key, 0) + 1
+    for r in itertools.product(*(range(si + 1) for si in s)):
+        e = sum(r)
+        rho = Partition(c - ri for c, ri in zip(conj, r) if c > ri).conjugate()
+        power = (pi.b() - rho.b() - e * (e - 1) // 2
+                 - sum(ri * (si - ri) for si, ri in zip(s, r)))
+        if power < 0:
+            raise AssertionError("g^%r_{%r,(1^%d)} has a negative power of q"
+                                 % (pi.parts, rho.parts, e))
+        g = q ** power
+        for si, ri in zip(s, r):
+            g *= subspaces.num_subspaces(q, si, ri)
+        D, f = u - e, len(pi.parts) - e
+        core = tuple(x + 1 for x in rho.parts)
+        for d in range(f, D + 1):
+            out[d, core] = g * subspaces.num_subspaces(q, D - f, d - f) * q ** (f * (D - d))
     return out
 
 
@@ -388,9 +393,8 @@ def class_expansion(lam):
 def product_work(lam, mu, n=None):
     """The type_of calls of the invariant products of fh_polynomials(lam, mu,
     n), in closed form: the invariant-product work of every pair of the two
-    class expansions, which does not grow with n.  It builds the class
-    expansions, and with them the padding laws of the types with (X-1)
-    parts, each under its own cap, which this count leaves out."""
+    class expansions, which does not grow with n.  Building the expansions
+    enumerates nothing: their padding laws are closed forms."""
     lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
     return sum(invariant_product_work(nu, nu2, _table_dim(nu, nu2, n))
                for nu in class_expansion(lam) for nu2 in class_expansion(mu))
@@ -465,10 +469,9 @@ def fh_polynomials(lam, mu, n=None):
     """The GenericProduct of the reduced lam and mu, with the engine's
     tables generic_S(nu, nu2) over the pairs of the class expansions.  With
     n, each table is generic_S(nu, nu2, n), which is all at(n) reads, and
-    the result answers up to n.  Raises
-    WorkCapExceeded, before any invariant product starts, when they would
-    make more than MAX_TYPE_OF_CALLS type_of calls (product_work: the class
-    expansions and their padding laws are built first)."""
+    the result answers up to n.  Raises WorkCapExceeded, before any
+    invariant product starts, when they would make more than
+    MAX_TYPE_OF_CALLS type_of calls (product_work)."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
     check_work("product", product_work(lam, mu, n))
@@ -480,22 +483,17 @@ def fh_polynomials(lam, mu, n=None):
 def class_product(lam, mu, n):
     """C_{lam^n} * C_{mu^n} as an integer CentralVector, by whichever of two
     routes makes fewer type_of calls, both counted in closed form before
-    either enumerates a class or starts an invariant product.  The polynomial route, fh_polynomials(lam, mu, n).at(n),
-    enumerates only the class expansions and their invariant products
-    (product_work), whose cost does not grow with n; it is checked integral
-    and by the mass identity
+    either enumerates a class or starts an invariant product.  The
+    polynomial route, fh_polynomials(lam, mu, n).at(n), enumerates only the
+    invariant products of the class expansions (product_work), whose cost
+    does not grow with n; it is checked integral and by the mass identity
     sum_nu c^nu card C_nu = card C_{lam^n} card C_{mu^n}.  completed_product
     enumerates the smaller completed class instead, which wins when that
-    class is near the center (a scalar class has one element) or when a
-    padding law of the expansions is itself above the cap."""
+    class is near the center (a scalar class has one element)."""
     if lam.size > n or mu.size > n:
         raise ValueError("type size exceeds n")
     smaller = min(class_size(complete(t, n), n) for t in (lam, mu))
-    try:
-        work = product_work(lam, mu, n)
-    except WorkCapExceeded:
-        work = math.inf
-    if smaller < work:
+    if smaller < product_work(lam, mu, n):
         return completed_product(lam, mu, n)
     out = fh_polynomials(lam, mu, n).at(n)
     if not out.is_integral():

@@ -181,7 +181,7 @@ def cmd_generic_product(args):
     mu = _parsed(parse_polypartition, ctx, args.b)
     if args.verify_at is not None:
         # verify_fh works on the reduced types
-        low = sum(reduce_polypartition(t).size for t in (lam, mu))
+        low = max(reduce_polypartition(t).size for t in (lam, mu))
         _at_least("--verify-at", args.verify_at, low)
     gp = center.fh_polynomials(lam, mu)
     if args.verify_at is not None:

@@ -23,6 +23,7 @@ from glfq.conjtype import (
 )
 from glfq.fields import linear_poly, make_field
 from glfq.partial_iso import invariant_product, num_free_families
+from glfq.subspaces import num_subspaces
 
 
 def enumerate_nothing(*args):
@@ -101,18 +102,43 @@ def test_padded_unipotent_law_vs_enumeration(q, pi, m):
 
 
 def test_padding_profiles_match_ranks_of_powers():
-    # the core read off the type of [[U, Y], [0, I]] against the rank drops
-    # of (N - I)^j, on every partition of size <= 5 at q = 2, <= 3 at
-    # q = 3 and 4, and <= 2 at q = 5
+    # the Hall-polynomial counts against the rank drops of (N - I)^j over
+    # every subspace Y, on every partition of size <= 6 at q = 2, <= 4 at
+    # q = 3 and <= 3 at q = 4 and 5
     checked = 0
-    for (p, e), top in (((2, 1), 5), ((3, 1), 3), ((2, 2), 3), ((5, 1), 2)):
+    for (p, e), top in (((2, 1), 6), ((3, 1), 4), ((2, 2), 3), ((5, 1), 3)):
         ctx = make_field(p, e)
         for size in range(top + 1):
             for part in partitions_of(size):
                 assert center._padding_profiles(ctx, part.parts) == \
                     oracles.padding_profiles_by_ranks(ctx, part.parts)
                 checked += 1
-    assert checked == 37
+    assert checked == 56
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 1009])
+def test_padding_profiles_count_every_subspace(q):
+    # each subspace Y of dimension d has one profile: the counts of each d
+    # add up to [u choose d]_q, on every partition of size u <= 10
+    ctx = field(q)
+    for u in range(11):
+        for part in partitions_of(u):
+            by_dim = {}
+            for (d, core), count in center._padding_profiles(ctx, part.parts).items():
+                assert count > 0
+                by_dim[d] = by_dim.get(d, 0) + count
+            assert by_dim == {d: num_subspaces(q, u, d) for d in range(u + 1)}
+
+
+@pytest.mark.parametrize("q,nu_s", [(2, "{X+1:(4,3)}"), (3, "{X+2:(2,2,2)}")])
+def test_transport_poly_lists_no_subspace(monkeypatch, q, nu_s):
+    # these padding laws took 25 s each when every subspace Y was typed
+    monkeypatch.setattr(center, "type_of", enumerate_nothing)
+    monkeypatch.setattr(center.subspaces, "enumerate_subspaces", enumerate_nothing)
+    monkeypatch.setattr(center, "_padding_profiles", center._padding_profiles.__wrapped__)
+    # _transport_poly checks that the law sums to 1
+    law = center._transport_poly(parse_polypartition(make_field(q), nu_s))
+    assert len(law) > 1
 
 
 @pytest.mark.parametrize("q,nu_s,n", [
@@ -351,16 +377,6 @@ def test_class_product_at_large_n_keeps_the_mass(monkeypatch):
     assert all(t.size == n for t in out.terms)
     assert (sum(c * class_size(t, n) for t, c in out.terms.items())
             == class_size(complete(lam, n), n) * class_size(complete(mu, n), n))
-
-
-def test_padding_law_refused_above_cap(monkeypatch):
-    # sum_d [6 choose d]_3 = 56,632 subspaces for pi = (2, 2, 2) at q = 3,
-    # counted before any of them is listed
-    monkeypatch.setattr(center.subspaces, "enumerate_subspaces", enumerate_nothing)
-    monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 56631)
-    with pytest.raises(center.WorkCapExceeded,
-                       match="this padding law needs 56632 subspaces, above the cap of 56631"):
-        center._padding_profiles.__wrapped__(make_field(3), (2, 2, 2))
 
 
 def test_fh_verify_rejects_small_n():

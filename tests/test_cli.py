@@ -137,6 +137,16 @@ def test_generic_product_size_two_at_q3(capsys, a):
     assert out
 
 
+def test_generic_product_verified_below_n0(capsys):
+    # the polynomials hold down to n = max(|lam|, |mu|) = 2; n0 is 4
+    code, out, err = run(
+        capsys, "generic-product", "--q", "2", "--a", "{X+1:(2)}", "--b", "{X+1:(2)}",
+        "--verify-at", "3")
+    assert code == 0
+    assert err == "verification at n=3: PASS\n"
+    assert out
+
+
 def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
     monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 100)
     monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
@@ -322,7 +332,8 @@ def test_class_product_matches_enumeration_on_a_seeded_sweep(capsys, monkeypatch
     (1009, 2, "{X+1007:(1,1)}", "{X+1006:(1)}", "{X+1003:(1);X+1007:(1)}  1\n"),
     # a scalar of GL(3, F_37) against a degree-1 type: q^2 (q^2 + q + 1)
     (37, 3, "{X+35:(1,1,1)}", "{X+1:(1)}", "{X+2:(1);X+35:(1,1)}  1\n"),
-    # the padding law of {X-1:(3)} lists 2,038,184 subspaces of (F_1009)^3
+    # 2I in GL(4, F_1009) against a regular unipotent: the invariant products
+    # of the class expansions would make 1,038,543,410,020 type_of calls
     (1009, 4, "{X+1008:(4)}", "{X+1007:(1,1,1,1)}", "{X+1007:(4)}  1\n"),
 ])
 def test_class_product_of_a_scalar_class_enumerates_it(capsys, monkeypatch, q, n, a, b, want):
@@ -542,7 +553,7 @@ def test_oversized_field_is_refused_at_once(capsys, flags, message):
     (["degree1", "--q", "3", "--a", "2", "--b", "2", "--n", "1"],
      "--n must be at least 2, got 1"),
     (["generic-product", "--q", "3", "--a", "{X+1:(1)}", "--b", "{X+1:(1)}",
-      "--verify-at", "-1"], "--verify-at must be at least 2, got -1"),
+      "--verify-at", "-1"], "--verify-at must be at least 1, got -1"),
     # {X+2:(1)} is X - 1 over F_3 and reduces away, so n = 1 is the bound
     (["generic-product", "--q", "3", "--a", "{X+2:(1)}", "--b", "{X+1:(1)}",
       "--verify-at", "0"], "--verify-at must be at least 1, got 0"),

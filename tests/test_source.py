@@ -23,6 +23,16 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_lines_fit_in_100_columns():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = ["%s:%d" % (path.name, i)
+             for path in paths
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if len(line) > 100]
+    assert found == []
+
+
 def test_every_parameter_is_read():
     # a parameter that no line of its function reads is a dead flag; the
     # verify suites share one dispatch signature and are exempt
