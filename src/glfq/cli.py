@@ -259,7 +259,7 @@ def cmd_degree1(args):
             print("case: %s" % case.tag)
             _print_coeffs(out, False)
     else:
-        out = degree1.project_degree1(ctx, a, b, _at_least("--n", args.n, 2))
+        out = degree1.project_degree1(ctx, a, b, _at_least("--n", args.n, 1))
         _print_coeffs(out.terms, args.json)
     return 0
 

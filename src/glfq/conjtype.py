@@ -141,8 +141,8 @@ def parse_polypartition(ctx, s):
         if not poly_s or not (part_s.startswith("(") and part_s.endswith(")")):
             raise ValueError("bad polypartition entry: %r" % chunk)
         P = poly_parse(ctx, poly_s)
-        if not fields.is_irreducible(ctx, P) or P == fields.PX:
-            raise ValueError("label %r is not an admissible irreducible" % poly_s)
+        if not fields.is_monic(P) or P in ((1,), fields.PX) or not fields.is_irreducible(ctx, P):
+            raise ValueError("label %r is not a monic irreducible other than X" % poly_s)
         digits = part_s[1:-1].split(",")
         if not all(x.isdecimal() for x in digits):
             raise ValueError("bad partition in polypartition entry %r" % chunk)
@@ -252,6 +252,7 @@ def type_of(ctx, g):
     return _type_of_signature(ctx, tuple(signature))
 
 
+# measured: at most 63 keys in any perfbench request of seeds 0-2 (census --q 8 --n 2)
 @memo(limit=10 ** 4)
 def _type_of_signature(ctx, signature):
     """The polypartition of a type_of signature, checking that each kernel

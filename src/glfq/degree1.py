@@ -144,8 +144,6 @@ def project_degree1(ctx, a, b, n):
     center.GenericProduct, whose structure polynomials are evaluated at n.
     The test suite checks the result against the brute-force class
     product."""
-    if n < 2:
-        raise ValueError("need n >= 2")
     if a == 0 or b == 0:
         raise ValueError("a and b must be units")
     lam, mu = linear_type(ctx, a), linear_type(ctx, b)

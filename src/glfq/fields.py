@@ -307,38 +307,25 @@ class FieldCtx:
 
     def elem_parse(self, s):
         """Parse the element syntax.  A prime field reads an integer mod p;
-        an extension field reads a sum of c*t^i with integer coefficients c
-        in [0, p) and rejects any other coefficient."""
-        s = s.replace(" ", "")
-
-        def integer(lit):
+        an extension field reads a sum of c*t^i (_sum_parse) with integer
+        coefficients c in [0, p) and powers i < e, and rejects anything else."""
+        if self.e == 1:
+            lit = s.replace(" ", "")
             try:
-                return int(lit)
+                return int(lit) % self.p
             except ValueError:
                 raise ValueError("bad field element %r: %r is not an integer"
                                  % (s, lit)) from None
-
-        if self.e == 1:
-            return integer(s) % self.p
         digs = [0] * self.e
-        for term in s.replace("-", "+-").split("+"):
-            if not term:
-                continue
-            neg = term.startswith("-")
-            if neg:
-                term = term[1:]
-            if "t" in term:
-                coef, _, rest = term.partition("t")
-                c = integer(coef.rstrip("*")) if coef else 1
-                i = integer(rest[1:]) if rest.startswith("^") else 1
-            else:
-                c, i = integer(term), 0
+        for sign, c, i in _sum_parse(s, "t"):
+            if not c.isdecimal():
+                raise ValueError("bad field element %r: %r is not an integer" % (s, c))
+            c = int(c)
             if i >= self.e:
                 raise ValueError("generator power out of range: %r" % s)
-            if not 0 <= c < self.p:
-                raise ValueError(
-                    "coefficient %d out of range [0, %d) in %r" % (c, self.p, s))
-            digs[i] = (digs[i] + (-c if neg else c)) % self.p
+            if c >= self.p:
+                raise ValueError("coefficient %d out of range [0, %d) in %r" % (c, self.p, s))
+            digs[i] += sign * c
         return self.encode(digs)
 
     def __repr__(self):
@@ -457,6 +444,7 @@ def is_irreducible(ctx, P):
                for Q in enumerate_irreducibles(ctx, k))
 
 
+# measured: at most 56 keys in any perfbench request of seeds 0-2 (census --q 8 --n 2)
 @memo(limit=10 ** 4)
 def factor(ctx, P):
     """Complete factorization of monic P into a tuple of (irreducible,
@@ -519,47 +507,57 @@ def poly_str(ctx, P):
     return _sum_str(P, "X", ctx.elem_str)
 
 
+def _sum_parse(s, var):
+    """The inverse of _sum_str: the (sign, c, i) of each term c*var^i of the
+    sum s, sign +1 or -1 and c the coefficient text ("1" when omitted).  The
+    terms split at '+' and '-' outside parentheses, and consecutive signs
+    combine; a term is c*var^i, cvar^i, var^i, var or c, where c may be
+    parenthesised.  Spaces are ignored and '**' reads as '^'.  Anything else
+    raises ValueError naming the term."""
+    text = s.replace(" ", "").replace("**", "^")
+    split, sign, cur, depth = [], 1, "", 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        if depth or ch not in "+-":
+            cur += ch
+            continue
+        if cur:
+            split.append((sign, cur))
+            sign, cur = 1, ""
+        if ch == "-":
+            sign = -sign
+    if depth:
+        raise ValueError("unbalanced parentheses in %r" % s)
+    if not cur:
+        raise ValueError("missing term at the end of %r" % s)
+    split.append((sign, cur))
+    out = []
+    for sign, term in split:
+        c, v, power = term.partition(var)
+        if power[:1] == "^" and power[1:].isdecimal():
+            i = int(power[1:])
+        elif power or c == "*":
+            raise ValueError("bad term %r in %r" % (term, s))
+        else:
+            i = 1 if v else 0
+        if v and c.endswith("*"):
+            c = c[:-1]
+        if not c:
+            c = "1"
+        elif c[0] == "(" and c[-1] == ")":
+            c = c[1:-1]
+        out.append((sign, c, i))
+    return out
+
+
 def poly_parse(ctx, s):
-    """Parse the canonical polynomial syntax; '-' is accepted and normalized."""
-    s = s.replace(" ", "").replace("**", "^")
-    if s == "0":
-        return ()
-    # split on top-level + and -, keeping signs; '(' groups extension coefficients
-    terms = []
-    depth, cur, sign = 0, "", 1
-    for ch in s:
-        if ch == "(":
-            depth += 1
-            cur += ch
-        elif ch == ")":
-            depth -= 1
-            cur += ch
-        elif ch in "+-" and depth == 0 and cur:
-            terms.append((sign, cur))
-            sign = -1 if ch == "-" else 1
-            cur = ""
-        elif ch in "+-" and depth == 0 and not cur:
-            sign = -sign if ch == "-" else sign
-        else:
-            cur += ch
-    if cur:
-        terms.append((sign, cur))
+    """Parse the polynomial syntax, a sum of c*X^i (_sum_parse) with each
+    coefficient c in the element syntax; repeated powers add up."""
     coeffs = {}
-    for sign, term in terms:
-        if "X" in term:
-            coef_s, _, rest = term.partition("X")
-            coef_s = coef_s.rstrip("*")
-            if coef_s.startswith("(") and coef_s.endswith(")"):
-                coef_s = coef_s[1:-1]
-            c = ctx.elem_parse(coef_s) if coef_s else 1
-            i = int(rest[1:]) if rest.startswith("^") else 1
-        else:
-            c, i = ctx.elem_parse(term), 0
-        if sign < 0:
-            c = ctx.neg(c)
-        coeffs[i] = ctx.add(coeffs.get(i, 0), c)
-    n = max(coeffs) + 1 if coeffs else 0
-    return pnorm(tuple(coeffs.get(i, 0) for i in range(n)))
+    for sign, c, i in _sum_parse(s, "X"):
+        c = ctx.elem_parse(c)
+        coeffs[i] = ctx.add(coeffs.get(i, 0), c if sign > 0 else ctx.neg(c))
+    return pnorm(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
 def linear_poly(ctx, a):

@@ -9,10 +9,10 @@ predicates on partial isomorphisms, the per-term averages over left-fixed
 and over compatible extensions, the naive extensions by a scan of GL(k+),
 the middle-space automorphisms by a loop over their images and the padding
 law by ranks of powers, the text of field elements and polynomials by
-term loops, squareness by Euler's criterion, GL(n, F_q) by the rank of
-every matrix, polynomials of matrices by sums of powers, and the atoms of
-the naive search by a scan of the subspaces.  They are slow and kept
-simple on purpose.  A few
+term loops and its reading by a split at '+' and '-', squareness by
+Euler's criterion, GL(n, F_q) by the rank of every matrix, polynomials of
+matrices by sums of powers, and the atoms of the naive search by a scan of
+the subspaces.  They are slow and kept simple on purpose.  A few
 small helpers that only the tests read live here too.
 """
 
@@ -106,6 +106,86 @@ def poly_str_by_terms(ctx, P):
             else:
                 terms.append("%s*%s" % (cs, var))
     return "+".join(terms)
+
+
+def elem_parse_by_terms(ctx, s):
+    """The element syntax read by splitting at '+' after marking each '-':
+    an integer mod p for a prime field, else a sum of c*t^i with integer
+    coefficients c in [0, p)."""
+    s = s.replace(" ", "")
+
+    def integer(lit):
+        try:
+            return int(lit)
+        except ValueError:
+            raise ValueError("bad field element %r: %r is not an integer"
+                             % (s, lit)) from None
+
+    if ctx.e == 1:
+        return integer(s) % ctx.p
+    digs = [0] * ctx.e
+    for term in s.replace("-", "+-").split("+"):
+        if not term:
+            continue
+        neg = term.startswith("-")
+        if neg:
+            term = term[1:]
+        if "t" in term:
+            coef, _, rest = term.partition("t")
+            c = integer(coef.rstrip("*")) if coef else 1
+            i = integer(rest[1:]) if rest.startswith("^") else 1
+        else:
+            c, i = integer(term), 0
+        if i >= ctx.e:
+            raise ValueError("generator power out of range: %r" % s)
+        if not 0 <= c < ctx.p:
+            raise ValueError(
+                "coefficient %d out of range [0, %d) in %r" % (c, ctx.p, s))
+        digs[i] = (digs[i] + (-c if neg else c)) % ctx.p
+    return ctx.encode(digs)
+
+
+def poly_parse_by_terms(ctx, s):
+    """The polynomial syntax read by a character loop that splits at the
+    '+' and '-' outside parentheses; coefficients by elem_parse_by_terms."""
+    s = s.replace(" ", "").replace("**", "^")
+    if s == "0":
+        return ()
+    terms = []
+    depth, cur, sign = 0, "", 1
+    for ch in s:
+        if ch == "(":
+            depth += 1
+            cur += ch
+        elif ch == ")":
+            depth -= 1
+            cur += ch
+        elif ch in "+-" and depth == 0 and cur:
+            terms.append((sign, cur))
+            sign = -1 if ch == "-" else 1
+            cur = ""
+        elif ch in "+-" and depth == 0 and not cur:
+            sign = -sign if ch == "-" else sign
+        else:
+            cur += ch
+    if cur:
+        terms.append((sign, cur))
+    coeffs = {}
+    for sign, term in terms:
+        if "X" in term:
+            coef_s, _, rest = term.partition("X")
+            coef_s = coef_s.rstrip("*")
+            if coef_s.startswith("(") and coef_s.endswith(")"):
+                coef_s = coef_s[1:-1]
+            c = elem_parse_by_terms(ctx, coef_s) if coef_s else 1
+            i = int(rest[1:]) if rest.startswith("^") else 1
+        else:
+            c, i = elem_parse_by_terms(ctx, term), 0
+        if sign < 0:
+            c = ctx.neg(c)
+        coeffs[i] = ctx.add(coeffs.get(i, 0), c)
+    n = max(coeffs) + 1 if coeffs else 0
+    return fields.pnorm(tuple(coeffs.get(i, 0) for i in range(n)))
 
 
 def k11_of(mu):

@@ -267,7 +267,7 @@ def test_degree1_closed_forms_and_projections():
                     engine = center.generic_S(
                         linear_type(ctx, a), linear_type(ctx, b))
                     assert closed == engine, (q, a, b)
-                    for n in (2, 3):
+                    for n in (1, 2, 3):
                         got = degree1.project_degree1(ctx, a, b, n)
                         assert got.is_integral()
                         assert got == center.completed_product(

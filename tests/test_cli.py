@@ -20,7 +20,7 @@ from glfq.conjtype import (
     linear_type,
     parse_polypartition,
 )
-from glfq.fields import make_field
+from glfq.fields import make_field, poly_parse
 
 
 def run(capsys, *argv):
@@ -550,8 +550,8 @@ def test_oversized_field_is_refused_at_once(capsys, flags, message):
     (["census", "--q", "3", "--n", "-1"], "--n must be at least 0, got -1"),
     (["class-product", "--q", "3", "--n", "-1", "--a", "{X+1:(1)}", "--b", "{X+1:(1)}"],
      "--n must be at least 0, got -1"),
-    (["degree1", "--q", "3", "--a", "2", "--b", "2", "--n", "1"],
-     "--n must be at least 2, got 1"),
+    (["degree1", "--q", "3", "--a", "2", "--b", "2", "--n", "0"],
+     "--n must be at least 1, got 0"),
     (["generic-product", "--q", "3", "--a", "{X+1:(1)}", "--b", "{X+1:(1)}",
       "--verify-at", "-1"], "--verify-at must be at least 1, got -1"),
     # {X+2:(1)} is X - 1 over F_3 and reduces away, so n = 1 is the bound
@@ -613,6 +613,34 @@ def test_out_of_range_extension_literal_is_rejected(capsys):
     code, out, _ = run(capsys, "degree1", "--q", "3", "--a", "5", "--b", "2")
     assert code == 0
     assert out == run(capsys, "degree1", "--q", "3", "--a", "2", "--b", "2")[1]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["degree1", "--q", "4", "--a", "t5", "--b", "1"], "t5"),
+    (["degree1", "--q", "4", "--a", "tt", "--b", "1"], "tt"),
+    (["degree1", "--q", "4", "--a", "t*1", "--b", "1"], "t*1"),
+    (["type", "--q", "4", "--mat", "t5,1;0,1"], "t5"),
+    (["class-size", "--q", "5", "--n", "1", "--type", "{X2+1:(1)}"], "X2"),
+    (["class-size", "--q", "5", "--n", "1", "--type", "{X*4+1:(1)}"], "X*4"),
+    (["class-size", "--q", "5", "--n", "1", "--type", "{X^a+1:(1)}"], "X^a"),
+    (["class-size", "--q", "5", "--n", "1", "--type", "{X^(2)+1:(1)}"], "X^(2)"),
+    (["class-size", "--q", "9", "--n", "1", "--type", "{X+t5:(1)}"], "t5"),
+    # a label that reads but is not monic
+    (["class-size", "--q", "5", "--n", "1", "--type", "{2X+1:(1)}"], "2X+1"),
+])
+def test_malformed_term_is_named(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and repr(named) in err
+
+
+def test_parenthesised_constant_term_is_read(capsys):
+    # over F_4, X+(t+1) is X+t+1
+    ctx = make_field(2, 2)
+    assert poly_parse(ctx, "X+(t+1)") == poly_parse(ctx, "X+t+1") == (3, 1)
+    argv = ["class-product", "--q", "4", "--n", "1", "--b", "{X+t:(1)}", "--a"]
+    code, out, _ = run(capsys, *argv, "{X+(t+1):(1)}")
+    assert (code, out) == run(capsys, *argv, "{X+t+1:(1)}")[:2] == (0, "{X+1:(1)}  1\n")
 
 
 @pytest.mark.parametrize("q,a,b,named", [

@@ -139,6 +139,6 @@ def test_projection_with_unit_factor_is_the_other_class():
 def test_projection_input_validation():
     ctx = make_field(3)
     with pytest.raises(ValueError):
-        degree1.project_degree1(ctx, 2, 2, 1)
+        degree1.project_degree1(ctx, 2, 2, 0)
     with pytest.raises(ValueError):
         degree1.project_degree1(ctx, 0, 2, 2)

@@ -9,7 +9,14 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import elem_str_by_terms, is_square_by_euler, peval, poly_str_by_terms
+from oracles import (
+    elem_parse_by_terms,
+    elem_str_by_terms,
+    is_square_by_euler,
+    peval,
+    poly_parse_by_terms,
+    poly_str_by_terms,
+)
 
 from glfq.fields import (
     FieldCtx,
@@ -80,6 +87,28 @@ def test_polynomial_text_matches_the_oracle(p, e):
     for P in map(pnorm, itertools.product(ctx.elements(), repeat=3)):
         assert poly_str(ctx, P) == poly_str_by_terms(ctx, P)
         assert poly_parse(ctx, poly_str(ctx, P)) == P
+
+
+@pytest.mark.parametrize("p,e,degree", [
+    (2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3),
+    (2, 4, 2), (5, 2, 2),
+])
+def test_reader_matches_the_term_split_oracles(p, e, degree):
+    # every element and every polynomial of degree <= degree, written by
+    # elem_str and poly_str, bare, with spaces, and (polynomials) with '**'
+    ctx = make_field(p, e)
+
+    def spaced(text):
+        return " %s " % " ".join(text)
+
+    for a in ctx.elements():
+        for text in (ctx.elem_str(a), spaced(ctx.elem_str(a))):
+            assert ctx.elem_parse(text) == elem_parse_by_terms(ctx, text) == a
+    for P in map(pnorm, itertools.product(ctx.elements(), repeat=degree + 1)):
+        text = poly_str(ctx, P)
+        starred = text.replace("^", "**")
+        for text in (text, spaced(text), starred, spaced(starred)):
+            assert poly_parse(ctx, text) == poly_parse_by_terms(ctx, text) == P
 
 
 def test_prime_factors_match_a_sieve():
