@@ -32,30 +32,9 @@ from .conjtype import (
     type_of,
     with_unipotent,
 )
+from .fields import check_work
 from .memo import memo
 from .partial_iso import AlgElem, invariant_product, invariant_product_work
-
-# A request that would make more type_of calls than this, enumerate more
-# partial isomorphisms, or build a field with more trial divisions or table
-# elements, is refused before it enumerates anything (several minutes: the
-# oracle completed_product at q = 2, n = 8 of {X+1:(2)} by itself, 32,385
-# elements, takes 0.31 ms an element on a 2-vCPU VM, orbit walk included)
-MAX_TYPE_OF_CALLS = 10 ** 6
-
-
-class WorkCapExceeded(ValueError):
-    """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
-    enumerate as many partial isomorphisms, search atoms, trial divisions or
-    field elements."""
-
-
-def check_work(what, calls, unit="type_of calls"):
-    """Refuse a request (a "product", a "census", a "verify suite", a
-    "closed form" or a "field") that needs more than MAX_TYPE_OF_CALLS calls
-    or enumerated elements."""
-    if calls > MAX_TYPE_OF_CALLS:
-        raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
-                              % (what, calls, unit, MAX_TYPE_OF_CALLS))
 
 
 class CentralVector(AlgElem):

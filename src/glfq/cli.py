@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import center, degree1, linalg, partial_iso, ranklaw, subspaces
+from . import center, degree1, fields, linalg, partial_iso, ranklaw, subspaces
 from .conjtype import (
     census,
     class_size,
@@ -40,7 +40,7 @@ def _field_from_args(args):
         if args.p is not None or args.e != 1:
             raise SystemExit2("give either --q or --p/--e, not both")
         q = args.q
-        center.check_work("field", math.isqrt(max(q, 0)) - 1, "trial divisions")
+        fields.check_work("field", math.isqrt(max(q, 0)) - 1, "trial divisions")
         primes = prime_factors(q)
         if len(primes) != 1:  # q is a prime power iff it has one prime factor
             raise SystemExit2("--q must be a prime power, got %d" % q)
@@ -59,10 +59,10 @@ def _checked_field(p, e):
     would keep tables of more elements than the cap (p^e of them).  p^e is
     not formed for an e past the cap's bit length, where p^e >= 2^e is
     above the cap for every p >= 2."""
-    center.check_work("field", math.isqrt(max(p, 0)) - 1, "trial divisions")
+    fields.check_work("field", math.isqrt(max(p, 0)) - 1, "trial divisions")
     if e > 1 and p > 1:
-        top = center.MAX_TYPE_OF_CALLS.bit_length()
-        center.check_work("field", p ** min(e, top),
+        top = fields.MAX_TYPE_OF_CALLS.bit_length()
+        fields.check_work("field", p ** min(e, top),
                           "table elements" if e <= top else "table elements or more")
     return _parsed(make_field, p, e)
 
@@ -133,7 +133,7 @@ def _census(ctx, n):
     the type_of cap, and checked: each type counts class_size elements, and
     the types cover GL(n, F_q)."""
     order = gl_order(ctx.q, n)
-    center.check_work("census", order)
+    fields.check_work("census", order)
     buckets = census(ctx, n)
     for mu, cnt in buckets.items():
         size = class_size(mu, n)
@@ -238,7 +238,7 @@ def cmd_degree1(args):
     if args.n is None:
         # the closed form sums over every element of F_q, and its answer
         # has about q terms
-        center.check_work("closed form", ctx.q, "field elements")
+        fields.check_work("closed form", ctx.q, "field elements")
         case = degree1.classify(ctx, a, b)
         out = degree1.degree1_product(ctx, a, b)
         if args.json:
@@ -310,7 +310,7 @@ def _all_pisos(ctx, n):
     basis is an indexed sequence and nothing is enumerated to draw from it,
     but the cap still refuses above 10^6 partial isomorphisms, before the
     subspace and GL(k) lists it indexes are built."""
-    center.check_work("verify suite", partial_iso.card_iso(ctx.q, n),
+    fields.check_work("verify suite", partial_iso.card_iso(ctx.q, n),
                       "partial isomorphisms")
     return partial_iso.all_pisos(ctx, n)
 
@@ -337,7 +337,7 @@ def _naive_atoms(q, n):
 
 def _suite_naive(ctx, n, rng, samples):
     _at_least("--n", n, 3 if ctx.q == 2 else 2)
-    center.check_work("verify suite", _naive_atoms(ctx.q, n), "atoms")
+    fields.check_work("verify suite", _naive_atoms(ctx.q, n), "atoms")
     triple = partial_iso.naive_product_counterexample(ctx, n)
     return True, "counterexample found: %r" % (triple,)
 
@@ -400,7 +400,7 @@ def _suite_census(ctx, n, rng, samples):
 def _suite_ranklaw(ctx, n, rng, samples):
     q = ctx.q
     # (n+2)^2 (n+1)/2 rank laws, and (n+1)(n+1-j)^2 dimension laws for each j
-    center.check_work("verify suite", (n + 2) ** 2 * (n + 1) // 2
+    fields.check_work("verify suite", (n + 2) ** 2 * (n + 1) // 2
                       + (n + 1) * sum(i * i for i in range(1, n + 2)), "law evaluations")
     for d in range(n + 1):
         for a in range(n + 2):
@@ -427,7 +427,7 @@ def _unit_pairs(ctx, work, extra=0):
     other than 1, none at q = 2)."""
     q = ctx.q
     kinds = ((linear_type(ctx, 1), 1), (linear_type(ctx, q - 1), q - 2))
-    center.check_work("verify suite", extra + sum(i * j * work(lam, mu) for lam, i in kinds
+    fields.check_work("verify suite", extra + sum(i * j * work(lam, mu) for lam, i in kinds
                                                   for mu, j in kinds))
     units = range(1, q)
     types = {a: linear_type(ctx, a) for a in units}
@@ -470,7 +470,7 @@ def _suite_fh(ctx, n, rng, samples):
 def _suite_phi(ctx, n, rng, samples):
     # the type orbits of sizes 0, 1 and 2 at n = 3 hold nf(q, 3, k)^2
     # partial isomorphisms each
-    center.check_work("verify suite", sum(num_free_families(ctx.q, 3, k) ** 2
+    fields.check_work("verify suite", sum(num_free_families(ctx.q, 3, k) ** 2
                                           for k in range(3)), "partial isomorphisms")
     for size in (0, 1, 2):
         for mu in enumerate_polypartitions(ctx, size):
@@ -625,7 +625,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (SystemExit2, center.WorkCapExceeded) as exc:
+    except (SystemExit2, fields.WorkCapExceeded) as exc:
         # a request refused for its cost is answered like a usage error
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -129,7 +129,7 @@ def format_polypartition(mu):
 
 
 def parse_polypartition(ctx, s):
-    s = s.strip().replace(" ", "")
+    s = fields.strip_spaces(s)
     if not (s.startswith("{") and s.endswith("}")):
         raise ValueError("polypartition must be wrapped in { }: %r" % s)
     body = s[1:-1]

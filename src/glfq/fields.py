@@ -28,8 +28,32 @@ with no trailing zeros (the zero polynomial is the empty tuple).
 
 import itertools
 import operator
+import re
 
 from .memo import memo
+
+# A request that would make more type_of calls than this, enumerate more
+# partial isomorphisms, build a field with more trial divisions or table
+# elements, or sieve more candidates to test a label, is refused before it
+# enumerates anything (several minutes: the oracle completed_product at
+# q = 2, n = 8 of {X+1:(2)} by itself, 32,385 elements, takes 0.31 ms an
+# element on a 2-vCPU VM, orbit walk included)
+MAX_TYPE_OF_CALLS = 10 ** 6
+
+
+class WorkCapExceeded(ValueError):
+    """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
+    enumerate as many partial isomorphisms, search atoms, trial divisions,
+    field elements or sieve candidates."""
+
+
+def check_work(what, calls, unit="type_of calls"):
+    """Refuse a request (a "product", a "census", a "verify suite", a
+    "closed form", a "field" or a "label") that needs more than
+    MAX_TYPE_OF_CALLS calls or enumerated elements."""
+    if calls > MAX_TYPE_OF_CALLS:
+        raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
+                              % (what, calls, unit, MAX_TYPE_OF_CALLS))
 
 
 def prime_factors(n):
@@ -310,12 +334,10 @@ class FieldCtx:
         an extension field reads a sum of c*t^i (_sum_parse) with integer
         coefficients c in [0, p) and powers i < e, and rejects anything else."""
         if self.e == 1:
-            lit = s.replace(" ", "")
-            try:
-                return int(lit) % self.p
-            except ValueError:
-                raise ValueError("bad field element %r: %r is not an integer"
-                                 % (s, lit)) from None
+            lit = strip_spaces(s)
+            if not re.fullmatch(r"[+-]?\d+", lit):
+                raise ValueError("bad field element %r: %r is not an integer" % (s, lit))
+            return int(lit) % self.p
         digs = [0] * self.e
         for sign, c, i in _sum_parse(s, "t"):
             if not c.isdecimal():
@@ -507,14 +529,24 @@ def poly_str(ctx, P):
     return _sum_str(P, "X", ctx.elem_str)
 
 
+def strip_spaces(s):
+    """s without its surrounding whitespace and its spaces.  A space between
+    two letters or digits raises ValueError naming s, since dropping it would
+    join two numbers or terms into one."""
+    m = re.search(r"\w +\w", s)
+    if m:
+        raise ValueError("space between %r and %r in %r" % (m.group()[0], m.group()[-1], s))
+    return s.strip().replace(" ", "")
+
+
 def _sum_parse(s, var):
     """The inverse of _sum_str: the (sign, c, i) of each term c*var^i of the
     sum s, sign +1 or -1 and c the coefficient text ("1" when omitted).  The
     terms split at '+' and '-' outside parentheses, and consecutive signs
     combine; a term is c*var^i, cvar^i, var^i, var or c, where c may be
-    parenthesised.  Spaces are ignored and '**' reads as '^'.  Anything else
-    raises ValueError naming the term."""
-    text = s.replace(" ", "").replace("**", "^")
+    parenthesised.  Spaces are dropped (strip_spaces) and '**' reads as '^'.
+    Anything else raises ValueError naming the term."""
+    text = strip_spaces(s).replace("**", "^")
     split, sign, cur, depth = [], 1, "", 0
     for ch in text:
         depth += (ch == "(") - (ch == ")")
@@ -552,12 +584,22 @@ def _sum_parse(s, var):
 
 def poly_parse(ctx, s):
     """Parse the polynomial syntax, a sum of c*X^i (_sum_parse) with each
-    coefficient c in the element syntax; repeated powers add up."""
+    coefficient c in the element syntax; repeated powers add up.  A text of
+    degree d whose irreducibility test would sieve more than the cap's
+    candidates, the q^k monic polynomials of each degree 1 <= k <= d/2,
+    raises WorkCapExceeded before its coefficient tuple is built."""
     coeffs = {}
     for sign, c, i in _sum_parse(s, "X"):
         c = ctx.elem_parse(c)
         coeffs[i] = ctx.add(coeffs.get(i, 0), c if sign > 0 else ctx.neg(c))
-    return pnorm(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
+    d = max((i for i, c in coeffs.items() if c), default=0)
+    sieve, k = 0, 0
+    while k < d // 2 and sieve <= MAX_TYPE_OF_CALLS:
+        k += 1
+        sieve += ctx.q ** k
+    check_work("label %r of degree %d" % (s, d), sieve,
+               "sieve candidates" if k == d // 2 else "sieve candidates or more")
+    return pnorm(coeffs.get(i, 0) for i in range(d + 1))
 
 
 def linear_poly(ctx, a):

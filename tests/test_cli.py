@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from glfq import center, cli, partial_iso
+from glfq import center, cli, fields, partial_iso
 from glfq.conjtype import (
     class_size,
     complete,
@@ -148,7 +148,7 @@ def test_generic_product_verified_below_n0(capsys):
 
 
 def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
-    monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", 100)
+    monkeypatch.setattr(fields, "MAX_TYPE_OF_CALLS", 100)
     monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
     code, out, err = run(
         capsys, "generic-product", "--q", "2",
@@ -264,7 +264,7 @@ def test_unit_pair_suites_name_the_sum_over_every_pair(capsys, monkeypatch, q, s
     if suite == "fh":
         lefts.append(linear_type(ctx, 1, (2,)))
     total = sum(work(lam, linear_type(ctx, b)) for lam in lefts for b in units)
-    monkeypatch.setattr(center, "MAX_TYPE_OF_CALLS", total - 1)
+    monkeypatch.setattr(fields, "MAX_TYPE_OF_CALLS", total - 1)
     code, out, err = run(capsys, "verify", "--suite", suite, "--q", str(q))
     assert (code, out, err) == (2, "", "usage error: this verify suite needs %d type_of calls, "
                                        "above the cap of %d\n" % (total, total - 1))
@@ -404,7 +404,7 @@ def test_documented_slow_products_stay_below_cap(q, a, b):
     ctx = make_field(q)
     lam, mu = parse_polypartition(ctx, a), parse_polypartition(ctx, b)
     work = partial_iso.invariant_product_work(lam, mu, lam.size + mu.size)
-    assert 0 < work <= center.MAX_TYPE_OF_CALLS // 10
+    assert 0 < work <= fields.MAX_TYPE_OF_CALLS // 10
 
 
 def test_generic_product_rejects_unipotent_input(capsys, monkeypatch):
@@ -632,6 +632,49 @@ def test_malformed_term_is_named(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and repr(named) in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["degree1", "--q", "13", "--a", "1 2", "--b", "1"], "'1 2'"),
+    (["degree1", "--q", "13", "--a", "1_2", "--b", "1"], "'1_2'"),
+    (["degree1", "--q", "4", "--a", "1 t", "--b", "1"], "'1 t'"),
+    (["type", "--q", "13", "--mat", "1 2,0;0,1"], "'1 2'"),
+    (["class-size", "--q", "13", "--n", "1", "--type", "{X+1 2:(1)}"], "'{X+1 2:(1)}'"),
+    (["class-size", "--q", "13", "--n", "1", "--type", "{X+1_2:(1)}"], "'1_2'"),
+    (["class-size", "--q", "13", "--n", "2", "--type", "{X+1:(1 1)}"], "'{X+1:(1 1)}'"),
+])
+def test_literal_split_by_a_space_or_underscore_is_named(capsys, argv, named):
+    # each of these used to read as the literal with the space or '_' dropped
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and named in err
+
+
+def test_spaces_around_operators_are_read(capsys):
+    for argv, spaced in [
+        (["degree1", "--q", "4", "--b", "1", "--a"], (" t + 1 ", "t+1")),
+        (["type", "--q", "13", "--mat"], (" 12 , 1 ; 0 , - 1 ", "12,1;0,12")),
+        (["type", "--q", "13", "--mat"], ("1,2;\n0,1", "1,2;0,1")),
+        (["class-size", "--q", "2", "--n", "2", "--type"], ("{ X ^ 2 + X + 1 : (1) }",
+                                                           "{X^2+X+1:(1)}")),
+    ]:
+        code, out, _ = run(capsys, *argv, spaced[0])
+        assert code == 0 and (code, out) == run(capsys, *argv, spaced[1])[:2]
+
+
+@pytest.mark.parametrize("sub", [
+    ["class-size", "--n", "1", "--type"],
+    ["class-product", "--n", "1", "--b", "{X+1:(1)}", "--a"],
+    ["generic-product", "--b", "{X+1:(1)}", "--a"],
+])
+def test_label_whose_sieve_passes_the_cap_is_refused_at_once(capsys, sub):
+    # its coefficient tuple would take about 16 MB
+    t0 = time.monotonic()
+    code, out, err = run(capsys, sub[0], "--q", "2", *sub[1:], "{X^2000000+1:(1)}")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this label 'X^2000000+1' of degree 2000000 needs 1048574 "
+                   "sieve candidates or more, above the cap of 1000000\n")
 
 
 def test_parenthesised_constant_term_is_read(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -19,7 +20,9 @@ from oracles import (
 )
 
 from glfq.fields import (
+    MAX_TYPE_OF_CALLS,
     FieldCtx,
+    WorkCapExceeded,
     enumerate_irreducibles,
     factor,
     is_irreducible,
@@ -175,6 +178,54 @@ def test_poly_parse_roundtrip():
     for s in ("X^2+X+1", "X+3", "X^3+2*X+4"):
         P = poly_parse(ctx, s)
         assert poly_parse(ctx, poly_str(ctx, P)) == P
+
+
+@pytest.mark.parametrize("p,e,text,named", [
+    (13, 1, "1 2", "space between '1' and '2'"),
+    (13, 1, "-1 2", "space between '1' and '2'"),
+    (13, 1, "1_2", "'1_2' is not an integer"),
+    (13, 1, "1 _2", "space between '1' and '_'"),
+    (2, 2, "1 t", "space between '1' and 't'"),
+    (2, 2, "t 1", "space between 't' and '1'"),
+    (3, 2, "2*t+1_0", "'1_0' is not an integer"),
+])
+def test_elem_parse_refuses_a_split_or_underscored_literal(p, e, text, named):
+    with pytest.raises(ValueError, match=re.escape(repr(text))) as exc:
+        make_field(p, e).elem_parse(text)
+    assert named in str(exc.value)
+
+
+def test_spaces_around_operators_stay_allowed():
+    ctx13, ctx4 = make_field(13), make_field(2, 2)
+    assert ctx13.elem_parse(" 12 ") == ctx13.elem_parse("- 1") == ctx13.elem_parse("\t12\n") == 12
+    assert ctx4.elem_parse(" t + 1 ") == ctx4.elem_parse("1 * t + 1") == 3
+    assert poly_parse(ctx13, " X ^ 2 - 12 * X") == (0, 1, 1)
+    assert poly_parse(ctx4, "( t + 1 ) * X + t") == (2, 3)
+    for text in ("X+1 2", "X 2+1", "1 X+1"):
+        with pytest.raises(ValueError, match="space between"):
+            poly_parse(ctx13, text)
+    with pytest.raises(ValueError, match="'1_2' is not an integer"):
+        poly_parse(ctx13, "X+1_2")
+
+
+@pytest.mark.parametrize("p,e,top", [(2, 1, 37), (3, 1, 25), (2, 2, 19), (65521, 1, 3)])
+def test_poly_parse_refuses_a_degree_past_the_sieve_cap(p, e, top):
+    # the irreducibility test of a degree-d polynomial sieves the q^k monic
+    # polynomials of each degree 1 <= k <= d/2; top is the largest d whose
+    # sieve stays within the cap
+    ctx = make_field(p, e)
+    assert sum(ctx.q ** k for k in range(1, top // 2 + 1)) <= MAX_TYPE_OF_CALLS
+    assert sum(ctx.q ** k for k in range(1, (top + 2) // 2 + 1)) > MAX_TYPE_OF_CALLS
+    assert poly_parse(ctx, "X^%d+1" % top) == (1,) + (0,) * (top - 1) + (1,)
+    for d in (top + 1, 2 * 10 ** 6):
+        with pytest.raises(WorkCapExceeded, match=r"^this label 'X\^%d\+1' of degree %d " % (d, d)):
+            poly_parse(ctx, "X^%d+1" % d)
+
+
+@pytest.mark.parametrize("text", ["0*X^40+X+1", "X^40-X^40+X+1", "X+1+0*X^2000000"])
+def test_poly_parse_caps_the_degree_of_the_sum(text):
+    # a power whose coefficients add up to 0 is not the degree
+    assert poly_parse(make_field(2), text) == (1, 1)
 
 
 def test_linear_poly_root():

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from glfq import center, conjtype, fields, partial_iso
+from glfq import center, conjtype, fields, linalg, partial_iso
 from glfq.fields import make_field
 from glfq.memo import memo
 
@@ -40,6 +40,28 @@ def test_limit_empties_the_store_in_place():
     assert square(4) == 16 and len(store) == 2
 
 
+def test_a_hit_compares_its_key_once():
+    class Key:
+        # equal keys that are distinct objects, all in one hash bucket
+        eqs = 0
+
+        def __hash__(self):
+            return 0
+
+        def __eq__(self, other):
+            Key.eqs += 1
+            return isinstance(other, Key)
+
+    @memo
+    def build(key):
+        return [key]
+
+    first = build(Key())
+    Key.eqs = 0
+    assert build(Key()) is first
+    assert Key.eqs == 1
+
+
 def test_wrapped_bypasses_the_store():
     @memo
     def build(n):
@@ -60,6 +82,7 @@ def test_wrapped_bypasses_the_store():
     (partial_iso, "all_pisos"),
     (partial_iso, "orbit_of_type"),
     (partial_iso, "_basis_product"),
+    (partial_iso, "_mat_mul"),
     (partial_iso, "trivial_extensions_grouped"),
     (center, "_padding_profiles"),
 ])
@@ -73,6 +96,22 @@ def test_memoized_functions_stay_plain_module_functions(module, name):
 
 def test_product_cache_is_the_product_memo_store():
     assert partial_iso._PRODUCT_CACHE is partial_iso._basis_product.cache
+
+
+def test_algebra_product_memo_equals_mat_mul():
+    # every ordered pair of GL(2, F_3), through a filled and a flushed store
+    ctx = make_field(3)
+    gl = conjtype.enumerate_gl(ctx, 2)
+    pairs = [(a, b) for a in gl for b in gl]
+    assert len(pairs) == 2304
+    partial_iso._mat_mul.cache.clear()
+    for _ in range(2):
+        assert all(partial_iso._mat_mul(ctx, a, b) == linalg.mat_mul(ctx, a, b)
+                   for a, b in pairs)
+    assert len(partial_iso._mat_mul.cache) == 2304
+    partial_iso._mat_mul.cache.clear()
+    assert all(partial_iso._mat_mul(ctx, a, b) == linalg.mat_mul(ctx, a, b)
+               for a, b in pairs)
 
 
 def test_make_field_normalizes_its_default_degree():

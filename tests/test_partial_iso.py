@@ -285,6 +285,18 @@ def test_extension_groups_are_cached_by_value():
     assert len(cache) == 1
 
 
+def test_empty_pisos_of_different_n_differ():
+    # their bases are all empty: only the ambient dimension tells them apart
+    ctx = make_field(2)
+    e2, e3 = pi.empty_piso(2), pi.empty_piso(3)
+    assert e2 != e3 and e2 == pi.empty_piso(2)
+    pi._basis_product.cache.clear()
+    p2, p3 = pi._basis_product(ctx, e2, e2), pi._basis_product(ctx, e3, e3)
+    assert list(pi._basis_product.cache) == [(ctx, e2, e2), (ctx, e3, e3)]
+    assert p2 == (1, {e2: 1}) and p3 == (1, {e3: 1})
+    assert next(iter(p3[1])).n == 3
+
+
 def test_empty_piso_idempotent_but_not_a_unit():
     # multiplying by the empty element re-randomizes the free side of the
     # glueing, so it is an idempotent, not a two-sided unit

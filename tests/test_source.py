@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 from glfq import cli
 
@@ -65,6 +66,26 @@ def test_every_imported_name_is_read():
                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                   for name in (a.asname or a.name.split(".")[0] for a in node.names)
                   if name not in read]
+    assert found == []
+
+
+def test_every_memo_limit_states_its_measured_traffic():
+    # a memo's limit is sized from the traffic it was measured on, so the
+    # comment right above each @memo(limit=...) gives that measurement
+    limits, found = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if not line.lstrip().startswith("@memo(limit="):
+                continue
+            limits += 1
+            top = i
+            while top and lines[top - 1].lstrip().startswith("#"):
+                top -= 1
+            comment = " ".join(lines[top:i])
+            if "measured" not in comment.lower() or not re.search(r"\d", comment):
+                found.append("%s:%d" % (path.name, i + 1))
+    assert limits >= 5
     assert found == []
 
 
