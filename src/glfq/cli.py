@@ -13,7 +13,6 @@ refused for its cost).  All output is deterministic given the flags and
 
 import argparse
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -25,7 +24,6 @@ from .conjtype import (
     complete,
     enumerate_polypartitions,
     format_polypartition,
-    gl_order,
     linear_type,
     num_free_families,
     parse_polypartition,
@@ -40,31 +38,16 @@ def _field_from_args(args):
         if args.p is not None or args.e != 1:
             raise SystemExit2("give either --q or --p/--e, not both")
         q = args.q
-        fields.check_work("field", math.isqrt(max(q, 0)) - 1, "trial divisions")
         primes = prime_factors(q)
         if len(primes) != 1:  # q is a prime power iff it has one prime factor
             raise SystemExit2("--q must be a prime power, got %d" % q)
         p, e = primes[0], 1
         while p ** e < q:
             e += 1
-        return _checked_field(p, e)
+        return make_field(p, e)
     if args.p is None:
         raise SystemExit2("a field is required: --q or --p [--e]")
-    return _checked_field(args.p, args.e)
-
-
-def _checked_field(p, e):
-    """make_field(p, e), refused before it starts when testing p takes more
-    trial divisions than the cap (sqrt(p) of them) or an extension field
-    would keep tables of more elements than the cap (p^e of them).  p^e is
-    not formed for an e past the cap's bit length, where p^e >= 2^e is
-    above the cap for every p >= 2."""
-    fields.check_work("field", math.isqrt(max(p, 0)) - 1, "trial divisions")
-    if e > 1 and p > 1:
-        top = fields.MAX_TYPE_OF_CALLS.bit_length()
-        fields.check_work("field", p ** min(e, top),
-                          "table elements" if e <= top else "table elements or more")
-    return _parsed(make_field, p, e)
+    return _parsed(make_field, args.p, args.e)
 
 
 class SystemExit2(Exception):
@@ -84,6 +67,32 @@ def _at_least(flag, value, low):
     if value < low:
         raise SystemExit2("%s must be at least %d, got %d" % (flag, low, value))
     return value
+
+
+def _flag(owner, flag, value, default):
+    """A flag's value, at least 0, or its default if not given; a flag given
+    to an owner that does not read it (default None) is a usage error."""
+    if value is None:
+        return default
+    if default is None:
+        raise SystemExit2("%s does not read %s" % (owner, flag))
+    return _at_least(flag, value, 0)
+
+
+def _read_flags(args, owner, table, key):
+    """Set each flag that table[key] reads to its value, 0 if not given, and
+    return the largest; another flag of the table, given, is a usage error."""
+    for flag in dict.fromkeys(f for flags in table.values() for f in flags):
+        setattr(args, flag, _flag(owner, "--" + flag, getattr(args, flag),
+                                  0 if flag in table[key] else None))
+    return max(getattr(args, flag) for flag in table[key])
+
+
+def _check_answer_bits(q, n):
+    """Refuse a closed form over F_q whose largest dimension is n before it
+    is computed: its answer is built from integers of order q^(n^2), of at
+    most n^2 ceil(log2 q) bits."""
+    fields.check_work("closed form", n * n * (q - 1).bit_length(), "answer bits")
 
 
 def _frac_str(c):
@@ -124,32 +133,14 @@ def cmd_class_size(args):
     if mu.size != args.n:
         raise SystemExit2("%s has size %d, not --n %d"
                           % (format_polypartition(mu), mu.size, args.n))
+    _check_answer_bits(ctx.q, args.n)
     print(class_size(mu, args.n))
     return 0
 
 
-def _census(ctx, n):
-    """census(ctx, n), refused before enumerating when |GL(n, F_q)| is above
-    the type_of cap, and checked: each type counts class_size elements, and
-    the types cover GL(n, F_q)."""
-    order = gl_order(ctx.q, n)
-    fields.check_work("census", order)
-    buckets = census(ctx, n)
-    for mu, cnt in buckets.items():
-        size = class_size(mu, n)
-        if cnt != size:
-            raise AssertionError("census counts %d of type %s, class_size %d"
-                                 % (cnt, format_polypartition(mu), size))
-    total = sum(buckets.values())
-    if total != order:
-        raise AssertionError("census counts %d elements, |GL(%d, F_%d)| = %d"
-                             % (total, n, ctx.q, order))
-    return buckets
-
-
 def cmd_census(args):
     ctx = _field_from_args(args)
-    buckets = _census(ctx, _at_least("--n", args.n, 0))
+    buckets = census(ctx, _at_least("--n", args.n, 0))
     rows = sorted((format_polypartition(mu), cnt) for mu, cnt in buckets.items())
     if args.json:
         print(json.dumps(
@@ -236,11 +227,8 @@ def cmd_degree1(args):
     a = _unit(ctx, "--a", args.a)
     b = _unit(ctx, "--b", args.b)
     if args.n is None:
-        # the closed form sums over every element of F_q, and its answer
-        # has about q terms
-        fields.check_work("closed form", ctx.q, "field elements")
+        out = degree1.degree1_product(ctx, a, b)  # its cap comes before sqrt's O(q) table
         case = degree1.classify(ctx, a, b)
-        out = degree1.degree1_product(ctx, a, b)
         if args.json:
             print(json.dumps({
                 "q": ctx.q,
@@ -264,16 +252,19 @@ def cmd_degree1(args):
     return 0
 
 
+_WHAT_FLAGS = {"E": ("n", "kplus", "k", "k1"), "F": ("kplus", "k", "k1"), "subspaces": ("n", "k")}
+
+
 def cmd_count(args):
     ctx = _field_from_args(args)
     q = ctx.q
+    _check_answer_bits(q, _read_flags(args, "--what " + args.what, _WHAT_FLAGS, args.what))
     if args.what == "E":
         out = _parsed(partial_iso.count_E, q, args.n, args.kplus, args.k, args.k1)
     elif args.what == "F":
         out = _parsed(partial_iso.count_F, q, args.kplus, args.k, args.k1)
     else:
-        out = subspaces.num_subspaces(
-            q, _at_least("--n", args.n, 0), _at_least("--k", args.k, 0))
+        out = subspaces.num_subspaces(q, args.n, args.k)
     print(out)
     return 0
 
@@ -289,8 +280,7 @@ _LAW_FLAGS = {
 def cmd_ranklaw(args):
     ctx = _field_from_args(args)
     q = ctx.q
-    for flag in _LAW_FLAGS[args.law]:
-        _at_least("--" + flag, getattr(args, flag), 0)
+    _check_answer_bits(q, _read_flags(args, "--law " + args.law, _LAW_FLAGS, args.law))
     if args.law == "rank":
         out = _parsed(ranklaw.rank_law, args.d, q, args.a, args.c)
     elif args.law == "cond":
@@ -305,18 +295,8 @@ def cmd_ranklaw(args):
 
 # -- verify suites ------------------------------------------------------------
 
-def _all_pisos(ctx, n):
-    """all_pisos(ctx, n), refused when |I(n, F_q)| is above the cap.  The
-    basis is an indexed sequence and nothing is enumerated to draw from it,
-    but the cap still refuses above 10^6 partial isomorphisms, before the
-    subspace and GL(k) lists it indexes are built."""
-    fields.check_work("verify suite", partial_iso.card_iso(ctx.q, n),
-                      "partial isomorphisms")
-    return partial_iso.all_pisos(ctx, n)
-
-
 def _suite_assoc(ctx, n, rng, samples):
-    basis = _all_pisos(ctx, n)
+    basis = partial_iso.all_pisos(ctx, n)
     for _ in range(samples):
         x, y, z = (partial_iso.basis_elem(rng.choice(basis)) for _ in range(3))
         lhs = partial_iso.product(ctx, partial_iso.product(ctx, x, y), z)
@@ -327,23 +307,14 @@ def _suite_assoc(ctx, n, rng, samples):
         samples, n, ctx.q)
 
 
-def _naive_atoms(q, n):
-    """The atoms naive_product_counterexample searches, in closed form: a
-    k-space L of (F_q)^n, two automorphisms of L other than the identity and
-    a (k+1)-space containing L, for k = 1, 2."""
-    return sum(subspaces.num_subspaces(q, n, k) * (gl_order(q, k) - 1) ** 2
-               * subspaces.num_subspaces(q, n - k, 1) for k in (1, 2))
-
-
 def _suite_naive(ctx, n, rng, samples):
     _at_least("--n", n, 3 if ctx.q == 2 else 2)
-    fields.check_work("verify suite", _naive_atoms(ctx.q, n), "atoms")
     triple = partial_iso.naive_product_counterexample(ctx, n)
     return True, "counterexample found: %r" % (triple,)
 
 
 def _suite_operators(ctx, n, rng, samples):
-    basis = _all_pisos(ctx, n)
+    basis = partial_iso.all_pisos(ctx, n)
     subs = []
     for k in range(n + 1):
         subs.extend(subspaces.enumerate_subspaces(ctx, n, k))
@@ -366,7 +337,7 @@ def _suite_extensions(ctx, n, rng, samples):
     q = ctx.q
     full = subspaces.full_subspace(n)
     checked = 0
-    for x in _all_pisos(ctx, n):
+    for x in partial_iso.all_pisos(ctx, n):
         k = x.dim
         tp = partial_iso.piso_type(ctx, x)
         k1 = tp.k1
@@ -391,7 +362,7 @@ def _suite_extensions(ctx, n, rng, samples):
 
 def _suite_census(ctx, n, rng, samples):
     try:
-        buckets = _census(ctx, n)
+        buckets = census(ctx, n)
     except AssertionError as exc:
         return False, str(exc)
     return True, "%d classes cover GL(%d, F_%d)" % (len(buckets), n, ctx.q)
@@ -482,7 +453,7 @@ def _suite_phi(ctx, n, rng, samples):
 
 
 def _suite_pi(ctx, n, rng, samples):
-    basis = _all_pisos(ctx, n)
+    basis = partial_iso.all_pisos(ctx, n)
     for _ in range(samples):
         x = partial_iso.basis_elem(rng.choice(basis))
         y = partial_iso.basis_elem(rng.choice(basis))
@@ -509,19 +480,10 @@ _SUITES = {
 }
 
 
-def _suite_flag(suite, flag, value, default):
-    """A verify flag's value, its default if not given, or a usage error."""
-    if value is None:
-        return default
-    if default is None:
-        raise SystemExit2("suite %s does not read %s" % (suite, flag))
-    return _at_least(flag, value, 0)
-
-
 def cmd_verify(args):
     fn, default_n, default_q, default_samples = _SUITES[args.suite]
-    n = _suite_flag(args.suite, "--n", args.n, default_n)
-    samples = _suite_flag(args.suite, "--samples", args.samples, default_samples)
+    n = _flag("suite " + args.suite, "--n", args.n, default_n)
+    samples = _flag("suite " + args.suite, "--samples", args.samples, default_samples)
     if args.q is None and args.p is None:
         args.q = default_q
     ctx = _field_from_args(args)
@@ -594,19 +556,16 @@ def build_parser():
 
     p = sub.add_parser("count", help="extension and subspace counts")
     _add_field_flags(p)
-    p.add_argument("--what", choices=["E", "F", "subspaces"], required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--kplus", type=int, default=0)
-    p.add_argument("--k1", type=int, default=0)
+    p.add_argument("--what", choices=sorted(_WHAT_FLAGS), required=True)
+    for flag in ("n", "k", "kplus", "k1"):
+        p.add_argument("--" + flag, type=int)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("ranklaw", help="exact rank and dimension laws")
     _add_field_flags(p)
-    p.add_argument("--law", choices=["rank", "cond", "dimsum", "count"],
-                   required=True)
+    p.add_argument("--law", choices=sorted(_LAW_FLAGS), required=True)
     for flag in ("d", "a", "b", "c", "dd", "n", "j", "k", "l", "m"):
-        p.add_argument("--" + flag, type=int, default=0)
+        p.add_argument("--" + flag, type=int)
     p.set_defaults(fn=cmd_ranklaw)
 
     p = sub.add_parser("verify", help="self-verification suites")
@@ -621,6 +580,8 @@ def build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # every admitted answer prints
+        sys.set_int_max_str_digits(0)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -402,12 +402,21 @@ def enumerate_gl(ctx, n):
 def census(ctx, n):
     """Bucket the whole of GL(n, F_q) by conjugacy type.
 
-    Returns {polypartition: count}; cached.
-    """
+    Returns {polypartition: count}; cached.  Refused above the type_of cap
+    of |GL(n, F_q)| calls; checked against class_size and |GL(n, F_q)|."""
+    order = gl_order(ctx.q, n)
+    fields.check_work("census", order)
     buckets = {}
     for g in enumerate_gl(ctx, n):
         t = type_of(ctx, g)
         buckets[t] = buckets.get(t, 0) + 1
+    for mu, cnt in buckets.items():
+        if cnt != class_size(mu, n):
+            raise AssertionError("census counts %d of type %s, class_size %d"
+                                 % (cnt, format_polypartition(mu), class_size(mu, n)))
+    if sum(buckets.values()) != order:
+        raise AssertionError("census counts %d elements, |GL(%d, F_%d)| = %d"
+                             % (sum(buckets.values()), n, ctx.q, order))
     return buckets
 
 

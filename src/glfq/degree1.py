@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import center
 from .conjtype import Partition, Polypartition, format_polypartition, linear_type
-from .fields import linear_poly
+from .fields import check_work, linear_poly
 
 
 class Degree1Case(NamedTuple):
@@ -96,7 +96,9 @@ def degree1_product(ctx, a, b):
 
     Single uniform formula (module docstring); the case dispatch of classify
     only affects how the terms group, never the result.  All coefficients
-    have denominator dividing 2q^2."""
+    have denominator dividing 2q^2.  Refused before the first of its q
+    field elements when q is above the cap."""
+    check_work("closed form", ctx.q, "field elements")
     classify(ctx, a, b)  # rejects non-units
     q = ctx.q
     out = {}

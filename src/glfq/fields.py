@@ -27,6 +27,7 @@ with no trailing zeros (the zero polynomial is the empty tuple).
 """
 
 import itertools
+import math
 import operator
 import re
 
@@ -44,13 +45,15 @@ MAX_TYPE_OF_CALLS = 10 ** 6
 class WorkCapExceeded(ValueError):
     """A request would make more than MAX_TYPE_OF_CALLS type_of calls, or
     enumerate as many partial isomorphisms, search atoms, trial divisions,
-    field elements or sieve candidates."""
+    field elements, answer bits or sieve candidates."""
 
 
 def check_work(what, calls, unit="type_of calls"):
-    """Refuse a request (a "product", a "census", a "verify suite", a
-    "closed form", a "field" or a "label") that needs more than
-    MAX_TYPE_OF_CALLS calls or enumerated elements."""
+    """Refuse a request that needs more than MAX_TYPE_OF_CALLS calls or
+    enumerated elements.  Each enumerating route calls it at its entry on a
+    closed-form count of its own work; what names the route (a "product", a
+    "census", a "basis", a "counterexample search", a "closed form", a
+    "field" or a "label"), and the CLI adds its "verify suite" totals."""
     if calls > MAX_TYPE_OF_CALLS:
         raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
                               % (what, calls, unit, MAX_TYPE_OF_CALLS))
@@ -58,7 +61,9 @@ def check_work(what, calls, unit="type_of calls"):
 
 def prime_factors(n):
     """The distinct primes dividing n, ascending, by trial division up to
-    the square root of what is left (none for n < 2)."""
+    the square root of what is left (none for n < 2); refused before the
+    first division when n may need more than the cap (sqrt(n) - 1)."""
+    check_work("field", math.isqrt(max(n, 0)) - 1, "trial divisions")
     out, d = [], 2
     while d * d <= n:
         if n % d == 0:
@@ -361,7 +366,8 @@ def make_field(p, e=1):
     irreducible of degree e over F_p, comparing coefficient vectors from
     the constant term up.  Deterministic and cached, so element encodings
     are stable and repeated calls return the identical context object.
-    """
+    Refused above the cap of table elements (p^e; not formed for an e past
+    the cap's bit length, where p^e >= 2^e is above the cap)."""
     return _make_field(p, e)
 
 
@@ -370,6 +376,9 @@ def _make_field(p, e):
     if e <= 1:
         return FieldCtx(p, e)
     fp = make_field(p, 1)
+    top = MAX_TYPE_OF_CALLS.bit_length()
+    check_work("field", p ** min(e, top),
+               "table elements" if e <= top else "table elements or more")
     for tail in itertools.product(range(p), repeat=e):
         cand = tail + (1,)
         if is_irreducible(fp, cand):

@@ -34,6 +34,7 @@ from .conjtype import (
     pochhammer,
     type_of,
 )
+from .fields import check_work
 from .memo import memo
 from .ranklaw import dim_sum_law
 
@@ -467,12 +468,14 @@ class Basis(Sequence):
 
 @memo
 def all_pisos(ctx, n):
-    """The full basis I(n, F_q), deterministic order, as a Basis; cached."""
+    """The full basis I(n, F_q), deterministic order, as a Basis; cached.
+    Refused above the cap, before the subspace and GL(k) lists it indexes."""
+    size = card_iso(ctx.q, n)
+    check_work("basis", size, "partial isomorphisms")
     out = Basis(ctx, n)
-    if len(out) != card_iso(ctx.q, n):
-        raise AssertionError("all_pisos indexes %d partial isomorphisms, "
-                             "|I(%d, F_%d)| = %d"
-                             % (len(out), n, ctx.q, card_iso(ctx.q, n)))
+    if len(out) != size:
+        raise AssertionError("all_pisos indexes %d partial isomorphisms, |I(%d, F_%d)| = %d"
+                             % (len(out), n, ctx.q, size))
     return out
 
 
@@ -733,6 +736,14 @@ def naive_product(ctx, x, y):
     return {k: c for k, c in out.items() if c}
 
 
+def naive_atoms(q, n):
+    """The atoms naive_product_counterexample searches, in closed form: a
+    k-space L of (F_q)^n, two automorphisms of L other than the identity and
+    a (k+1)-space containing L, for k = 1, 2."""
+    return sum(subspaces.num_subspaces(q, n, k) * (gl_order(q, k) - 1) ** 2
+               * subspaces.num_subspaces(q, n - k, 1) for k in (1, 2))
+
+
 def naive_product_counterexample(ctx, n):
     """A triple of naive partial isomorphisms with (G*H)*I != G*(H*I),
     demonstrating that the one-automorphism construction is not associative.
@@ -753,6 +764,7 @@ def naive_product_counterexample(ctx, n):
     if ctx.q == 2 and n < 3:
         raise ValueError(
             "the naive product on (F_2)^2 is associative; need n >= 3")
+    check_work("counterexample search", naive_atoms(ctx.q, n), "atoms")
 
     def atoms():
         for k in (1, 2):

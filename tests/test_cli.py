@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from glfq import center, cli, fields, partial_iso
+from glfq import center, cli, conjtype, degree1, fields, partial_iso, subspaces
 from glfq.conjtype import (
     class_size,
     complete,
@@ -194,7 +195,7 @@ def test_generic_product_verify_at_refuses_work_above_cap(capsys):
 def test_census_refuses_work_above_cap(capsys, monkeypatch, argv):
     # |GL(4, F_5)| = 116,064,000,000; the group order is checked before
     # enumerate_gl would build the whole list
-    monkeypatch.setattr(cli, "census", enumerate_nothing)
+    monkeypatch.setattr(conjtype, "enumerate_gl", enumerate_nothing)
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - t0 < 1.0
@@ -212,16 +213,17 @@ def test_census_refuses_work_above_cap(capsys, monkeypatch, argv):
     (("verify", "--suite", "phi", "--q", "4"), 14292370),
 ])
 def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, count):
-    # the size of A(n), or of the type orbits phi sums over, is checked
-    # before any partial isomorphism is built
-    monkeypatch.setattr(partial_iso, "all_pisos", enumerate_nothing)
+    # the size of the basis of A(n), or of the type orbits phi sums over,
+    # is checked before any subspace or partial isomorphism is built
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", enumerate_nothing)
     monkeypatch.setattr(partial_iso, "invariant_elem", enumerate_nothing)
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert err == ("usage error: this verify suite needs %d partial isomorphisms, "
-                   "above the cap of 1000000\n" % count)
+    what = "verify suite" if "phi" in argv else "basis"
+    assert err == ("usage error: this %s needs %d partial isomorphisms, "
+                   "above the cap of 1000000\n" % (what, count))
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -374,21 +376,88 @@ def test_degree1_closed_form_refused_above_cap(capsys):
                    "above the cap of 1000000\n")
 
 
-@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (5, 2)])
-def test_naive_suite_counts_its_atoms(q, n):
-    ctx = make_field(2, 2) if q == 4 else make_field(q)
-    assert cli._naive_atoms(q, n) == oracles.naive_atoms_by_scan(ctx, n)
+def test_degree1_projection_refused_above_cap(capsys, monkeypatch):
+    # --n projects the same closed form, which refuses itself at its entry
+    for name in ("classify", "irreducible_quadratics_I"):
+        monkeypatch.setattr(degree1, name, enumerate_nothing)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "degree1", "--q", "1000003", "--a", "2", "--b", "3", "--n", "2")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this closed form needs 1000003 field elements, "
+                   "above the cap of 1000000\n")
+
+
+# route: (the route, uncached, at (ctx, n); the number of elements it
+# enumerates there)
+ROUTE_WORK = {
+    "census": (conjtype.census.__wrapped__,
+               lambda ctx, n: len(conjtype.enumerate_gl(ctx, n))),
+    "all_pisos": (partial_iso.all_pisos.__wrapped__,
+                  lambda ctx, n: len(partial_iso.Basis(ctx, n))),
+    "naive_atoms": (partial_iso.naive_product_counterexample, oracles.naive_atoms_by_scan),
+    "degree1": (lambda ctx, n: degree1.degree1_product(ctx, 1, 1),
+                lambda ctx, n: len(ctx.elements())),
+    "field_tables": (lambda ctx, n: fields._make_field.__wrapped__(ctx.p, ctx.e),
+                     lambda ctx, n: len(ctx._log)),
+}
+
+
+@pytest.mark.parametrize("route,q,n", [
+    ("census", 2, 3), ("census", 3, 2), ("census", 3, 3), ("census", 4, 2),
+    ("all_pisos", 2, 3), ("all_pisos", 3, 2), ("all_pisos", 4, 2),
+    ("naive_atoms", 2, 3), ("naive_atoms", 2, 4), ("naive_atoms", 3, 2),
+    ("naive_atoms", 3, 3), ("naive_atoms", 4, 2), ("naive_atoms", 5, 2),
+    ("degree1", 2, 1), ("degree1", 3, 1), ("degree1", 4, 1),
+    ("field_tables", 4, 1), ("field_tables", 8, 1), ("field_tables", 9, 1),
+])
+def test_each_route_counts_its_work(monkeypatch, route, q, n):
+    # one below the number of elements a route enumerates, the route refuses
+    # itself at its entry and names its count: that number
+    call, work = ROUTE_WORK[route]
+    ctx = make_field(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q,)))
+    elements = work(ctx, n)
+    monkeypatch.setattr(fields, "MAX_TYPE_OF_CALLS", elements - 1)
+    with pytest.raises(fields.WorkCapExceeded) as refused:
+        call(ctx, n)
+    assert re.fullmatch(r"this [a-z ]+ needs %d [a-z_ ]+, above the cap of %d"
+                        % (elements, elements - 1), str(refused.value))
+
+
+@pytest.mark.parametrize("route,patch,message", [
+    (lambda: fields.prime_factors(10 ** 18 + 3), None, "this field needs 999999999 trial divisions"),
+    (lambda: make_field(2, 20), (fields, "is_irreducible"),
+     "this field needs 1048576 table elements"),
+    (lambda: conjtype.census(make_field(5), 4), (conjtype, "enumerate_gl"),
+     "this census needs 116064000000 type_of calls"),
+    (lambda: degree1.degree1_product(make_field(1000003), 2, 3), (degree1, "classify"),
+     "this closed form needs 1000003 field elements"),
+    (lambda: partial_iso.all_pisos(make_field(2), 4), (subspaces, "enumerate_subspaces"),
+     "this basis needs 412820326 partial isomorphisms"),
+    (lambda: partial_iso.naive_product_counterexample(make_field(251), 2),
+     (subspaces, "enumerate_subspaces"), "this counterexample search needs 15624252 atoms"),
+], ids=["prime_factors", "make_field", "census", "degree1_product", "all_pisos",
+        "naive_product_counterexample"])
+def test_library_routes_refuse_themselves_before_enumerating(monkeypatch, route, patch, message):
+    # called without the CLI, each route checks its own count at its entry
+    if patch:
+        monkeypatch.setattr(*patch, enumerate_nothing)
+    t0 = time.monotonic()
+    with pytest.raises(fields.WorkCapExceeded) as refused:
+        route()
+    assert time.monotonic() - t0 < 1.0
+    assert str(refused.value) == message + ", above the cap of 1000000"
 
 
 def test_naive_suite_refused_above_cap(capsys, monkeypatch):
     # 252 lines of (F_251)^2, 249^2 pairs of automorphisms other than the
     # identity, one plane each
-    monkeypatch.setattr(partial_iso, "naive_product_counterexample", enumerate_nothing)
+    monkeypatch.setattr(subspaces, "enumerate_subspaces", enumerate_nothing)
     t0 = time.monotonic()
     code, out, err = run(capsys, "verify", "--suite", "naive", "--q", "251")
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert err == ("usage error: this verify suite needs 15624252 atoms, "
+    assert err == ("usage error: this counterexample search needs 15624252 atoms, "
                    "above the cap of 1000000\n")
 
 
@@ -464,8 +533,47 @@ def test_count_range_error_names_values(capsys, what, argv, message):
     assert err.strip() == "usage error: " + message
 
 
+@pytest.mark.parametrize("argv", [
+    ["class-size", "--q", "2", "--n", "%(n)d", "--type", "{X+1:(%(n)d)}"],
+    ["count", "--q", "2", "--what", "subspaces", "--n", "%(n)d", "--k", "%(h)d"],
+    ["count", "--q", "2", "--what", "E", "--n", "%(n)d", "--kplus", "%(n)d"],
+    ["ranklaw", "--q", "2", "--law", "rank", "--d", "%(n)d", "--a", "%(n)d", "--c", "%(h)d"],
+])
+def test_huge_closed_form_answers_print_or_are_refused(capsys, argv):
+    # each answer is built from integers of order q^(N^2), N the largest
+    # dimension flag: about 90,000 bits at N = 300, which print in full,
+    # and 4 * 10^8 at N = 20000, which are refused before they are computed
+    for n, bits in ((300, None), (20000, 400000000)):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *[a % {"n": n, "h": n // 2} for a in argv])
+        assert time.monotonic() - t0 < 1.0
+        if bits is None:
+            assert (code, err) == (0, "") and len(out) > 4300
+        else:
+            assert (code, out, err) == (2, "", "usage error: this closed form needs %d answer "
+                                               "bits, above the cap of 1000000\n" % bits)
+
+
+def test_answer_bits_admit_the_identity_class_of_gl_1000_over_f_2(capsys, monkeypatch):
+    # 1000^2 bits of q = 2 is at the cap, and one more dimension is above it
+    monkeypatch.setattr(cli, "class_size", lambda mu, n: 1)
+    for n, code in ((1000, 0), (1001, 2)):
+        ones = ",".join(["1"] * n)
+        assert run(capsys, "class-size", "--q", "2", "--n", str(n),
+                   "--type", "{X+1:(%s)}" % ones)[0] == code
+
+
+def test_flags_not_given_read_as_0(capsys):
+    # count --what subspaces --n 3 is [3 choose 0]_2; rank --d 2 --a 2 is c = 0
+    assert run(capsys, "count", "--q", "2", "--what", "subspaces", "--n", "3") == (0, "1\n", "")
+    assert run(capsys, "ranklaw", "--q", "2", "--law", "rank", "--d", "2", "--a", "2") == (
+        0, "1/16\n", "")
+
+
 def test_census_mismatch_is_a_computation_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "class_size", lambda mu, n: 0)
+    # the checks run inside census's memo, so a cached census would skip them
+    conjtype.census.cache.clear()
+    monkeypatch.setattr(conjtype, "class_size", lambda mu, n: 0)
     code, out, err = run(capsys, "census", "--q", "2", "--n", "2")
     assert code == 1
     assert out == ""
@@ -479,7 +587,8 @@ def test_census_mismatch_is_a_computation_error(capsys, monkeypatch):
 ])
 def test_verify_census_fails_with_the_census_check_message(capsys, monkeypatch, name, patch,
                                                            message):
-    monkeypatch.setattr(cli, name, patch)
+    conjtype.census.cache.clear()
+    monkeypatch.setattr(conjtype, name, patch)
     code, out, err = run(capsys, "verify", "--suite", "census")
     assert (code, out, err) == (1, "suite census: FAIL (%s)\n" % message, "")
 
@@ -576,6 +685,14 @@ def test_oversized_field_is_refused_at_once(capsys, flags, message):
      "--k must be at least 0, got -1"),
     (["class-product", "--q", "2", "--n", "1", "--a", "{X+1:(2)}", "--b", "{}"],
      "{X+1:(2)} has size 2, above --n 1"),
+    (["count", "--q", "2", "--what", "F", "--kplus", "3", "--k", "2", "--k1", "1", "--n", "99"],
+     "--what F does not read --n"),
+    (["count", "--q", "2", "--what", "subspaces", "--n", "3", "--k1", "0"],
+     "--what subspaces does not read --k1"),
+    (["ranklaw", "--q", "2", "--law", "rank", "--d", "2", "--a", "2", "--c", "2", "--b", "1"],
+     "--law rank does not read --b"),
+    (["ranklaw", "--q", "2", "--law", "count", "--j", "1", "--n", "4"],
+     "--law count does not read --n"),
 ])
 def test_out_of_range_integer_flag_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

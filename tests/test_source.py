@@ -89,6 +89,24 @@ def test_every_memo_limit_states_its_measured_traffic():
     assert found == []
 
 
+def test_cli_caps_only_its_suite_totals_and_answer_bits():
+    # every enumerating route refuses itself at its entry; the CLI checks
+    # only sums over a verify suite's own pairs or laws, and the bits of a
+    # closed form's answer
+    owners = {"_unit_pairs", "_suite_ranklaw", "_suite_phi", "_check_answer_bits"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    found, calls = [], 0
+    for fn in tree.body:
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", getattr(node.func, "id", None)) == "check_work"):
+                calls += 1
+                if getattr(fn, "name", None) not in owners:
+                    found.append("cli.py:%d" % node.lineno)
+    assert calls == len(owners)
+    assert found == []
+
+
 # Traced by perfbench/tracer.py, which reads them by name, and called by no
 # library function: they stay in the library until the benchmark's tracer
 # list changes.
