@@ -7,6 +7,7 @@ computes the type of an invertible matrix, the exact class cardinality,
 the diagonal-1 completion, and whole-group censuses used as oracles.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 from . import fields, linalg, subspaces
@@ -295,27 +296,57 @@ def pochhammer(x, m):
     return out
 
 
+def _centralizer_factors(mu):
+    """(e, js) with |C(mu)| = q^e prod_{j in js} (q^j - 1), js a Counter:
+    each (q^-d)_m of centralizer_order is prod_{i <= m} (q^(di) - 1) / q^(di).
+    e >= 0: per label, |lam| + 2 b(lam) = sum of the squared columns of lam
+    >= sum_k m_k^2 >= sum_k m_k (m_k + 1) / 2."""
+    e = mu.size + 2 * mu.b()
+    js = Counter()
+    for P, part in mu.entries:
+        d = pdeg(P)
+        for k in set(part.parts):
+            m = part.mult(k)
+            e -= d * m * (m + 1) // 2
+            js.update(d * i for i in range(1, m + 1))
+    return e, js
+
+
+def _q_product(q, e, js):
+    """q^e prod_{j in js} (q^j - 1) for a Counter js, by rounds of pairwise
+    products, so that the big factors meet in few multiplications."""
+    xs = [q ** j - 1 for j in js.elements()]
+    while len(xs) > 1:
+        xs = [xs[i] * xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) & ~1:]
+    return q ** e * (xs[0] if xs else 1)
+
+
 def centralizer_order(mu):
     """Order of the centralizer of an element of type mu in GL(|mu|, F_q):
     q^(|mu| + 2 b(mu)) prod_P prod_i (q^(-deg P))_{m_i}, m_i the
-    multiplicity of the part i in the partition of P."""
-    q = mu.ctx.q
-    out = Fraction(q) ** (mu.size + 2 * mu.b())
-    for P, part in mu.entries:
-        for k in set(part.parts):
-            out *= pochhammer(Fraction(1, q ** pdeg(P)), part.mult(k))
-    return out
+    multiplicity of the part i in the partition of P; in integers, as
+    q^e prod (q^(deg P j) - 1) (_centralizer_factors)."""
+    return _q_product(mu.ctx.q, *_centralizer_factors(mu))
 
 
 def class_size(mu, n):
-    """Exact cardinality of the conjugacy class C_mu inside GL(n, F_q)."""
+    """Exact cardinality of the conjugacy class C_mu inside GL(n, F_q):
+    |GL(n)| = q^(n(n-1)/2) prod_{j <= n} (q^j - 1) over the centralizer
+    order, the factors q^j - 1 the two share cancelled before either
+    product is formed, then one division."""
     if mu.size != n:
         raise ValueError("polypartition has size %d, expected %d" % (mu.size, n))
-    out = Fraction(num_free_families(mu.ctx.q, n, n)) / centralizer_order(mu)
-    if out.denominator != 1:
-        raise AssertionError("class size of %s in GL(%d) is %s, not an integer"
-                             % (format_polypartition(mu), n, out))
-    return int(out)
+    q = mu.ctx.q
+    e, js = _centralizer_factors(mu)
+    gl = Counter(range(1, n + 1))
+    e = n * (n - 1) // 2 - e
+    num, den = (_q_product(q, max(e, 0), gl - js),
+                _q_product(q, max(-e, 0), js - gl))
+    out, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("class size of %s in GL(%d) is %d/%d, not an integer"
+                             % (format_polypartition(mu), n, num, den))
+    return out
 
 
 def num_free_families(q, n, k):

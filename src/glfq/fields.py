@@ -154,10 +154,7 @@ class FieldCtx:
             self._bind_prime_rows()
             return
         g = self._smallest_primitive(self._schoolbook_pow)
-        powers, x = [], 1
-        for _ in range(q - 1):
-            powers.append(x)
-            x = self._schoolbook_mul(x, g)
+        powers = self._powers(g)
         log = [None] * q
         for k, x in enumerate(powers):
             log[x] = k
@@ -168,6 +165,47 @@ class FieldCtx:
         # -1 = g^half: (q - 1)/2 for odd q, 0 in characteristic 2
         self._half = (q - 1) // 2 if p != 2 else 0
         self._bind_extension_rows()
+
+    def _powers(self, g):
+        """g^0, ..., g^(q-2) as encodings, one step per power.
+
+        A power is kept as a packed digit vector, digit i in the w-bit slot
+        i of one int.  One step multiplies it by g packed alike, reduces by
+        the modulus by folding the slots from e up onto slots 0..e-1 times
+        -modulus packed alike, brings every slot below p at once and
+        encodes by one table lookup per half of the slots.  No slot carries
+        into the next: a slot below p leaves the product below
+        v = (p-1) sum(digits of g), and each of the at most deg g folds
+        multiplies that bound by at most 1 + (p-1) deg g.  A slot s <= v is
+        brought below p as s - p floor(s m / 2^k) with m = ceil(2^k / p),
+        exact for s < 2^(k - bitlength(p)) (Granlund-Montgomery)."""
+        p, e, q = self.p, self.e, self.q
+        dg = self.digits(g)
+        top = max(j for j, y in enumerate(dg) if y)  # deg g >= 1: g is not in F_p
+        v = (p - 1) * sum(dg) * (1 + (p - 1) * top) ** top
+        k = v.bit_length() + p.bit_length()
+        m = -(-(1 << k) // p)
+        w = (v * m).bit_length()
+
+        def pack(digs):
+            return sum(d << (w * i) for i, d in enumerate(digs))
+
+        G, red = pack(dg), pack([(-c) % p for c in self.modulus[:e]])
+        we = w * e
+        low = (1 << we) - 1
+        qmask = pack([(1 << (w - k)) - 1] * e)
+        h = (e + 1) // 2
+        hmask = (1 << (w * h)) - 1
+        lo = {pack(self.digits(a)[:h]): a for a in range(p ** h)}
+        hi = {pack(self.digits(a)[:e - h]): a * p ** h for a in range(p ** (e - h))}
+        x, out = 1, []
+        for _ in range(q - 1):
+            out.append(lo[x & hmask] + hi[x >> (w * h)])
+            x *= G
+            while x > low:
+                x = (x & low) + (x >> we) * red
+            x -= p * ((x * m >> k) & qmask)
+        return out
 
     # -- row primitives ----------------------------------------------------
     # row_submul(u, c, v) -> list u - c v; row_scale(c, u) -> list c u;

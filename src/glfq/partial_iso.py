@@ -11,15 +11,18 @@ The product of two basis elements averages over compatible extensions to
 the common middle space (see trivial_extensions_grouped for the two
 extension notions and why the product uses the larger one); the invariant
 elements Ahat_mu, one per type orbit, span a commutative subalgebra whose
-structure constants in that basis feed the center module.  All
-coefficients are exact Fractions; products are counted in integers and
-divided once per term.  The matrix products inside the algebra's products
-(the composites of _basis_product and PairAlgElem.mul) go through one
-bounded memo, _mat_mul: their factors lie in small groups GL(k, F_q).
+structure constants in that basis feed the center module.  Coefficients
+are exact: an AlgElem holds integer numerators over one common denominator
+in lowest terms, products and averages add integers and reduce once per
+result, and terms gives the Fraction view.  The matrix products inside the
+algebra's products (the composites of product, _basis_product and
+PairAlgElem.mul) go through one bounded memo, _mat_mul: their factors lie
+in small groups GL(k, F_q).
 """
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -257,20 +260,43 @@ def _extension_groups(ctx, x, W_plus, strict, completions):
 
 class AlgElem:
     """Sparse rational linear combination of partial isomorphisms; the
-    one sparse {key: Fraction} vector type of the library."""
+    one sparse rational vector type of the library.
 
-    __slots__ = ("n", "terms")
+    Held as integer numerators nums {key: int} over one positive common
+    denominator den, in lowest terms: no numerator is 0 and den and the
+    numerators have no common factor, so equal vectors have equal fields.
+    terms is the {key: Fraction} view."""
+
+    __slots__ = ("n", "den", "nums")
 
     def __init__(self, n, terms=None):
+        # over the lcm of the reduced denominators the numerators are
+        # already in lowest terms
+        fracs = [(t, Fraction(c)) for t, c in terms.items() if c] if terms else ()
         self.n = n
-        self.terms = {}
-        if terms:
-            for t, c in terms.items():
-                if c:
-                    self.terms[t] = c if type(c) is Fraction else Fraction(c)
+        self.den = den = math.lcm(*(c.denominator for _, c in fracs))
+        self.nums = {t: c.numerator * (den // c.denominator) for t, c in fracs}
+
+    @classmethod
+    def _reduced(cls, n, den, nums):
+        """The cls holding nums / den (den > 0, nums {key: int}): zeros
+        dropped, then one gcd with den brings it to lowest terms."""
+        if 0 in nums.values():
+            nums = {t: v for t, v in nums.items() if v}
+        g = math.gcd(den, *nums.values())
+        out = object.__new__(cls)
+        out.n = n
+        out.den = den // g
+        out.nums = nums if g == 1 else {t: v // g for t, v in nums.items()}
+        return out
+
+    @property
+    def terms(self):
+        den = self.den
+        return {t: Fraction(v, den) for t, v in self.nums.items()}
 
     def __eq__(self, other):
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda tc: tc[0])
@@ -278,11 +304,12 @@ class AlgElem:
 
 
 def basis_elem(x):
-    return AlgElem(x.n, {x: Fraction(1)})
+    return AlgElem._reduced(x.n, 1, {x: 1})
 
 
 # measured: at most 7,311 keys in any perfbench request of seeds 0-2, 7,311 of
-# 25,646 calls distinct in verify --suite assoc at (n, q) = (3, 2)
+# 25,648 calls distinct in verify --suite assoc at (n, q) = (3, 2); at (2, 2)
+# its 25,528 calls, two per composable pair, find 38 keys
 @memo(limit=16384)
 def _mat_mul(ctx, a, b):
     """linalg.mat_mul, cached for the products of the algebra, whose factors
@@ -290,11 +317,12 @@ def _mat_mul(ctx, a, b):
     return linalg.mat_mul(ctx, a, b)
 
 
-# Measured traffic of the benchmark's verify requests at seed 0: the most
-# repeated keys are those of verify --suite assoc at (n, q) = (2, 2), 2,095
-# distinct over 13,952 calls; at (3, 2) and (2, 3) 7,739 of 7,740 and 6,062
-# of 6,075 calls are distinct.  4,096 entries keep every repeat.
-@memo(limit=4096)
+# Measured traffic of the benchmark's verify requests at seeds 0-2, with the
+# composable pairs built by product outside this memo: at most 774 keys, those
+# of verify --suite assoc at (n, q) = (2, 2), 774 distinct over 3,956 calls;
+# at (3, 2) and (2, 3) all 366 and 286 calls are distinct.  1,024 entries
+# keep every repeat.
+@memo(limit=1024)
 def _basis_product(ctx, a, b):
     """Product of two basis elements as (total, {piso: count}): the product
     is sum count / total * piso, and the counts sum to total.
@@ -303,7 +331,9 @@ def _basis_product(ctx, a, b):
     this is what makes the product associative.  Each composite is counted
     as an int; total = |right| |left| is the number of pairs.  When
     a.W == b.V the middle space is a.W itself, each factor is its own only
-    extension, and the product is the single composite, built at once.
+    extension, and the product is the single composite; product builds
+    those pairs itself, before this memo, which therefore holds only
+    products that enumerate extensions.
 
     Both sides come as completion groups (trivial_extensions_grouped), and
     a composite's two factors each depend on one side's extension and the
@@ -311,9 +341,6 @@ def _basis_product(ctx, a, b):
     not once per pair of extensions.  Pairs run in the order of the flat
     lists, right extension outermost."""
     mat_mul = _mat_mul
-    if a.W == b.V:
-        t = PartialIso(a.V, b.W, mat_mul(ctx, b.g1, a.g1), mat_mul(ctx, a.g2, b.g2))
-        return 1, {t: 1}
     M = subspaces.subspace_sum(ctx, a.W, b.V)
     right = trivial_extensions_grouped(ctx, a, M, False)
     # an extension (V_b | h1 <-> h2 | M) of rev(b) is the left extension
@@ -335,30 +362,34 @@ def _basis_product(ctx, a, b):
 _PRODUCT_CACHE = _basis_product.cache
 
 
-def _weighted_sum(parts):
-    """sum of num / den * counts over the parts (num, den, counts), with
-    counts a dict {key: int}: integer numerators over the lcm of the dens,
-    one Fraction per key."""
-    lcm = math.lcm(*(den for _, den, _ in parts))
+def _weighted_sum(cls, n, den, parts):
+    """The cls of sum num / (den total) * counts over the parts
+    (num, total, counts), counts a dict {key: int}: integer numerators over
+    den times the lcm of the totals, reduced once."""
+    lcm = math.lcm(*(total for _, total, _ in parts))
     acc = {}
-    for num, den, counts in parts:
-        f = num * (lcm // den)
+    for num, total, counts in parts:
+        f = num * (lcm // total)
         for key, c in counts.items():
             acc[key] = acc.get(key, 0) + f * c
-    return {key: Fraction(v, lcm) for key, v in acc.items()}
+    return cls._reduced(n, den * lcm, acc)
 
 
 def product(ctx, x, y):
     """The associative averaged-extension product on A(n, F_q)."""
     if x.n != y.n:
         raise ValueError("ambient dimension mismatch")
+    mat_mul = _mat_mul
     parts = []
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            total, counts = _basis_product(ctx, a, b)
-            parts.append((ca.numerator * cb.numerator,
-                          ca.denominator * cb.denominator * total, counts))
-    return AlgElem(x.n, _weighted_sum(parts))
+    for a, ca in x.nums.items():
+        for b, cb in y.nums.items():
+            if a.W == b.V:
+                # composable: the product is the one composite (_basis_product)
+                t = PartialIso(a.V, b.W, mat_mul(ctx, b.g1, a.g1), mat_mul(ctx, a.g2, b.g2))
+                parts.append((ca * cb, 1, {t: 1}))
+            else:
+                parts.append((ca * cb, *_basis_product(ctx, a, b)))
+    return _weighted_sum(AlgElem, x.n, x.den * y.den, parts)
 
 
 def op_R(ctx, X, x):
@@ -368,21 +399,19 @@ def op_R(ctx, X, x):
     it and fails for the compatible average, the product x * id_{W+}
     (smallest counterexample: the empty partial isomorphism through a line
     at n = 2, q = 2)."""
-    out = {}
-    for t, c in x.terms.items():
+    parts = []
+    for t, c in x.nums.items():
         exts = trivial_extensions_fixed_right(
             ctx, t, subspaces.subspace_sum(ctx, t.W, X))
-        w = c / len(exts)
-        for e in exts:
-            out[e] = out.get(e, 0) + w
-    return AlgElem(x.n, out)
+        parts.append((c, len(exts), Counter(exts)))
+    return _weighted_sum(AlgElem, x.n, x.den, parts)
 
 
 def op_L(ctx, X, x):
     """Restriction operator L^X = rev . R^X . rev, rev applied term by term:
     each left space t.V grows to t.V + X."""
     def flip(y):
-        return AlgElem(y.n, {rev(t): c for t, c in y.terms.items()})
+        return AlgElem._reduced(y.n, y.den, {rev(t): c for t, c in y.nums.items()})
     return flip(op_R(ctx, X, flip(x)))
 
 
@@ -399,12 +428,11 @@ class PairAlgElem(AlgElem):
     def mul(self, ctx, other):
         """(g1, g2)(h1, h2) = (g1h1, h2g2), matrices composing in reverse."""
         out = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
+        for (a1, a2), ca in self.nums.items():
+            for (b1, b2), cb in other.nums.items():
                 key = (_mat_mul(ctx, b1, a1), _mat_mul(ctx, a2, b2))
-                s = out.get(key, 0) + ca * cb
-                out[key] = s
-        return PairAlgElem(self.n, out)
+                out[key] = out.get(key, 0) + ca * cb
+        return PairAlgElem._reduced(self.n, self.den * other.den, out)
 
 
 def pi_n(ctx, x):
@@ -414,13 +442,13 @@ def pi_n(ctx, x):
     every such extension to itself, so no product is formed."""
     full = subspaces.full_subspace(x.n)
     parts = []
-    for t, c in x.terms.items():
+    for t, c in x.nums.items():
         counts = {}
         for _, g1, g2s in trivial_extensions_grouped(ctx, t, full, False):
             for g2 in g2s:
                 counts[g1, g2] = counts.get((g1, g2), 0) + 1
-        parts.append((c.numerator, c.denominator * sum(counts.values()), counts))
-    return PairAlgElem(x.n, _weighted_sum(parts))
+        parts.append((c, sum(counts.values()), counts))
+    return _weighted_sum(PairAlgElem, x.n, x.den, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +550,8 @@ def invariant_elem(ctx, mu, n):
     """The invariant class Ahat_mu: the orbit sum of type mu divided by the
     square root of its cardinality (= the free-family count)."""
     orbit = orbit_of_type(mu, n)
-    c = Fraction(num_free_families(ctx.q, n, mu.size), len(orbit))
-    return AlgElem(n, {x: c for x in orbit})
+    return AlgElem._reduced(
+        n, len(orbit), dict.fromkeys(orbit, num_free_families(ctx.q, n, mu.size)))
 
 
 def type_census(ctx, x):
@@ -531,7 +559,7 @@ def type_census(ctx, x):
     x = sum c_mu Ahat_mu.  Raises AssertionError unless the coefficient is
     constant on each type orbit and whole orbits are present."""
     buckets = {}
-    for t, c in x.terms.items():
+    for t, c in x.nums.items():
         buckets.setdefault(piso_type(ctx, t), []).append(c)
     out = {}
     for mu, coeffs in buckets.items():
@@ -539,7 +567,7 @@ def type_census(ctx, x):
             raise AssertionError("coefficient not constant on orbit %r" % mu)
         if len(coeffs) != orbit_size(mu, x.n):
             raise AssertionError("incomplete orbit %r" % mu)
-        out[mu] = sum(coeffs, Fraction(0)) / num_free_families(ctx.q, x.n, mu.size)
+        out[mu] = Fraction(sum(coeffs), x.den * num_free_families(ctx.q, x.n, mu.size))
     return out
 
 

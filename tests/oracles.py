@@ -11,8 +11,11 @@ the middle-space automorphisms by a loop over their images and the padding
 law by ranks of powers, the text of field elements and polynomials by
 term loops and its reading by a split at '+' and '-', squareness by
 Euler's criterion, GL(n, F_q) by the rank of every matrix, polynomials of
-matrices by sums of powers, and the atoms of the naive search by a scan of
-the subspaces.  They are slow and kept simple on purpose.  A few
+matrices by sums of powers, the atoms of the naive search by a scan of
+the subspaces, the algebra's product, restriction operator and projection
+pi_n with a Fraction added per term, the centralizer order by Fraction
+Pochhammer symbols, and the extension-field tables by one schoolbook product
+per power.  They are slow and kept simple on purpose.  A few
 small helpers that only the tests read live here too.
 """
 
@@ -37,6 +40,7 @@ from glfq.partial_iso import (
     AlgElem,
     PairAlgElem,
     PartialIso,
+    _basis_product,
     basis_elem,
     empty_piso,
     piso_type,
@@ -274,6 +278,49 @@ def pi_n_by_lift(ctx, x):
     return PairAlgElem(x.n, out)
 
 
+def product_by_fractions(ctx, x, y):
+    """The algebra product with a Fraction added per output term of each
+    basis product, every pair through the uncached general route (also the
+    composable pairs a.W == b.V that product builds directly)."""
+    out = {}
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            total, counts = _basis_product.__wrapped__(ctx, a, b)
+            for t, c in counts.items():
+                out[t] = out.get(t, 0) + ca * cb * Fraction(c, total)
+    return AlgElem(x.n, out)
+
+
+def op_R_by_fractions(ctx, X, x):
+    """op_R as a Fraction-accumulating average over the strict extensions
+    with right space t.W + X of each term t."""
+    return extension_average(x, lambda t: trivial_extensions_fixed_right(
+        ctx, t, subspaces.subspace_sum(ctx, t.W, X)))
+
+
+def pi_n_by_fractions(ctx, x):
+    """pi_n with a Fraction added per compatible extension of each term to
+    (F_q)^n."""
+    full = subspaces.full_subspace(x.n)
+    out = {}
+    for t, c in x.terms.items():
+        exts = compatible_extensions(ctx, t, full)
+        for e in exts:
+            out[e.g1, e.g2] = out.get((e.g1, e.g2), 0) + c / len(exts)
+    return PairAlgElem(x.n, out)
+
+
+def pair_mul_by_fractions(ctx, x, y):
+    """PairAlgElem.mul with Fraction coefficients: (g1, g2)(h1, h2) =
+    (g1h1, h2g2), matrices composing in reverse."""
+    out = {}
+    for (a1, a2), ca in x.terms.items():
+        for (b1, b2), cb in y.terms.items():
+            key = (linalg.mat_mul(ctx, b1, a1), linalg.mat_mul(ctx, a2, b2))
+            out[key] = out.get(key, 0) + ca * cb
+    return PairAlgElem(x.n, out)
+
+
 def _fwd(ctx, x, v):
     """Image under g1 of an ambient vector v of V, as an ambient vector."""
     return linalg.row_combine(ctx, mat_vec(ctx, x.g1, x.V.coords(v)), x.W.basis, x.n)
@@ -467,3 +514,32 @@ def naive_atoms_by_scan(ctx, n):
         for L in subspaces.enumerate_subspaces(ctx, n, k):
             total += others * others * sum(1 for P in bigs if P.contains(ctx, L))
     return total
+
+
+def centralizer_order_by_pochhammer(mu):
+    """|C(mu)| = q^(|mu| + 2 b(mu)) prod_P prod_i (q^(-deg P))_{m_i}, m_i
+    the multiplicity of the part i in the partition of P, in Fractions."""
+    q = mu.ctx.q
+    out = Fraction(q) ** (mu.size + 2 * mu.b())
+    for P, part in mu.entries:
+        for k in set(part.parts):
+            out *= pochhammer(Fraction(1, q ** fields.pdeg(P)), part.mult(k))
+    return out
+
+
+def field_tables_by_schoolbook(ctx):
+    """The (exp, log, zech) tables of an extension field, built with one
+    schoolbook product per power of the smallest primitive element g:
+    exp holds g^0..g^(q-2) twice, log[g^k] = k (None at 0) and
+    zech[k] = log(1 + g^k)."""
+    p, q = ctx.p, ctx.q
+    g = ctx._smallest_primitive(ctx._schoolbook_pow)
+    powers, x = [], 1
+    for _ in range(q - 1):
+        powers.append(x)
+        x = ctx._schoolbook_mul(x, g)
+    log = [None] * q
+    for k, x in enumerate(powers):
+        log[x] = k
+    zech = [log[x - x % p + (x + 1) % p] for x in powers]
+    return powers + powers, log, zech

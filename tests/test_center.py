@@ -422,3 +422,15 @@ def test_central_vector_algebra():
     assert center.CentralVector(2, {mu: Fraction(1)}).is_integral()
     assert not center.CentralVector(2, {mu: Fraction(1, 2)}).is_integral()
     assert center.CentralVector(2, {mu: 0}).terms == {}
+
+
+def test_central_vector_from_ints_equals_from_fractions():
+    ctx = make_field(3)
+    mu, nu = (complete(parse_polypartition(ctx, t), 2) for t in ("{X+1:(1)}", "{X+2:(2)}"))
+    ints = center.CentralVector(2, {mu: 2, nu: -4})
+    fracs = center.CentralVector(2, {mu: Fraction(4, 2), nu: Fraction(-8, 2)})
+    assert ints == fracs and ints.is_integral()
+    assert (ints.den, ints.nums) == (1, {mu: 2, nu: -4})
+    half = center.CentralVector(2, {mu: Fraction(1, 2), nu: Fraction(2, 3)})
+    assert (half.den, half.nums) == (6, {mu: 3, nu: 4}) and not half.is_integral()
+    assert half.terms == {mu: Fraction(1, 2), nu: Fraction(2, 3)}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     elem_parse_by_terms,
     elem_str_by_terms,
+    field_tables_by_schoolbook,
     is_square_by_euler,
     peval,
     poly_parse_by_terms,
@@ -373,6 +374,16 @@ def test_field_axioms_property(p, e):
         _field_axioms_hold(ctx, a, b, c)
 
     check()
+
+
+EXTENSIONS_UP_TO_2_10 = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                         for e in range(2, 11) if p ** e <= 2 ** 10]
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS_UP_TO_2_10 + [(2, 12)])
+def test_tables_match_the_schoolbook_builder(p, e):
+    ctx = make_field(p, e)
+    assert (ctx._exp, ctx._log, ctx._zech) == field_tables_by_schoolbook(ctx)
 
 
 def test_make_field_2_12_keeps_the_smallest_modulus():

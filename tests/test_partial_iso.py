@@ -1,6 +1,7 @@
 """Partial isomorphisms, trivial extensions, and the averaged product."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -239,9 +240,10 @@ def test_extensions_match_canonical_piso_build(q, n):
 
 @pytest.mark.parametrize("q,n,pairs", [(2, 2, None), (3, 2, 2000), (2, 3, 2000)])
 def test_basis_product_matches_pair_sum(q, n, pairs):
-    """_basis_product (its a.W == b.V shortcut and its integer counts)
-    against the Fraction-per-pair sum over canonical_piso extensions: every
-    pair at (2, 2), seeded pairs elsewhere."""
+    """_basis_product (its integer counts, also on the composable pairs
+    a.W == b.V that product builds itself) against the Fraction-per-pair sum
+    over canonical_piso extensions: every pair at (2, 2), seeded pairs
+    elsewhere."""
     ctx = make_field(q)
     basis = pi.all_pisos(ctx, n)
     if pairs is None:
@@ -328,6 +330,59 @@ def test_product_conserves_mass():
     for _ in range(50):
         x, y = (pi.basis_elem(rng.choice(basis)) for _ in range(2))
         assert sum(pi.product(ctx, x, y).terms.values()) == 1
+
+
+def assert_lowest_terms(v):
+    assert v.den > 0 and 0 not in v.nums.values()
+    assert math.gcd(v.den, *v.nums.values()) == 1
+
+
+def random_elem(rng, terms):
+    """Three basis terms with signed Fraction coefficients."""
+    return pi.AlgElem(terms[0].n, {t: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 6))
+                                   for t in terms})
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_integer_form_matches_the_fraction_oracles(n, q):
+    """product, op_R, op_L, pi_n and PairAlgElem.mul against their
+    Fraction-accumulating oracles on seeded three-term operands; y's first
+    term composes with x's first, so product's composable shortcut runs."""
+    ctx = make_field(q)
+    basis = pi.all_pisos(ctx, n)
+    subs = [S for k in range(n + 1) for S in subspaces.enumerate_subspaces(ctx, n, k)]
+    rng = random.Random(10 * n + q)
+    for _ in range(8):
+        xs = [rng.choice(basis) for _ in range(3)]
+        glue = rng.choice([b for b in basis if b.V == xs[0].W])
+        x = random_elem(rng, xs)
+        y = random_elem(rng, [glue] + [rng.choice(basis) for _ in range(2)])
+        X = rng.choice(subs)
+        px, py = pi.pi_n(ctx, x), pi.pi_n(ctx, y)
+        pairs = [
+            (pi.product(ctx, x, y), oracles.product_by_fractions(ctx, x, y)),
+            (pi.op_R(ctx, X, x), oracles.op_R_by_fractions(ctx, X, x)),
+            (pi.op_L(ctx, X, x), oracles.op_L_by_left_extensions(ctx, X, x)),
+            (px, oracles.pi_n_by_fractions(ctx, x)),
+            (px.mul(ctx, py), oracles.pair_mul_by_fractions(ctx, px, py)),
+        ]
+        for got, want in pairs:
+            assert got == want and got.terms == want.terms
+            assert_lowest_terms(got)
+
+
+def test_zero_coefficients_are_dropped():
+    ctx = make_field(2)
+    e, ident = pi.all_pisos(ctx, 1)
+    zero = pi.AlgElem(1)
+    assert (zero.den, zero.nums) == (1, {}) and pi.AlgElem(1, {e: 0}) == zero
+    x = pi.AlgElem(1, {e: Fraction(1, 2), ident: 0})
+    assert (x.den, x.nums) == (2, {e: 1})
+    # at n = 1, q = 2 the empty partial isomorphism and the identity of the
+    # line both extend to the one pair (1, 1) only
+    cancelled = pi.pi_n(ctx, pi.AlgElem(1, {e: Fraction(1, 3), ident: Fraction(-1, 3)}))
+    assert (cancelled.den, cancelled.nums) == (1, {}) and cancelled == pi.PairAlgElem(1)
+    assert pi.product(ctx, zero, pi.basis_elem(e)) == zero
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (2, 3)])
