@@ -4,11 +4,11 @@ The completed class of a polypartition mu with |mu| <= n pads mu(X - 1) with
 parts 1 so the matrices act on all of (F_q)^n.  This module expands each
 completed class in the images Pi_n(Ahat_nu) of the generic invariants
 (class_expansion), takes the generic structure constants S^nu of their
-products from the partial-isomorphism engine, and assembles, in
-GenericProduct, the polynomials p^nu(X), X = q^n, of the expansion
-C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n) evaluates
-them, for the engine's tables and for the degree-1 closed form alike, and
-class_product is their value at one n.  completed_product counts the same
+products from generic_S (the degree-1 closed form or the engine), and
+assembles, in GenericProduct, the polynomials p^nu(X), X = q^n, of the
+expansion C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n)
+evaluates them, and class_product is their value at one n.
+completed_product counts the same
 expansion in the group: it is the oracle of verify_fh, and class_product
 takes it instead where it enumerates fewer elements.  transport is the
 numeric Pi_n of one generic invariant at one n, through which the tests read
@@ -18,7 +18,7 @@ the padding law.
 import itertools
 from fractions import Fraction
 
-from . import linalg, subspaces
+from . import degree1, linalg, subspaces
 from .conjtype import (
     Partition,
     centralizer_order,
@@ -48,7 +48,7 @@ class CentralVector(AlgElem):
         AlgElem.__init__(self, n, terms)
 
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
     def __repr__(self):
         items = sorted(self.terms.items())
@@ -102,16 +102,24 @@ def completed_product(lam, mu, n):
 def generic_S(lam, mu, n=None):
     """Generic structure constants: Ahat_lam * Ahat_mu = sum S^nu Ahat_nu.
 
-    Computed at n0 = |lam| + |mu| (the smallest ambient dimension where all
-    output degrees fit); the compatibility maps make the coefficients
-    independent of n >= n0, which the test suite verifies by recomputing at
-    n0 + 1 and n0 + 2.  With n below n0 the table is computed at n, where
-    the same maps make it the S^nu with |nu| <= n."""
+    A pair of size-1 types takes the closed form degree1.degree1_product,
+    which holds at every n; any other pair the engine at n0 = |lam| + |mu|
+    (where all output degrees fit; the compatibility maps make it the table
+    of every n >= n0, as the tests check at n0 + 1 and n0 + 2) or at n < n0,
+    where the same maps make it the S^nu with |nu| <= n."""
+    if roots := _linear_roots(lam, mu):
+        return degree1.degree1_product(lam.ctx, *roots)
     return invariant_product(lam, mu, _table_dim(lam, mu, n))
 
 
+def _linear_roots(lam, mu):
+    """(a, b) for {X-a:(1)} and {X-b:(1)}, the pairs of the closed form."""
+    if lam.size == mu.size == 1:
+        return tuple(t.ctx.neg(t.entries[0][0][0]) for t in (lam, mu))
+
+
 def _table_dim(lam, mu, n):
-    """The ambient dimension of generic_S(lam, mu, n): min(n, n0)."""
+    """The ambient dimension of the engine's table: min(n, n0)."""
     n0 = lam.size + mu.size
     return n0 if n is None else min(n, n0)
 
@@ -370,20 +378,21 @@ def class_expansion(lam):
 
 
 def product_work(lam, mu, n=None):
-    """The type_of calls of the invariant products of fh_polynomials(lam, mu,
-    n), in closed form: the invariant-product work of every pair of the two
-    class expansions, which does not grow with n.  Building the expansions
-    enumerates nothing: their padding laws are closed forms."""
+    """The work of the tables of fh_polynomials(lam, mu, n), in closed form
+    and not growing with n: per pair of the class expansions, the q field
+    elements of the closed form (one type_of call each) or the engine's
+    type_of calls.  The expansions' padding laws enumerate nothing."""
     lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
-    return sum(invariant_product_work(nu, nu2, _table_dim(nu, nu2, n))
+    return sum(nu.ctx.q if _linear_roots(nu, nu2)
+               else invariant_product_work(nu, nu2, _table_dim(nu, nu2, n))
                for nu in class_expansion(lam) for nu2 in class_expansion(mu))
 
 
 class GenericProduct:
     """C_{lam^n} * C_{mu^n} for every n >= max(|lam|, |mu|) at once, for
-    reduced lam and mu, from tables {(nu, nu2): S} of Ahat-basis constants
-    Ahat_nu Ahat_nu2 = sum_rho S^rho Ahat_rho, one per pair of the class
-    expansions (class_expansion).  Pi_n is an algebra morphism, so
+    reduced lam and mu, from tables {(nu, nu2): S} = generic_S(nu, nu2) of
+    Ahat-basis constants Ahat_nu Ahat_nu2 = sum_rho S^rho Ahat_rho over the
+    pairs of the class expansions.  Pi_n is an algebra morphism, so
 
         C_{lam^n} C_{mu^n} = sum_{nu, nu2} a_nu a_nu2 sum_rho S^rho Pi_n(Ahat_rho),
 
@@ -394,9 +403,9 @@ class GenericProduct:
     Without (X-1) parts the one pair is (lam, mu), and a_lam a_mu is
     card C_lam card C_mu / (nf(|lam|) nf(|mu|)).
 
-    Tables taken at an ambient dimension top below n0 = |nu| + |nu2| hold
-    only the S^rho with |rho| <= top; the Pi_n(Ahat_rho) they leave out
-    vanish for n <= top, so at(n) then answers for n <= top."""
+    The engine's tables taken at a dimension top below n0 = |nu| + |nu2|
+    hold only the S^rho with |rho| <= top; the Pi_n(Ahat_rho) they leave
+    out vanish for n <= top, so at(n) then answers for n <= top."""
 
     __slots__ = ("ctx", "lhs", "tables", "rhs", "top")
 
@@ -445,12 +454,11 @@ class GenericProduct:
 
 
 def fh_polynomials(lam, mu, n=None):
-    """The GenericProduct of the reduced lam and mu, with the engine's
-    tables generic_S(nu, nu2) over the pairs of the class expansions.  With
-    n, each table is generic_S(nu, nu2, n), which is all at(n) reads, and
-    the result answers up to n.  Raises WorkCapExceeded, before any
-    invariant product starts, when they would make more than
-    MAX_TYPE_OF_CALLS type_of calls (product_work)."""
+    """The GenericProduct of the reduced lam and mu, with the tables
+    generic_S(nu, nu2) over the pairs of the class expansions.  With n,
+    each table is generic_S(nu, nu2, n), which is all at(n) reads, and the
+    result answers up to n.  Raises WorkCapExceeded, before any table is
+    computed, when their work is above MAX_TYPE_OF_CALLS (product_work)."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
     check_work("product", product_work(lam, mu, n))
@@ -461,11 +469,11 @@ def fh_polynomials(lam, mu, n=None):
 
 def class_product(lam, mu, n):
     """C_{lam^n} * C_{mu^n} as an integer CentralVector, by whichever of two
-    routes makes fewer type_of calls, both counted in closed form before
-    either enumerates a class or starts an invariant product.  The
-    polynomial route, fh_polynomials(lam, mu, n).at(n), enumerates only the
-    invariant products of the class expansions (product_work), whose cost
-    does not grow with n; it is checked integral and by the mass identity
+    routes does less work, both counted in closed form before either
+    enumerates a class or computes a table.  The polynomial route,
+    fh_polynomials(lam, mu, n).at(n), computes only the tables of the class
+    expansions (product_work), whose cost does not grow with n; it is
+    checked integral and by the mass identity
     sum_nu c^nu card C_nu = card C_{lam^n} card C_{mu^n}.  completed_product
     enumerates the smaller completed class instead, which wins when that
     class is near the center (a scalar class has one element)."""

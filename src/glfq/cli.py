@@ -30,7 +30,7 @@ from .conjtype import (
     reduce_polypartition,
     type_of,
 )
-from .fields import make_field, prime_factors
+from .fields import make_field
 
 
 def _field_from_args(args):
@@ -38,16 +38,26 @@ def _field_from_args(args):
         if args.p is not None or args.e != 1:
             raise SystemExit2("give either --q or --p/--e, not both")
         q = args.q
-        primes = prime_factors(q)
-        if len(primes) != 1:  # q is a prime power iff it has one prime factor
-            raise SystemExit2("--q must be a prime power, got %d" % q)
-        p, e = primes[0], 1
-        while p ** e < q:
-            e += 1
-        return make_field(p, e)
+        # q = p^e has e < bit_length(q); e = 1 comes first, where is_prime
+        # refuses a q too large to test before any root is taken
+        for e in range(1, max(q, 1).bit_length()):
+            p = _iroot(q, e)
+            if p ** e == q and fields.is_prime(p):
+                return make_field(p, e)
+        raise SystemExit2("--q must be a prime power, got %d" % q)
     if args.p is None:
         raise SystemExit2("a field is required: --q or --p [--e]")
     return _parsed(make_field, args.p, args.e)
+
+
+def _iroot(n, k):
+    """The integer k-th root of n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 class SystemExit2(Exception):
@@ -121,6 +131,8 @@ def cmd_type(args):
         raise SystemExit2("matrix must be square")
     try:
         mu = type_of(ctx, g)
+    except fields.WorkCapExceeded:
+        raise
     except ValueError:
         raise SystemExit2("matrix is singular") from None
     print(format_polypartition(mu))
@@ -408,7 +420,7 @@ def _unit_pairs(ctx, work, extra=0):
 def _suite_degree1(ctx, n, rng, samples):
     for a, b, lam, mu in _unit_pairs(
             ctx, lambda lam, mu: partial_iso.invariant_product_work(lam, mu, 2)):
-        if degree1.degree1_product(ctx, a, b) != center.generic_S(lam, mu):
+        if degree1.degree1_product(ctx, a, b) != partial_iso.invariant_product(lam, mu, 2):
             return False, "closed form != engine at a=%d b=%d" % (a, b)
     return True, "closed form matches engine for all units, q=%d" % ctx.q
 

@@ -18,6 +18,8 @@ seven-case table is recovered by expanding the sum over d and the delta
 terms; the dispatch below keeps the case classification as API but all cases
 evaluate the same formula, which the test suite checks against the
 partial-isomorphism engine for every pair of units and q in {2, 3, 4, 5}.
+It is center.generic_S's table for every pair of size-1 types, so their
+class products (project_degree1) are center.class_product's.
 """
 
 from fractions import Fraction
@@ -139,19 +141,8 @@ def _square_roots(ctx, x):
 
 
 def project_degree1(ctx, a, b, n):
-    """C_{{X-a:(1)}^n} * C_{{X-b:(1)}^n} as an integer CentralVector.
-
-    Unit factors are trivial (the completed class of {X-1:(1)} is the
-    identity class); otherwise the degree-1 closed form is the one table of
-    center.GenericProduct, whose structure polynomials are evaluated at n.
-    The test suite checks the result against the brute-force class
-    product."""
+    """C_{{X-a:(1)}^n} * C_{{X-b:(1)}^n} as an integer CentralVector, by
+    center.class_product, which reads the closed form through generic_S."""
     if a == 0 or b == 0:
         raise ValueError("a and b must be units")
-    lam, mu = linear_type(ctx, a), linear_type(ctx, b)
-    if a == 1 or b == 1:
-        return center.CentralVector(n, {center.complete(mu if a == 1 else lam, n): 1})
-    result = center.GenericProduct(lam, mu, {(lam, mu): degree1_product(ctx, a, b)}).at(n)
-    if not result.is_integral():
-        raise AssertionError("projected product is not integral: %r" % result)
-    return result
+    return center.class_product(linear_type(ctx, a), linear_type(ctx, b), n)

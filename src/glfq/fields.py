@@ -35,7 +35,7 @@ from .memo import memo
 
 # A request that would make more type_of calls than this, enumerate more
 # partial isomorphisms, build a field with more trial divisions or table
-# elements, or sieve more candidates to test a label, is refused before it
+# elements, or sieve more candidates for irreducibles, is refused before it
 # enumerates anything (several minutes: the oracle completed_product at
 # q = 2, n = 8 of {X+1:(2)} by itself, 32,385 elements, takes 0.31 ms an
 # element on a 2-vCPU VM, orbit walk included)
@@ -53,7 +53,8 @@ def check_work(what, calls, unit="type_of calls"):
     enumerated elements.  Each enumerating route calls it at its entry on a
     closed-form count of its own work; what names the route (a "product", a
     "census", a "basis", a "counterexample search", a "closed form", a
-    "field" or a "label"), and the CLI adds its "verify suite" totals."""
+    "field", a "sieve of irreducibles" or a "label"), and the CLI adds its
+    "verify suite" totals."""
     if calls > MAX_TYPE_OF_CALLS:
         raise WorkCapExceeded("this %s needs %d %s, above the cap of %d"
                               % (what, calls, unit, MAX_TYPE_OF_CALLS))
@@ -76,6 +77,41 @@ def prime_factors(n):
     return out
 
 
+# The first thirteen primes: as Miller-Rabin bases they decide primality
+# for every n below this bound, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).  The first
+# twelve, 2..37, stop at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether n is prime: deterministic Miller-Rabin on the bases 2..41
+    below _MR_BOUND (about 3.3 * 10^24), prime_factors at or above it,
+    where that is refused for its trial divisions."""
+    if n >= _MR_BOUND:
+        return prime_factors(n) == [n]
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldCtx:
     """Arithmetic context for F_q = F_p[t]/(modulus), q = p^e.
 
@@ -84,7 +120,7 @@ class FieldCtx:
     """
 
     def __init__(self, p, e, modulus=None):
-        if prime_factors(p) != [p]:
+        if not is_prime(p):
             raise ValueError("p = %d is not prime" % p)
         if e < 1:
             raise ValueError("e must be >= 1, got %d" % e)
@@ -488,9 +524,12 @@ def ppow(ctx, A, n):
 @memo
 def enumerate_irreducibles(ctx, d):
     """All monic irreducibles of degree d over ctx, sorted lexicographically
-    by ascending coefficient vector.  Includes X itself at degree 1."""
+    by ascending coefficient vector.  Includes X itself at degree 1.
+    Refused before the first of its q^d candidates when they are above the
+    cap."""
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
+    check_work("sieve of irreducibles", ctx.q ** d, "candidates")
     out = []
     for tail in itertools.product(range(ctx.q), repeat=d):
         cand = tail + (1,)

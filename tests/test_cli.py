@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and determinism."""
 
+import itertools
 import json
 import os
 import random
@@ -229,9 +230,10 @@ def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, 
 @pytest.mark.parametrize("argv,message", [
     # (q - 1)^2 (q^2 + 1) invariant-product calls at q = 37
     (("verify", "--suite", "degree1", "--q", "37"), "1775520 type_of calls"),
-    # the completed classes at n = 3 dominate: q^2 (q^2 + q + 1) per pair
-    (("verify", "--suite", "fh", "--q", "11"), "1469995 type_of calls"),
-    (("verify", "--suite", "fh", "--q", "16"), "14783615 type_of calls"),
+    # the completed classes at n = 3 dominate: q^2 (q^2 + q + 1) per pair;
+    # a pair of size-1 types adds the q field elements of its closed form
+    (("verify", "--suite", "fh", "--q", "11"), "1460005 type_of calls"),
+    (("verify", "--suite", "fh", "--q", "16"), "14733005 type_of calls"),
     (("verify", "--suite", "ranklaw", "--n", "40"), "1012823 law evaluations"),
 ])
 def test_verify_suites_refuse_their_total_above_cap(capsys, monkeypatch, argv, message):
@@ -241,7 +243,7 @@ def test_verify_suites_refuse_their_total_above_cap(capsys, monkeypatch, argv, m
         raise AssertionError("computation started")
 
     for module, name in ((center, "generic_S"), (center, "fh_polynomials"),
-                         (cli.ranklaw, "rank_law")):
+                         (partial_iso, "invariant_product"), (cli.ranklaw, "rank_law")):
         monkeypatch.setattr(module, name, compute_nothing)
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
@@ -377,14 +379,15 @@ def test_degree1_closed_form_refused_above_cap(capsys):
 
 
 def test_degree1_projection_refused_above_cap(capsys, monkeypatch):
-    # --n projects the same closed form, which refuses itself at its entry
+    # --n is the class product, whose table is the same closed form: its q
+    # field elements are counted before the first one
     for name in ("classify", "irreducible_quadratics_I"):
         monkeypatch.setattr(degree1, name, enumerate_nothing)
     t0 = time.monotonic()
     code, out, err = run(capsys, "degree1", "--q", "1000003", "--a", "2", "--b", "3", "--n", "2")
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert err == ("usage error: this closed form needs 1000003 field elements, "
+    assert err == ("usage error: this product needs 1000003 type_of calls, "
                    "above the cap of 1000000\n")
 
 
@@ -400,6 +403,8 @@ ROUTE_WORK = {
                 lambda ctx, n: len(ctx.elements())),
     "field_tables": (lambda ctx, n: fields._make_field.__wrapped__(ctx.p, ctx.e),
                      lambda ctx, n: len(ctx._log)),
+    "irreducibles": (lambda ctx, n: fields.enumerate_irreducibles.__wrapped__(ctx, n),
+                     lambda ctx, n: len(list(itertools.product(ctx.elements(), repeat=n)))),
 }
 
 
@@ -410,6 +415,8 @@ ROUTE_WORK = {
     ("naive_atoms", 3, 3), ("naive_atoms", 4, 2), ("naive_atoms", 5, 2),
     ("degree1", 2, 1), ("degree1", 3, 1), ("degree1", 4, 1),
     ("field_tables", 4, 1), ("field_tables", 8, 1), ("field_tables", 9, 1),
+    ("irreducibles", 2, 1), ("irreducibles", 3, 2), ("irreducibles", 4, 2),
+    ("irreducibles", 2, 5),
 ])
 def test_each_route_counts_its_work(monkeypatch, route, q, n):
     # one below the number of elements a route enumerates, the route refuses
@@ -449,6 +456,33 @@ def test_library_routes_refuse_themselves_before_enumerating(monkeypatch, route,
     assert str(refused.value) == message + ", above the cap of 1000000"
 
 
+@pytest.mark.parametrize("q,mat,degree,count", [
+    # no eigenvalue: the irreducible quadratic factors send factor to the
+    # sieve of degree 2, which ran for minutes
+    (65521, "0,17,0,0;1,0,0,0;0,0,0,17;0,0,1,0", 2, 4293001441),
+    # the sieve of degree 1 alone: its candidates ran out of memory
+    (1000000000039, "1,2;3,4", 1, 1000000000039),
+    (1000003, "1,2;3,4", 1, 1000003),
+])
+def test_type_over_a_large_field_refuses_its_sieve(capsys, monkeypatch, q, mat, degree, count):
+    # the sieve of the monic irreducibles of degree d counts its q^d
+    # candidates before it tests the first
+    real = fields.is_irreducible
+
+    def below_degree(ctx, P):
+        if fields.pdeg(P) >= degree:
+            raise AssertionError("sieve started")
+        return real(ctx, P)
+
+    monkeypatch.setattr(fields, "is_irreducible", below_degree)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "type", "--q", str(q), "--mat", mat)
+    assert time.monotonic() - t0 < 2.0
+    assert (code, out) == (2, "")
+    assert err == ("usage error: this sieve of irreducibles needs %d candidates, "
+                   "above the cap of 1000000\n" % count)
+
+
 def test_naive_suite_refused_above_cap(capsys, monkeypatch):
     # 252 lines of (F_251)^2, 249^2 pairs of automorphisms other than the
     # identity, one plane each
@@ -477,15 +511,44 @@ def test_documented_slow_products_stay_below_cap(q, a, b):
 
 
 def test_generic_product_rejects_unipotent_input(capsys, monkeypatch):
-    # a unipotent input is refused by the cost of the invariant products of
-    # its class expansion, before any of them starts: {X+1:(4)} at q = 2
-    # expands over types of size up to 3
+    # a unipotent input is refused by the cost of the tables of its class
+    # expansion, before any of them is computed: {X+1:(4)} at q = 2 expands
+    # over types of size up to 3, and the pair {X+1:(1)}^2 among them costs
+    # the q = 2 field elements of its closed form
     monkeypatch.setattr(partial_iso, "_invariant_product_classes", enumerate_nothing)
+    monkeypatch.setattr(degree1, "degree1_product", enumerate_nothing)
     a = "{X+1:(4)}"
     code, out, err = run(capsys, "generic-product", "--q", "2", "--a", a, "--b", a)
     assert (code, out) == (2, "")
-    assert err == ("usage error: this product needs 12440512 type_of calls, "
+    assert err == ("usage error: this product needs 12440509 type_of calls, "
                    "above the cap of 1000000\n")
+
+
+def test_class_product_of_size_1_types_at_q_1009_is_degree1_n(capsys):
+    # the engine's table of this pair would make q^2 + 1 type_of calls for
+    # n = 2; generic_S takes the closed form of its q field elements
+    out = run(capsys, "class-product", "--q", "1009", "--n", "2",
+              "--a", "{X+2:(1)}", "--b", "{X+3:(1)}")
+    assert out == run(capsys, "degree1", "--q", "1009", "--a", "1007", "--b", "1006", "--n", "2")
+    assert out[0] == 0 and out[1] and out[2] == ""
+
+
+def seeded_unit_pairs():
+    rng = random.Random(0)
+    return [(q, rng.randrange(1, q), rng.randrange(1, q), n)
+            for q in (2, 4, 5, 9, 1009) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q,a,b,n", seeded_unit_pairs())
+def test_degree1_n_and_class_product_print_the_same(capsys, q, a, b, n):
+    # degree1 --n is the class product of {X-a:(1)} and {X-b:(1)}: one route
+    ctx = make_field(*{4: (2, 2), 9: (3, 2)}.get(q, (q,)))
+    lam, mu = linear_type(ctx, a), linear_type(ctx, b)
+    code, out, err = run(capsys, "class-product", "--q", str(q), "--n", str(n),
+                         "--a", format_polypartition(lam), "--b", format_polypartition(mu))
+    assert (code, err) == (0, "") and out
+    assert run(capsys, "degree1", "--q", str(q), "--a", ctx.elem_str(a),
+               "--b", ctx.elem_str(b), "--n", str(n)) == (0, out, "")
 
 
 def test_degree1_closed_form_json(capsys):
@@ -615,7 +678,8 @@ def test_field_flag_validation(capsys):
 
 
 @pytest.mark.parametrize("q,field", [(2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (27, (3, 3)),
-                                     (49, (7, 2)), (4096, (2, 12)), (65521, (65521, 1))])
+                                     (49, (7, 2)), (4096, (2, 12)), (65521, (65521, 1)),
+                                     (625, (5, 4)), (10 ** 18 + 3, (10 ** 18 + 3, 1))])
 def test_q_is_split_into_its_prime_and_degree(q, field):
     args = cli.build_parser().parse_args(["type", "--q", str(q), "--mat", "1"])
     assert cli._field_from_args(args) is make_field(*field)
@@ -631,6 +695,9 @@ def test_q_is_split_into_its_prime_and_degree(q, field):
     (["--q", "12"], "--q must be a prime power, got 12"),
     (["--q", "65522"], "--q must be a prime power, got 65522"),
     (["--q", "6"], "--q must be a prime power, got 6"),
+    # a perfect power of a composite, and 10^18 + 1 = (10^6 + 1)(10^12 - 10^6 + 1)
+    (["--q", "36"], "--q must be a prime power, got 36"),
+    (["--q", "1000000000000000001"], "--q must be a prime power, got 1000000000000000001"),
 ])
 def test_bad_field_is_a_usage_error(capsys, flags, named):
     code, out, err = run(capsys, "type", *flags, "--mat", "1")
@@ -639,9 +706,11 @@ def test_bad_field_is_a_usage_error(capsys, flags, named):
 
 
 @pytest.mark.parametrize("flags,message", [
-    # a prime q or p near 10^18 takes 10^9 trial divisions to test
-    (["--q", "1000000000000000003"], "999999999 trial divisions"),
-    (["--p", "1000000000000000003"], "999999999 trial divisions"),
+    # a q or p at or above 3.3 * 10^24, the bound of Miller-Rabin on the
+    # bases 2..41, is left to trial division: the prime 2^89 - 1 would take
+    # 2.5 * 10^13 of them
+    (["--q", "618970019642690137449562111"], "24879108095802 trial divisions"),
+    (["--p", "618970019642690137449562111"], "24879108095802 trial divisions"),
     # the tables of F_{2^20} take about 20 s and 136 MB to build
     (["--p", "2", "--e", "20"], "1048576 table elements"),
     # and 2^e for such an e is not formed
@@ -654,6 +723,17 @@ def test_oversized_field_is_refused_at_once(capsys, flags, message):
     assert time.monotonic() - start < 1
     assert (code, out, err) == (
         2, "", "usage error: this field needs %s, above the cap of 1000000\n" % message)
+
+@pytest.mark.parametrize("flags", [["--q", "1000000000000000003"],
+                                   ["--p", "1000000000000000003"]])
+def test_large_prime_field_answers_a_closed_form_at_once(capsys, flags):
+    # primality by Miller-Rabin: the prime 10^18 + 3 needed 10^9 trial
+    # divisions, and a prime field keeps no tables
+    start = time.monotonic()
+    code, out, err = run(capsys, "class-size", *flags, "--n", "1", "--type", "{X+2:(1)}")
+    assert time.monotonic() - start < 1
+    assert (code, out, err) == (0, "1\n", "")
+
 
 @pytest.mark.parametrize("argv,message", [
     (["census", "--q", "3", "--n", "-1"], "--n must be at least 0, got -1"),

@@ -27,6 +27,7 @@ from glfq.fields import (
     enumerate_irreducibles,
     factor,
     is_irreducible,
+    is_prime,
     linear_poly,
     make_field,
     pmul,
@@ -129,6 +130,34 @@ def test_prime_factors_match_a_sieve():
             while m % expected[-1] == 0:
                 m //= expected[-1]
         assert prime_factors(n) == expected, n
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    # prime_factors is trial division up to isqrt(n)
+    for n in range(-7, 10 ** 5):
+        assert is_prime(n) == (prime_factors(n) == [n]), n
+
+
+@pytest.mark.parametrize("n,prime", [
+    # Carmichael numbers, from 561 up to 13 digits
+    (561, False), (1105, False), (1729, False), (41041, False), (825265, False),
+    (321197185, False), (5394826801, False), (232250619601, False), (9746347772161, False),
+    # a strong pseudoprime to every base 2..31, and one to every base 2..37
+    (3825123056546413051, False), (318665857834031151167461, False),
+    # primes: 2^31 - 1, the least above 10^12, 2^61 - 1, the least above 10^18
+    (2 ** 31 - 1, True), (10 ** 12 + 39, True), (2 ** 61 - 1, True), (10 ** 18 + 3, True),
+    # products of two large primes
+    ((2 ** 31 - 1) * (10 ** 12 + 39), False), ((10 ** 12 + 39) ** 2, False),
+])
+def test_is_prime_on_pseudoprimes_and_large_primes(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_at_the_bound_of_its_bases():
+    # the least strong pseudoprime to every base 2..41: at and above it
+    # primality is left to trial division, which is refused there
+    with pytest.raises(WorkCapExceeded, match="trial divisions"):
+        is_prime(3317044064679887385961981)
 
 
 def test_abs_trace_additive_and_onto():

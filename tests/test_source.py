@@ -1,8 +1,13 @@
 """Static checks on the library source."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 from glfq import cli
 
@@ -163,3 +168,24 @@ def test_only_conjtype_builds_the_unipotent_label():
                     and node.args[1].value == 1):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
+
+
+def test_only_fh_polynomials_builds_a_generic_product():
+    # generic_S picks every table, the degree-1 closed form included, so one
+    # assembly builds GenericProduct
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            found += ["%s.%s" % (path.stem, getattr(top, "name", "<module>"))
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      == "GenericProduct"]
+    assert found == ["center.fh_polynomials"]
+
+
+@pytest.mark.parametrize("module", ["glfq.center", "glfq.degree1"])
+def test_module_imports_alone(module):
+    # center and degree1 import each other; each must load first
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", "import " + module], env=env, check=True)
