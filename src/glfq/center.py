@@ -21,13 +21,12 @@ from fractions import Fraction
 from . import degree1, linalg, subspaces
 from .conjtype import (
     Partition,
-    centralizer_order,
     class_orbit,
     class_size,
     complete,
     format_polypartition,
+    gl_order,
     jordan_matrix,
-    pochhammer,
     reduce_polypartition,
     type_of,
     with_unipotent,
@@ -311,26 +310,16 @@ def completed_class_size_poly(tau):
     card C = |GL(n, q)| / Z(n) where the centralizer splits over the factors;
     only the (X-1) factor grows with n, by m = n - |tau| extra parts 1.  With
     s = |tau| - len(tau(X-1)) the q-power exponents are linear in n and
-    (q^{-1})_n / (q^{-1})_{n-|tau|} is a polynomial in 1/X, giving
-    X^{2s} q^{-s^2 - c} prod_{j<|tau|} (1 - q^j/X) / (B Z_other)."""
-    q = tau.ctx.q
-    pi = tau.unipotent
-    if 1 in pi:
+    (q^{-1})_n / (q^{-1})_{n-|tau|} is a polynomial in 1/X, so card C is the
+    shape X^{2s} prod_{j<|tau|} (1 - q^j/X) = X^{2s-|tau|} nf(q, n, |tau|)
+    times a constant: class_size at n = |tau| over the shape there,
+    q^(|tau| (2s-|tau|)) |GL(|tau|, F_q)|, which is not 0."""
+    if 1 in tau.unipotent:
         raise ValueError("type %r is not reduced: it has parts 1 on X - 1" % tau)
-    t = tau.size
-    ell = len(pi)
-    s = t - ell
-    # conjugate columns of the (X-1) partition beyond the first
-    conj = Partition(pi).conjugate().parts
-    c2 = sum(c * c for c in conj[1:])
-    B = Fraction(1)
-    for i in set(pi):
-        B *= pochhammer(Fraction(1, q), sum(1 for x in pi if x == i))
-    z_other = centralizer_order(with_unipotent(tau, ()))
-    out = Laurent({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
-    for j in range(t):
-        out = out * Laurent({0: 1, -1: -(q ** j)})
-    return out
+    q, t = tau.ctx.q, tau.size
+    e = 2 * _norm(tau) - t
+    at_t = Fraction(q) ** (t * e) * gl_order(q, t)
+    return Laurent({e: class_size(tau, t) / at_t}) * num_free_poly(q, t)
 
 
 def _norm(tau):
@@ -377,11 +366,16 @@ def class_expansion(lam):
     return {nu: a for nu, a in out.items() if a}
 
 
+# product_work adds the engine's type_of calls to the closed form's field
+# elements, so a refusal of its count names both
+PRODUCT_WORK_UNIT = "type_of calls or field elements"
+
+
 def product_work(lam, mu, n=None):
     """The work of the tables of fh_polynomials(lam, mu, n), in closed form
     and not growing with n: per pair of the class expansions, the q field
-    elements of the closed form (one type_of call each) or the engine's
-    type_of calls.  The expansions' padding laws enumerate nothing."""
+    elements of the closed form or the engine's type_of calls.  The
+    expansions' padding laws enumerate nothing."""
     lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
     return sum(nu.ctx.q if _linear_roots(nu, nu2)
                else invariant_product_work(nu, nu2, _table_dim(nu, nu2, n))
@@ -461,7 +455,7 @@ def fh_polynomials(lam, mu, n=None):
     computed, when their work is above MAX_TYPE_OF_CALLS (product_work)."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
-    check_work("product", product_work(lam, mu, n))
+    check_work("product", product_work(lam, mu, n), PRODUCT_WORK_UNIT)
     tables = {(nu, nu2): generic_S(nu, nu2, n)
               for nu in class_expansion(lam) for nu2 in class_expansion(mu)}
     return GenericProduct(lam, mu, tables, n)

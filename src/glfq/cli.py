@@ -400,18 +400,18 @@ def _suite_ranklaw(ctx, n, rng, samples):
     return True, "laws are probability measures up to n=%d, q=%d" % (n, q)
 
 
-def _unit_pairs(ctx, work, extra=0):
+def _unit_pairs(ctx, work, unit, extra=0):
     """(a, b, {X-a:(1)}, {X-b:(1)}) for every pair of units a, b, refused
     before the first pair when work(lam, mu) summed over the pairs, plus the
-    extra work of the caller's other pairs, is above the cap.  The types
-    {X-a:(1)} with a != 1 differ only in their label, so a pair's work
-    depends only on which of a, b is 1, and the sum weighs one pair of each
-    kind by its number of pairs (the unit q - 1 stands for the q - 2 units
-    other than 1, none at q = 2)."""
+    extra work of the caller's other pairs, is above the cap; unit names
+    what work counts.  The types {X-a:(1)} with a != 1 differ only in their
+    label, so a pair's work depends only on which of a, b is 1, and the sum
+    weighs one pair of each kind by its number of pairs (the unit q - 1
+    stands for the q - 2 units other than 1, none at q = 2)."""
     q = ctx.q
     kinds = ((linear_type(ctx, 1), 1), (linear_type(ctx, q - 1), q - 2))
     fields.check_work("verify suite", extra + sum(i * j * work(lam, mu) for lam, i in kinds
-                                                  for mu, j in kinds))
+                                                  for mu, j in kinds), unit)
     units = range(1, q)
     types = {a: linear_type(ctx, a) for a in units}
     return [(a, b, types[a], types[b]) for a in units for b in units]
@@ -419,15 +419,17 @@ def _unit_pairs(ctx, work, extra=0):
 
 def _suite_degree1(ctx, n, rng, samples):
     for a, b, lam, mu in _unit_pairs(
-            ctx, lambda lam, mu: partial_iso.invariant_product_work(lam, mu, 2)):
+            ctx, lambda lam, mu: partial_iso.invariant_product_work(lam, mu, 2),
+            "type_of calls"):
         if degree1.degree1_product(ctx, a, b) != partial_iso.invariant_product(lam, mu, 2):
             return False, "closed form != engine at a=%d b=%d" % (a, b)
     return True, "closed form matches engine for all units, q=%d" % ctx.q
 
 
 def _fh_work(lam, mu):
-    """The type_of calls of fh_polynomials(lam, mu) and of verify_fh at
-    n = 2 and 3, which enumerates the smaller completed class."""
+    """The work of fh_polynomials(lam, mu) (product_work) and the type_of
+    calls of verify_fh at n = 2 and 3, which enumerates the smaller
+    completed class."""
     lam, mu = reduce_polypartition(lam), reduce_polypartition(mu)
     return (center.product_work(lam, mu)
             + sum(min(class_size(complete(t, n), n) for t in (lam, mu)) for n in (2, 3)))
@@ -440,7 +442,8 @@ def _suite_fh(ctx, n, rng, samples):
     q = ctx.q
     tv = linear_type(ctx, 1, (2,))
     extra = _fh_work(tv, linear_type(ctx, 1)) + (q - 2) * _fh_work(tv, linear_type(ctx, q - 1))
-    pairs = [(lam, mu) for _, _, lam, mu in _unit_pairs(ctx, _fh_work, extra)]
+    pairs = [(lam, mu) for _, _, lam, mu in _unit_pairs(ctx, _fh_work,
+                                                        center.PRODUCT_WORK_UNIT, extra)]
     pairs += [(tv, linear_type(ctx, b)) for b in range(1, q)]
     for lam, mu in pairs:
         report = center.verify_fh(center.fh_polynomials(lam, mu), [2, 3])

@@ -8,7 +8,6 @@ the diagonal-1 completion, and whole-group censuses used as oracles.
 """
 
 from collections import Counter
-from fractions import Fraction
 
 from . import fields, linalg, subspaces
 from .fields import pdeg, poly_parse, poly_str
@@ -283,22 +282,12 @@ def _type_of_signature(ctx, signature):
     return Polypartition(ctx, entries)
 
 
-def pochhammer(x, m):
-    """(x)_m = (1-x)(1-x^2)...(1-x^m) with exact Fraction arithmetic."""
-    if m < 0:
-        raise ValueError("pochhammer needs m >= 0, got %d" % m)
-    x = Fraction(x)
-    out = Fraction(1)
-    p = Fraction(1)
-    for _ in range(m):
-        p *= x
-        out *= 1 - p
-    return out
-
-
 def _centralizer_factors(mu):
-    """(e, js) with |C(mu)| = q^e prod_{j in js} (q^j - 1), js a Counter:
-    each (q^-d)_m of centralizer_order is prod_{i <= m} (q^(di) - 1) / q^(di).
+    """(e, js) with |C(mu)| = q^e prod_{j in js} (q^j - 1), js a Counter,
+    the order of the centralizer of an element of type mu in GL(|mu|, F_q):
+    |C(mu)| = q^(|mu| + 2 b(mu)) prod_P prod_k (q^(-deg P))_{m_k}, m_k the
+    multiplicity of the part k in the partition of P, and each
+    (q^-d)_m = (1 - q^-d) ... (1 - q^-dm) is prod_{i <= m} (q^(di) - 1) / q^(di).
     e >= 0: per label, |lam| + 2 b(lam) = sum of the squared columns of lam
     >= sum_k m_k^2 >= sum_k m_k (m_k + 1) / 2."""
     e = mu.size + 2 * mu.b()
@@ -319,14 +308,6 @@ def _q_product(q, e, js):
     while len(xs) > 1:
         xs = [xs[i] * xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) & ~1:]
     return q ** e * (xs[0] if xs else 1)
-
-
-def centralizer_order(mu):
-    """Order of the centralizer of an element of type mu in GL(|mu|, F_q):
-    q^(|mu| + 2 b(mu)) prod_P prod_i (q^(-deg P))_{m_i}, m_i the
-    multiplicity of the part i in the partition of P; in integers, as
-    q^e prod (q^(deg P j) - 1) (_centralizer_factors)."""
-    return _q_product(mu.ctx.q, *_centralizer_factors(mu))
 
 
 def class_size(mu, n):

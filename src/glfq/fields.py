@@ -152,33 +152,6 @@ class FieldCtx:
             a = a * self.p + (d % self.p)
         return a
 
-    def _schoolbook_mul(self, a, b):
-        """a * b by multiplying digit vectors and reducing modulo the
-        modulus; it and _schoolbook_pow only build the extension tables."""
-        p, e, mod = self.p, self.e, self.modulus
-        db = [(j, y) for j, y in enumerate(self.digits(b)) if y]
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(self.digits(a)):
-            if x:
-                for j, y in db:
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(len(prod) - 1, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return self.encode(prod[:e])
-
-    def _schoolbook_pow(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._schoolbook_mul(r, a)
-            a = self._schoolbook_mul(a, a)
-            n >>= 1
-        return r
-
     def _build_tables(self):
         """For an extension field, the powers of the smallest primitive
         element g (twice over, so a sum of two logs needs no reduction),
@@ -189,7 +162,10 @@ class FieldCtx:
         if self.e == 1:
             self._bind_prime_rows()
             return
-        g = self._smallest_primitive(self._schoolbook_pow)
+        # before the tables exist, powers are taken over F_p mod the modulus
+        fp = make_field(p)
+        g = self._smallest_primitive(
+            lambda a, k: self.encode(ppow_mod(fp, pnorm(self.digits(a)), k, self.modulus)))
         powers = self._powers(g)
         log = [None] * q
         for k, x in enumerate(powers):
@@ -518,6 +494,18 @@ def ppow(ctx, A, n):
             r = pmul(ctx, r, A)
         A = pmul(ctx, A, A)
         n >>= 1
+    return r
+
+
+def ppow_mod(ctx, A, k, M):
+    """A^k modulo M (of degree at least 1), by squaring, each product
+    reduced by pdivmod before the next."""
+    r = (1,)
+    while k:
+        if k & 1:
+            r = pdivmod(ctx, pmul(ctx, r, A), M)[1]
+        A = pdivmod(ctx, pmul(ctx, A, A), M)[1]
+        k >>= 1
     return r
 
 

@@ -34,7 +34,6 @@ from .conjtype import (
     gl_order,
     jordan_matrix,
     num_free_families,
-    pochhammer,
     type_of,
 )
 from .fields import check_work
@@ -705,24 +704,19 @@ def _truncate(sub, n_small):
 
 def phi(ctx, x, n_small):
     """The compatibility map A(n') -> A(n): keep terms whose spaces sit in
-    the first n coordinates, with the degree-dependent rescaling that sends
+    the first n coordinates, and rescale a term on a k-space by
+    nf(q, n', k) / nf(q, n, k) (num_free_families), which sends
     Ahat_{mu, n'} to Ahat_{mu, n}."""
     n_big = x.n
     if n_small > n_big:
         raise ValueError("phi maps to a smaller ambient dimension")
     q = ctx.q
-    qi = Fraction(1, q)
     out = {}
     for t, c in x.terms.items():
         if not (_fits_in(t.V, n_small) and _fits_in(t.W, n_small)):
             continue
         k = t.dim
-        scale = (
-            Fraction(q) ** ((n_big - n_small) * k)
-            * pochhammer(qi, n_big)
-            * pochhammer(qi, n_small - k)
-            / (pochhammer(qi, n_big - k) * pochhammer(qi, n_small))
-        )
+        scale = Fraction(num_free_families(q, n_big, k), num_free_families(q, n_small, k))
         u = PartialIso(_truncate(t.V, n_small), _truncate(t.W, n_small), t.g1, t.g2)
         out[u] = out.get(u, 0) + c * scale
     return AlgElem(n_small, out)

@@ -13,17 +13,19 @@ term loops and its reading by a split at '+' and '-', squareness by
 Euler's criterion, GL(n, F_q) by the rank of every matrix, polynomials of
 matrices by sums of powers, the atoms of the naive search by a scan of
 the subspaces, the algebra's product, restriction operator and projection
-pi_n with a Fraction added per term, the centralizer order by Fraction
-Pochhammer symbols, and the extension-field tables by one schoolbook product
-per power.  They are slow and kept simple on purpose.  A few
-small helpers that only the tests read live here too.
+pi_n with a Fraction added per term, the centralizer order, the rank and
+dimension laws, the rescaling of phi and the symbolic class sizes by
+Fraction Pochhammer symbols in 1/q, and extension-field arithmetic and
+tables by one schoolbook product per operation.  They are slow and kept
+simple on purpose.  A few small helpers that only the tests read live here
+too.
 """
 
 import itertools
 from fractions import Fraction
 
 from glfq import fields, linalg, subspaces
-from glfq.center import CentralVector
+from glfq.center import CentralVector, Laurent
 from glfq.conjtype import (
     Partition,
     Polypartition,
@@ -33,8 +35,8 @@ from glfq.conjtype import (
     enumerate_gl,
     jordan_matrix,
     num_free_families,
-    pochhammer,
     type_of,
+    with_unipotent,
 )
 from glfq.partial_iso import (
     AlgElem,
@@ -516,6 +518,103 @@ def naive_atoms_by_scan(ctx, n):
     return total
 
 
+def pochhammer(x, m):
+    """(x)_m = (1-x)(1-x^2)...(1-x^m) with exact Fraction arithmetic."""
+    if m < 0:
+        raise ValueError("pochhammer needs m >= 0, got %d" % m)
+    x = Fraction(x)
+    out = Fraction(1)
+    p = Fraction(1)
+    for _ in range(m):
+        p *= x
+        out *= 1 - p
+    return out
+
+
+def rank_law_by_pochhammer(d, q, a, c):
+    """P_{d,q}[X_a = c] = q^((d-c)(c-a)) (1/q)_a (1/q)_d
+    / ((1/q)_c (1/q)_(a-c) (1/q)_(d-c)), 0 off its support."""
+    if not (0 <= c <= min(a, d)):
+        return Fraction(0)
+    qi = Fraction(1, q)
+    return (
+        Fraction(q) ** ((d - c) * (c - a))
+        * pochhammer(qi, a)
+        * pochhammer(qi, d)
+        / (pochhammer(qi, c) * pochhammer(qi, a - c) * pochhammer(qi, d - c))
+    )
+
+
+def dim_sum_law_by_pochhammer(n, q, j, k, l, m):
+    """The law of dim(U+ + W) in q-Pochhammer symbols of 1/q, 0 off its
+    support sup(k,l) <= m <= inf(n, k+l-j)."""
+    if not (max(k, l) <= m <= min(n, k + l - j)):
+        return Fraction(0)
+    qi = Fraction(1, q)
+    return (
+        Fraction(q) ** ((k + l - j - m) * (m - n))
+        * pochhammer(qi, n - k)
+        * pochhammer(qi, n - l)
+        * pochhammer(qi, k - j)
+        * pochhammer(qi, l - j)
+        / (
+            pochhammer(qi, k + l - j - m)
+            * pochhammer(qi, n - m)
+            * pochhammer(qi, n - j)
+            * pochhammer(qi, m - k)
+            * pochhammer(qi, m - l)
+        )
+    )
+
+
+def count_constrained_subspaces_by_pochhammer(j, k, l, m, q):
+    """q^((m-l)(l-j)) (1/q)_(k-j) / ((1/q)_(m-l) (1/q)_(k+l-j-m)), a
+    Fraction, 0 when k+l-j-m < 0."""
+    if k + l - j - m < 0:
+        return Fraction(0)
+    qi = Fraction(1, q)
+    return (
+        Fraction(q) ** ((m - l) * (l - j))
+        * pochhammer(qi, k - j)
+        / (pochhammer(qi, m - l) * pochhammer(qi, k + l - j - m))
+    )
+
+
+def phi_scale_by_pochhammer(q, n_big, n_small, k):
+    """The rescaling of phi on a k-space, from ambient n_big to n_small:
+    q^((n_big - n_small) k) (1/q)_(n_big) (1/q)_(n_small - k)
+    / ((1/q)_(n_big - k) (1/q)_(n_small))."""
+    qi = Fraction(1, q)
+    return (
+        Fraction(q) ** ((n_big - n_small) * k)
+        * pochhammer(qi, n_big)
+        * pochhammer(qi, n_small - k)
+        / (pochhammer(qi, n_big - k) * pochhammer(qi, n_small))
+    )
+
+
+def completed_class_size_poly_by_pochhammer(tau):
+    """card C_{tau^n} for a reduced tau as the Laurent polynomial
+    X^(2s) q^(-s^2 - c2) prod_{j<|tau|} (1 - q^j/X) / (B Z_other) in X = q^n:
+    s = |tau| - len(tau(X-1)), c2 the sum of the squared columns of the
+    (X-1) partition beyond the first, B the product of (1/q)_m over the
+    multiplicities m of its parts and Z_other the centralizer order of
+    the rest of tau."""
+    q = tau.ctx.q
+    pi = tau.unipotent
+    t = tau.size
+    s = t - len(pi)
+    c2 = sum(c * c for c in Partition(pi).conjugate().parts[1:])
+    B = Fraction(1)
+    for i in set(pi):
+        B *= pochhammer(Fraction(1, q), pi.count(i))
+    z_other = centralizer_order_by_pochhammer(with_unipotent(tau, ()))
+    out = Laurent({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
+    for j in range(t):
+        out = out * Laurent({0: 1, -1: -(q ** j)})
+    return out
+
+
 def centralizer_order_by_pochhammer(mu):
     """|C(mu)| = q^(|mu| + 2 b(mu)) prod_P prod_i (q^(-deg P))_{m_i}, m_i
     the multiplicity of the part i in the partition of P, in Fractions."""
@@ -527,17 +626,68 @@ def centralizer_order_by_pochhammer(mu):
     return out
 
 
+class SchoolbookField:
+    """Reference arithmetic on base-p digit vectors modulo ctx.modulus,
+    computed afresh on every call without any of the field's tables."""
+
+    def __init__(self, ctx):
+        self.p, self.e, self.q, self.mod = ctx.p, ctx.e, ctx.q, ctx.modulus
+
+    def digits(self, a):
+        return [a // self.p ** i % self.p for i in range(self.e)]
+
+    def encode(self, digs):
+        return sum(d % self.p * self.p ** i for i, d in enumerate(digs))
+
+    def add(self, a, b):
+        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def sub(self, a, b):
+        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def mul(self, a, b):
+        e = self.e
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * e - 2, e - 1, -1):  # X^e = -(mod[0] + ... + mod[e-1] X^(e-1))
+            c, prod[i] = prod[i], 0
+            for j in range(e):
+                prod[i - e + j] -= c * self.mod[j]
+        return self.encode(prod[:e])
+
+    def pow(self, a, k):  # by squaring
+        r = 1
+        while k:
+            if k & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return r
+
+    def inv(self, a):  # a^(q-2) by repeated multiplication
+        r = 1
+        for _ in range(self.q - 2):
+            r = self.mul(r, a)
+        return r
+
+
 def field_tables_by_schoolbook(ctx):
     """The (exp, log, zech) tables of an extension field, built with one
     schoolbook product per power of the smallest primitive element g:
     exp holds g^0..g^(q-2) twice, log[g^k] = k (None at 0) and
     zech[k] = log(1 + g^k)."""
     p, q = ctx.p, ctx.q
-    g = ctx._smallest_primitive(ctx._schoolbook_pow)
+    ref = SchoolbookField(ctx)
+    g = ctx._smallest_primitive(ref.pow)
     powers, x = [], 1
     for _ in range(q - 1):
         powers.append(x)
-        x = ctx._schoolbook_mul(x, g)
+        x = ref.mul(x, g)
     log = [None] * q
     for k, x in enumerate(powers):
         log[x] = k

@@ -193,6 +193,17 @@ def test_completed_class_size_poly(q, tau_s):
         assert poly(Fraction(q) ** n) == want
 
 
+@pytest.mark.parametrize("p,e,top", [(2, 1, 4), (3, 1, 4), (5, 1, 4), (2, 2, 3)])
+def test_completed_class_size_poly_matches_the_pochhammer_formula(p, e, top):
+    # every reduced type of size <= top
+    ctx = make_field(p, e)
+    for size in range(top + 1):
+        for tau in enumerate_polypartitions(ctx, size):
+            if 1 not in tau.unipotent:
+                assert (center.completed_class_size_poly(tau)
+                        == oracles.completed_class_size_poly_by_pochhammer(tau))
+
+
 def test_completed_class_size_poly_requires_reduced_input():
     ctx = make_field(2)
     tau = parse_polypartition(ctx, "{X+1:(2,1)}")

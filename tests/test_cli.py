@@ -157,7 +157,7 @@ def test_generic_product_refuses_work_above_cap(capsys, monkeypatch):
         "--a", "{X^2+X+1:(1)}", "--b", "{X^2+X+1:(1)}")
     assert code == 2
     assert out == ""
-    assert err == ("usage error: this product needs 610 type_of calls, "
+    assert err == ("usage error: this product needs 610 type_of calls or field elements, "
                    "above the cap of 100\n")
 
 
@@ -174,7 +174,7 @@ def test_class_product_refuses_work_above_cap(capsys, monkeypatch):
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert err == ("usage error: this product needs 7887520 type_of calls, "
+    assert err == ("usage error: this product needs 7887520 type_of calls or field elements, "
                    "above the cap of 1000000\n")
 
 
@@ -232,8 +232,8 @@ def test_verify_suites_refuse_enumerations_above_cap(capsys, monkeypatch, argv, 
     (("verify", "--suite", "degree1", "--q", "37"), "1775520 type_of calls"),
     # the completed classes at n = 3 dominate: q^2 (q^2 + q + 1) per pair;
     # a pair of size-1 types adds the q field elements of its closed form
-    (("verify", "--suite", "fh", "--q", "11"), "1460005 type_of calls"),
-    (("verify", "--suite", "fh", "--q", "16"), "14733005 type_of calls"),
+    (("verify", "--suite", "fh", "--q", "11"), "1460005 type_of calls or field elements"),
+    (("verify", "--suite", "fh", "--q", "16"), "14733005 type_of calls or field elements"),
     (("verify", "--suite", "ranklaw", "--n", "40"), "1012823 law evaluations"),
 ])
 def test_verify_suites_refuse_their_total_above_cap(capsys, monkeypatch, argv, message):
@@ -270,8 +270,10 @@ def test_unit_pair_suites_name_the_sum_over_every_pair(capsys, monkeypatch, q, s
     total = sum(work(lam, linear_type(ctx, b)) for lam in lefts for b in units)
     monkeypatch.setattr(fields, "MAX_TYPE_OF_CALLS", total - 1)
     code, out, err = run(capsys, "verify", "--suite", suite, "--q", str(q))
-    assert (code, out, err) == (2, "", "usage error: this verify suite needs %d type_of calls, "
-                                       "above the cap of %d\n" % (total, total - 1))
+    # fh sums product_work, which counts the field elements of closed forms too
+    unit = "type_of calls" if suite == "degree1" else "type_of calls or field elements"
+    assert (code, out, err) == (2, "", "usage error: this verify suite needs %d %s, "
+                                       "above the cap of %d\n" % (total, unit, total - 1))
 
 
 @pytest.mark.parametrize("suite", sorted(cli._SUITES))
@@ -387,7 +389,7 @@ def test_degree1_projection_refused_above_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "degree1", "--q", "1000003", "--a", "2", "--b", "3", "--n", "2")
     assert time.monotonic() - t0 < 1.0
     assert (code, out) == (2, "")
-    assert err == ("usage error: this product needs 1000003 type_of calls, "
+    assert err == ("usage error: this product needs 1000003 type_of calls or field elements, "
                    "above the cap of 1000000\n")
 
 
@@ -520,7 +522,7 @@ def test_generic_product_rejects_unipotent_input(capsys, monkeypatch):
     a = "{X+1:(4)}"
     code, out, err = run(capsys, "generic-product", "--q", "2", "--a", a, "--b", a)
     assert (code, out) == (2, "")
-    assert err == ("usage error: this product needs 12440509 type_of calls, "
+    assert err == ("usage error: this product needs 12440509 type_of calls or field elements, "
                    "above the cap of 1000000\n")
 
 

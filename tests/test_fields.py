@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    SchoolbookField,
     elem_parse_by_terms,
     elem_str_by_terms,
     field_tables_by_schoolbook,
@@ -30,10 +31,12 @@ from glfq.fields import (
     is_prime,
     linear_poly,
     make_field,
+    pdivmod,
     pmul,
     pnorm,
     poly_parse,
     poly_str,
+    ppow_mod,
     prime_factors,
 )
 
@@ -280,47 +283,6 @@ def test_elem_parse_rejects_out_of_range_extension_coefficients():
     assert make_field(5).elem_parse("-1") == 4
 
 
-class SchoolbookField:
-    """Reference arithmetic on base-p digit vectors modulo ctx.modulus,
-    computed afresh on every call without any of the field's tables."""
-
-    def __init__(self, ctx):
-        self.p, self.e, self.q, self.mod = ctx.p, ctx.e, ctx.q, ctx.modulus
-
-    def digits(self, a):
-        return [a // self.p ** i % self.p for i in range(self.e)]
-
-    def encode(self, digs):
-        return sum(d % self.p * self.p ** i for i, d in enumerate(digs))
-
-    def add(self, a, b):
-        return self.encode([x + y for x, y in zip(self.digits(a), self.digits(b))])
-
-    def sub(self, a, b):
-        return self.encode([x - y for x, y in zip(self.digits(a), self.digits(b))])
-
-    def neg(self, a):
-        return self.sub(0, a)
-
-    def mul(self, a, b):
-        e = self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(self.digits(a)):
-            for j, y in enumerate(self.digits(b)):
-                prod[i + j] += x * y
-        for i in range(2 * e - 2, e - 1, -1):  # X^e = -(mod[0] + ... + mod[e-1] X^(e-1))
-            c, prod[i] = prod[i], 0
-            for j in range(e):
-                prod[i - e + j] -= c * self.mod[j]
-        return self.encode(prod[:e])
-
-    def inv(self, a):  # a^(q-2) by repeated multiplication
-        r = 1
-        for _ in range(self.q - 2):
-            r = self.mul(r, a)
-        return r
-
-
 SMALL_EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5),
                     (7, 2), (2, 6), (3, 4)]
 
@@ -413,6 +375,21 @@ EXTENSIONS_UP_TO_2_10 = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31
 def test_tables_match_the_schoolbook_builder(p, e):
     ctx = make_field(p, e)
     assert (ctx._exp, ctx._log, ctx._zech) == field_tables_by_schoolbook(ctx)
+
+
+@pytest.mark.parametrize("p,e", FIELDS)
+def test_ppow_mod_matches_repeated_products(p, e):
+    # seeded A of degree < 9 and monic M of degree 1..6: A^k mod M against
+    # k products, each reduced by pdivmod
+    ctx = make_field(p, e)
+    rng = random.Random(1000 * p + e)
+    for _ in range(40):
+        A = pnorm(rng.randrange(ctx.q) for _ in range(rng.randrange(10)))
+        M = tuple(rng.randrange(ctx.q) for _ in range(rng.randrange(1, 7))) + (1,)
+        want = (1,)
+        for k in range(40):
+            assert ppow_mod(ctx, A, k, M) == want, (A, k, M)
+            want = pdivmod(ctx, pmul(ctx, want, A), M)[1]
 
 
 def test_make_field_2_12_keeps_the_smallest_modulus():

@@ -690,6 +690,22 @@ def test_phi_on_hat_elements():
             assert pi.phi(ctx, big, 2) == small
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (3, 2)])
+def test_phi_scale_matches_the_pochhammer_formula(p, e):
+    # the identity on the first k coordinates, one term of coefficient 1,
+    # is sent to its truncation times nf(q, n', k) / nf(q, n, k)
+    ctx = make_field(p, e)
+    for n_big in range(6):
+        for n_small in range(n_big + 1):
+            for k in range(n_small + 1):
+                V = subspaces.from_rows(ctx, linalg.identity(n_big)[:k], n_big)
+                I = linalg.identity(k)
+                got = pi.phi(ctx, pi.basis_elem(pi.PartialIso(V, V, I, I)), n_small)
+                U = subspaces.from_rows(ctx, linalg.identity(n_small)[:k], n_small)
+                want = oracles.phi_scale_by_pochhammer(ctx.q, n_big, n_small, k)
+                assert got.terms == {pi.PartialIso(U, U, I, I): want}
+
+
 def test_enumeration_size_checks_raise(monkeypatch):
     # explicit raises, not asserts: they hold under python -O as well
     ctx = make_field(2)
