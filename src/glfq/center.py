@@ -1,18 +1,19 @@
 """Products of completed conjugacy classes in the centers Z(C GL(n, F_q)).
 
 The completed class of a polypartition mu with |mu| <= n pads mu(X - 1) with
-parts 1 so the matrices act on all of (F_q)^n.  This module expands each
-completed class in the images Pi_n(Ahat_nu) of the generic invariants
+parts 1 so the matrices act on all of (F_q)^n.  _transport_poly writes each
+image Pi_n(Ahat_nu) of a generic invariant in the completed classes, with
+coefficients that are Laurent polynomials in X = q^n in closed form (the
+padding law).  This module expands each completed class in those images
 (class_expansion), takes the generic structure constants S^nu of their
 products from generic_S (the degree-1 closed form or the engine), and
-assembles, in GenericProduct, the polynomials p^nu(X), X = q^n, of the
-expansion C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n)
+assembles, in GenericProduct, the polynomials p^nu(X) of the expansion
+C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n)
 evaluates them, and class_product is their value at one n.
-completed_product counts the same
-expansion in the group: it is the oracle of verify_fh, and class_product
-takes it instead where it enumerates fewer elements.  transport is the
-numeric Pi_n of one generic invariant at one n, through which the tests read
-the padding law.
+completed_product counts the same expansion in the group: it is the oracle
+of verify_fh, and class_product takes it instead where it enumerates fewer
+elements.  transport is Pi_n of one generic invariant at one n, through
+which the tests read the padding law.
 """
 
 import itertools
@@ -150,26 +151,6 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        """Exact quotient by long division from the top.  An exact quotient
-        has no exponent below min(self) - min(other): the division stops
-        there and raises AssertionError if a remainder is left."""
-        b = other.terms
-        if not b:
-            raise ValueError("division of %r by the zero Laurent polynomial" % self)
-        top_b, low = max(b), min(self.terms, default=0) - min(b)
-        out, rem = {}, dict(self.terms)
-        while rem:
-            e = max(rem) - top_b
-            if e < low:
-                raise AssertionError("%r is not divisible by %r" % (self, other))
-            c = out[e] = Fraction(rem[e + top_b], b[top_b])
-            for p, cb in b.items():
-                rem[e + p] = rem.get(e + p, 0) - c * cb
-                if not rem[e + p]:
-                    del rem[e + p]
-        return Laurent(out)
-
     def __call__(self, x):
         x = Fraction(x)
         return sum((c * x ** p for p, c in self.terms.items()), Fraction(0))
@@ -220,11 +201,13 @@ def _padding_profiles(ctx, pi):
     pi'_i - pi'_{i+1}, and g = q^(n(pi) - n(rho) - n(1^e)) prod [s_i, r_i]_{1/q}
     with [a, b] the Gaussian binomial.  Of the Y of dimension d,
     [D - f, d - f]_q q^(f (D - d)) span M' with N F, for D = u - e and
-    f = l(pi) - e.  Cached: callers share the returned dict and only read it."""
+    f = l(pi) - e.  Every Y has one profile, so the counts of each d add up
+    to [u, d]_q; that is checked.  Cached: callers share the returned dict
+    and only read it."""
     q, u, pi = ctx.q, sum(pi), Partition(pi)
     conj = pi.conjugate().parts + (0,)
     s = [a - b for a, b in zip(conj, conj[1:])]
-    out = {}
+    out, by_dim = {}, {}
     for r in itertools.product(*(range(si + 1) for si in s)):
         e = sum(r)
         rho = Partition(c - ri for c, ri in zip(conj, r) if c > ri).conjugate()
@@ -239,87 +222,81 @@ def _padding_profiles(ctx, pi):
         D, f = u - e, len(pi.parts) - e
         core = tuple(x + 1 for x in rho.parts)
         for d in range(f, D + 1):
-            out[d, core] = g * subspaces.num_subspaces(q, D - f, d - f) * q ** (f * (D - d))
+            cnt = out[d, core] = (g * subspaces.num_subspaces(q, D - f, d - f)
+                                  * q ** (f * (D - d)))
+            by_dim[d] = by_dim.get(d, 0) + cnt
+    for d in range(u + 1):
+        if by_dim.get(d, 0) != subspaces.num_subspaces(q, u, d):
+            raise AssertionError("the padding profiles of %r count %d subspaces of "
+                                 "dimension %d, not [%d, %d]_q"
+                                 % (pi.parts, by_dim.get(d, 0), d, u, d))
     return out
 
 
 def _transport_poly(nu):
-    """Pi_n(Ahat_nu) for every n >= |nu| at once, as {reduced tau: Laurent
-    weight w(X)} with Pi_n(Ahat_nu) = sum_tau w(q^n) C_{tau^n} / card C_{tau^n}.
+    """Pi_n(Ahat_nu) in the class basis for every n >= |nu| at once, as
+    {reduced tau: Laurent c_tau(X)} with
+    Pi_n(Ahat_nu) = sum_tau c_tau(q^n) C_{tau^n}, X = q^n.
 
-    The padding P is a uniform |nu| x (n - |nu|) block; a profile (d, core)
-    of _padding_profiles has probability
-    cnt * prod_{i<d} (q^{n-k} - q^i) / q^{u (n-k)} with q^{n-k} = X q^{-k},
-    and the lift carries num_free_families(q, n, k) in front."""
+    With k = |nu| and u = |nu(X-1)|, the padding P is a uniform
+    k x (n - k) block, and the lift carries num_free_families(q, n, k) =
+    prod_{j<k} (X - q^j) in front; a profile (d, core) of _padding_profiles
+    has probability cnt prod_{i<d} (q^(n-k) - q^i) / q^(u (n-k)), so it
+    weighs cnt q^(k (u-d)) X^-u prod_{j<k+d} (X - q^j).  Its type tau has
+    card C_{tau^n} = K X^e prod_{j<t} (X - q^j) (_card_shape, t = |tau|),
+    and t = k + f - r_1 <= k + d in _padding_profiles' notation, so the
+    division by card C_{tau^n} is exact and leaves
+    cnt q^(k (u-d)) / K X^(-u-e) prod_{t<=j<k+d} (X - q^j)."""
     ctx = nu.ctx
-    q = ctx.q
-    k = nu.size
-    pi = nu.unipotent
-    u = sum(pi)
+    q, k, u = ctx.q, nu.size, sum(nu.unipotent)
     law = {}
-    for (d, core), cnt in _padding_profiles(ctx, pi).items():
-        wt = Laurent({-u: cnt * q ** (k * u)})
-        for i in range(d):
-            wt = wt * Laurent({1: Fraction(1, q ** k), 0: -(q ** i)})
+    for (d, core), cnt in _padding_profiles(ctx, nu.unipotent).items():
         tau = with_unipotent(nu, core)
-        law[tau] = law[tau] + wt if tau in law else wt
-    total = sum(law.values(), Laurent())
-    if total != Laurent({0: 1}):
-        raise AssertionError("padding law of %s sums to %r, not 1"
-                             % (format_polypartition(nu), total))
-    nf = num_free_poly(q, k)
-    return {tau: nf * wt for tau, wt in law.items()}
-
-
-def transport(nu, n):
-    """The exact expansion of Pi_n(Ahat_nu) in completed classes: the
-    weights of _transport_poly at X = q^n.  Returns a rational CentralVector.
-    For nu without parts 1 on (X-1) this is a single class; in general the
-    (X-1) block of the composite spreads over several types."""
-    ctx = nu.ctx
-    if nu.size > n:
-        raise ValueError("type size exceeds n")
-    x = Fraction(ctx.q) ** n
+        if tau.size > k + d:
+            raise AssertionError("%s has a profile of type %s above |nu| + dim Y = %d"
+                                 % (format_polypartition(nu), format_polypartition(tau),
+                                    k + d))
+        c = Laurent({0: cnt * q ** (k * (u - d))})
+        for j in range(tau.size, k + d):
+            c = c * Laurent({1: 1, 0: -(q ** j)})
+        _gather(law, tau, c)
     out = {}
-    for tau, wt in _transport_poly(nu).items():
-        # profiles whose Y is larger than the padding weigh 0 at this n; a
-        # tau left with none of them has zero weight and does not fit in n
-        w = wt(x)
-        if w:
-            tau = complete(tau, n)
-            out[tau] = w / class_size(tau, n)
-    return CentralVector(n, out)
-
-
-# ---------------------------------------------------------------------------
-# Symbolic (Laurent in X = q^n) versions of the class sizes.
-
-def num_free_poly(q, k):
-    """num_free_families(q, n, k) as a polynomial in X = q^n:
-    prod_{j<k} (X - q^j)."""
-    out = Laurent({0: 1})
-    for j in range(k):
-        out = out * Laurent({1: 1, 0: -(q ** j)})
+    for tau, c in law.items():
+        e, K = _card_shape(tau)
+        out[tau] = c * Laurent({-u - e: 1 / K})
     return out
 
 
-def completed_class_size_poly(tau):
-    """card C_{tau^n} as a Laurent polynomial in X = q^n, for reduced tau
-    (no parts 1 on (X-1)).
+def _card_shape(tau):
+    """(e, K) with card C_{tau^n} = K X^e prod_{j<t} (X - q^j), X = q^n and
+    t = |tau|, for reduced tau (no parts 1 on (X-1)).
 
     card C = |GL(n, q)| / Z(n) where the centralizer splits over the factors;
-    only the (X-1) factor grows with n, by m = n - |tau| extra parts 1.  With
-    s = |tau| - len(tau(X-1)) the q-power exponents are linear in n and
-    (q^{-1})_n / (q^{-1})_{n-|tau|} is a polynomial in 1/X, so card C is the
-    shape X^{2s} prod_{j<|tau|} (1 - q^j/X) = X^{2s-|tau|} nf(q, n, |tau|)
-    times a constant: class_size at n = |tau| over the shape there,
-    q^(|tau| (2s-|tau|)) |GL(|tau|, F_q)|, which is not 0."""
+    only the (X-1) factor grows with n, by m = n - t extra parts 1.  With
+    s = ||tau|| the q-power exponents are linear in n and
+    (q^{-1})_n / (q^{-1})_{n-t} is a polynomial in 1/X, so card C is the
+    shape X^{2s} prod_{j<t} (1 - q^j/X) = X^e nf(q, n, t), e = 2s - t, times
+    a constant K: class_size at n = t over the shape there,
+    q^(t e) |GL(t, F_q)|, which is not 0."""
     if 1 in tau.unipotent:
         raise ValueError("type %r is not reduced: it has parts 1 on X - 1" % tau)
     q, t = tau.ctx.q, tau.size
     e = 2 * _norm(tau) - t
-    at_t = Fraction(q) ** (t * e) * gl_order(q, t)
-    return Laurent({e: class_size(tau, t) / at_t}) * num_free_poly(q, t)
+    return e, Fraction(class_size(tau, t), q ** (t * e) * gl_order(q, t))
+
+
+def transport(nu, n):
+    """The exact expansion of Pi_n(Ahat_nu) in completed classes: the
+    coefficients of _transport_poly at X = q^n, over the tau with
+    |tau| <= n (no class C_{tau^n} exists for the others, although
+    c_tau(q^n) need not vanish).  Returns a rational CentralVector.  For nu
+    without parts 1 on (X-1) this is a single class; in general the (X-1)
+    block of the composite spreads over several types."""
+    if nu.size > n:
+        raise ValueError("type size exceeds n")
+    x = Fraction(nu.ctx.q) ** n
+    return CentralVector(n, {complete(tau, n): c(x)
+                             for tau, c in _transport_poly(nu).items() if tau.size <= n})
 
 
 def _norm(tau):
@@ -339,19 +316,15 @@ def class_expansion(lam):
     {nu: Laurent a_nu(X)}, for a reduced lam.  Cached: callers share the
     returned dict and only read it.
 
-    Without (X-1) parts C_{lam^n} / card is Pi_n(Ahat_lam) / nf(|lam|), a
-    single term.  Otherwise Pi_n(Ahat_{lam-}), lam- with every (X-1) part
-    lowered by one, spreads over the completed classes as sum_tau c_tau C_tau
-    with c_tau = w_tau / card C_tau (_transport_poly): c_lam is a monomial
-    c X^e and every other tau has ||tau|| < ||lam||, so
-    C_lam = X^-e / c (Pi_n(Ahat_{lam-}) - sum_{tau != lam} c_tau C_tau)
-    recurses down ||.||."""
-    card = completed_class_size_poly(lam)  # refuses a lam that is not reduced
-    if not lam.unipotent:
-        return {lam: card / num_free_poly(lam.ctx.q, lam.size)}
+    Pi_n(Ahat_low), low = lam with every (X-1) part lowered by one, is
+    sum_tau c_tau C_tau (_transport_poly): c_lam is a monomial c X^e and
+    every other tau has ||tau|| < ||lam||, so
+    C_lam = X^-e / c (Pi_n(Ahat_low) - sum_{tau != lam} c_tau C_tau)
+    recurses down ||.||.  Without (X-1) parts low is lam, and that monomial
+    is all of Pi_n(Ahat_lam)."""
+    _card_shape(lam)  # refuses a lam that is not reduced
     low = with_unipotent(lam, [p - 1 for p in lam.unipotent])
-    rest = {tau: wt / completed_class_size_poly(tau)
-            for tau, wt in _transport_poly(low).items()}
+    rest = _transport_poly(low)
     lead = rest.pop(lam).terms
     if len(lead) != 1 or any(_norm(tau) >= _norm(lam) for tau in rest):
         raise AssertionError("Pi_n(Ahat) of %s does not lead with one monomial on %s"
@@ -390,12 +363,11 @@ class GenericProduct:
 
         C_{lam^n} C_{mu^n} = sum_{nu, nu2} a_nu a_nu2 sum_rho S^rho Pi_n(Ahat_rho),
 
-    and expanding each Pi_n(Ahat_rho) by the padded-unipotent law
-    (_transport_poly) gives rhs: per reduced output type tau, the exact
-    quotient p^tau(X) of a Laurent polynomial by card C_{tau^n}, checked to
-    be a genuine polynomial of degree at most ||lam|| + ||mu|| - ||tau||.
-    Without (X-1) parts the one pair is (lam, mu), and a_lam a_mu is
-    card C_lam card C_mu / (nf(|lam|) nf(|mu|)).
+    and expanding each Pi_n(Ahat_rho) in the class basis (_transport_poly)
+    gives rhs: per reduced output type tau, the sum p^tau(X) of the
+    coefficients on C_{tau^n}, checked to be a genuine polynomial of degree
+    at most ||lam|| + ||mu|| - ||tau||.  Without (X-1) parts the one pair
+    is (lam, mu).
 
     The engine's tables taken at a dimension top below n0 = |nu| + |nu2|
     hold only the S^rho with |rho| <= top; the Pi_n(Ahat_rho) they leave
@@ -415,21 +387,17 @@ class GenericProduct:
                 _gather(coeff, rho, a * s)
         gathered = {}
         for rho, c in coeff.items():
-            for tau, wt in _transport_poly(rho).items():
-                _gather(gathered, tau, c * wt)
+            for tau, c_tau in _transport_poly(rho).items():
+                _gather(gathered, tau, c * c_tau)
         bound = _norm(lam) + _norm(mu)
-        self.rhs = {}
-        for tau, wt in gathered.items():
-            poly = wt / completed_class_size_poly(tau)
-            if not poly:
-                continue
+        self.rhs = {tau: poly for tau, poly in gathered.items() if poly}
+        for tau, poly in self.rhs.items():
             if min(poly.terms) < 0:
                 raise AssertionError("negative powers survive for %r" % (tau,))
             if max(poly.terms) > bound - _norm(tau):
                 raise AssertionError("p^%s has degree %d, above %d"
                                      % (format_polypartition(tau), max(poly.terms),
                                         bound - _norm(tau)))
-            self.rhs[tau] = poly
 
     def at(self, n):
         """C_{lam^n} * C_{mu^n} as a CentralVector: p^nu(q^n) on C_{nu^n}
