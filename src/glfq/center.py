@@ -22,11 +22,11 @@ from fractions import Fraction
 from . import degree1, linalg, subspaces
 from .conjtype import (
     Partition,
+    centralizer_order,
     class_orbit,
     class_size,
     complete,
     format_polypartition,
-    gl_order,
     jordan_matrix,
     reduce_polypartition,
     type_of,
@@ -271,18 +271,16 @@ def _card_shape(tau):
     """(e, K) with card C_{tau^n} = K X^e prod_{j<t} (X - q^j), X = q^n and
     t = |tau|, for reduced tau (no parts 1 on (X-1)).
 
-    card C = |GL(n, q)| / Z(n) where the centralizer splits over the factors;
-    only the (X-1) factor grows with n, by m = n - t extra parts 1.  With
-    s = ||tau|| the q-power exponents are linear in n and
-    (q^{-1})_n / (q^{-1})_{n-t} is a polynomial in 1/X, so card C is the
-    shape X^{2s} prod_{j<t} (1 - q^j/X) = X^e nf(q, n, t), e = 2s - t, times
-    a constant K: class_size at n = t over the shape there,
-    q^(t e) |GL(t, F_q)|, which is not 0."""
+    card C = |GL(n, q)| / Z(n), and only the (X-1) factor of the centralizer
+    grows with n, by n - t parts 1.  With s = ||tau|| (tau.norm), card C is
+    the shape X^{2s} prod_{j<t} (1 - q^j/X) = X^e nf(q, n, t), e = 2s - t,
+    times a constant K; at n = t the shape is q^(t e) |GL(t, F_q)| and card
+    C is |GL(t, F_q)| / |C(tau)|, so K = 1 / (q^(t e) |C(tau)|)."""
     if 1 in tau.unipotent:
         raise ValueError("type %r is not reduced: it has parts 1 on X - 1" % tau)
-    q, t = tau.ctx.q, tau.size
-    e = 2 * _norm(tau) - t
-    return e, Fraction(class_size(tau, t), q ** (t * e) * gl_order(q, t))
+    t = tau.size
+    e = 2 * tau.norm - t
+    return e, Fraction(1, tau.ctx.q ** (t * e) * centralizer_order(tau))
 
 
 def transport(nu, n):
@@ -299,12 +297,6 @@ def transport(nu, n):
                              for tau, c in _transport_poly(nu).items() if tau.size <= n})
 
 
-def _norm(tau):
-    """||tau|| = |tau| - l(tau(X-1)) = rank(g - 1) for g in C_tau, for a
-    reduced tau."""
-    return tau.size - len(tau.unipotent)
-
-
 def _gather(acc, key, value):
     """acc[key] += value, for Laurent values."""
     acc[key] = acc[key] + value if key in acc else value
@@ -318,7 +310,7 @@ def class_expansion(lam):
 
     Pi_n(Ahat_low), low = lam with every (X-1) part lowered by one, is
     sum_tau c_tau C_tau (_transport_poly): c_lam is a monomial c X^e and
-    every other tau has ||tau|| < ||lam||, so
+    every other tau has ||tau|| < ||lam|| (Polypartition.norm), so
     C_lam = X^-e / c (Pi_n(Ahat_low) - sum_{tau != lam} c_tau C_tau)
     recurses down ||.||.  Without (X-1) parts low is lam, and that monomial
     is all of Pi_n(Ahat_lam)."""
@@ -326,7 +318,7 @@ def class_expansion(lam):
     low = with_unipotent(lam, [p - 1 for p in lam.unipotent])
     rest = _transport_poly(low)
     lead = rest.pop(lam).terms
-    if len(lead) != 1 or any(_norm(tau) >= _norm(lam) for tau in rest):
+    if len(lead) != 1 or any(tau.norm >= lam.norm for tau in rest):
         raise AssertionError("Pi_n(Ahat) of %s does not lead with one monomial on %s"
                              % (format_polypartition(low), format_polypartition(lam)))
     ((e, c),) = lead.items()
@@ -357,7 +349,7 @@ def product_work(lam, mu, n=None):
 
 class GenericProduct:
     """C_{lam^n} * C_{mu^n} for every n >= max(|lam|, |mu|) at once, for
-    reduced lam and mu, from tables {(nu, nu2): S} = generic_S(nu, nu2) of
+    reduced lam and mu, from tables {(nu, nu2): S} = generic_S(nu, nu2, n) of
     Ahat-basis constants Ahat_nu Ahat_nu2 = sum_rho S^rho Ahat_rho over the
     pairs of the class expansions.  Pi_n is an algebra morphism, so
 
@@ -369,19 +361,19 @@ class GenericProduct:
     at most ||lam|| + ||mu|| - ||tau||.  Without (X-1) parts the one pair
     is (lam, mu).
 
-    The engine's tables taken at a dimension top below n0 = |nu| + |nu2|
-    hold only the S^rho with |rho| <= top; the Pi_n(Ahat_rho) they leave
-    out vanish for n <= top, so at(n) then answers for n <= top."""
+    With n (kept as top), an engine's table taken at n below
+    n0 = |nu| + |nu2| holds only the S^rho with |rho| <= n; the
+    Pi_n(Ahat_rho) it leaves out vanish up to n, so at(n) then answers up
+    to top only."""
 
     __slots__ = ("ctx", "lhs", "tables", "rhs", "top")
 
-    def __init__(self, lam, mu, tables, top=None):
-        self.ctx, self.lhs, self.tables, self.top = lam.ctx, (lam, mu), tables, top
+    def __init__(self, lam, mu, n=None):
+        self.ctx, self.lhs, self.top = lam.ctx, (lam, mu), n
         expansions = class_expansion(lam), class_expansion(mu)
-        if set(tables) != set(itertools.product(*expansions)):
-            raise ValueError("need one table per pair of the class expansions")
+        self.tables = {pair: generic_S(*pair, n) for pair in itertools.product(*expansions)}
         coeff = {}
-        for (nu, nu2), S in tables.items():
+        for (nu, nu2), S in self.tables.items():
             a = expansions[0][nu] * expansions[1][nu2]
             for rho, s in S.items():
                 _gather(coeff, rho, a * s)
@@ -389,15 +381,15 @@ class GenericProduct:
         for rho, c in coeff.items():
             for tau, c_tau in _transport_poly(rho).items():
                 _gather(gathered, tau, c * c_tau)
-        bound = _norm(lam) + _norm(mu)
+        bound = lam.norm + mu.norm
         self.rhs = {tau: poly for tau, poly in gathered.items() if poly}
         for tau, poly in self.rhs.items():
             if min(poly.terms) < 0:
                 raise AssertionError("negative powers survive for %r" % (tau,))
-            if max(poly.terms) > bound - _norm(tau):
+            if max(poly.terms) > bound - tau.norm:
                 raise AssertionError("p^%s has degree %d, above %d"
                                      % (format_polypartition(tau), max(poly.terms),
-                                        bound - _norm(tau)))
+                                        bound - tau.norm))
 
     def at(self, n):
         """C_{lam^n} * C_{mu^n} as a CentralVector: p^nu(q^n) on C_{nu^n}
@@ -416,17 +408,13 @@ class GenericProduct:
 
 
 def fh_polynomials(lam, mu, n=None):
-    """The GenericProduct of the reduced lam and mu, with the tables
-    generic_S(nu, nu2) over the pairs of the class expansions.  With n,
-    each table is generic_S(nu, nu2, n), which is all at(n) reads, and the
-    result answers up to n.  Raises WorkCapExceeded, before any table is
-    computed, when their work is above MAX_TYPE_OF_CALLS (product_work)."""
+    """GenericProduct(lam, mu, n) of lam and mu reduced; with n, the result
+    answers up to n.  Raises WorkCapExceeded, before any table is computed,
+    when their work is above MAX_TYPE_OF_CALLS (product_work)."""
     lam = reduce_polypartition(lam)
     mu = reduce_polypartition(mu)
     check_work("product", product_work(lam, mu, n), PRODUCT_WORK_UNIT)
-    tables = {(nu, nu2): generic_S(nu, nu2, n)
-              for nu in class_expansion(lam) for nu2 in class_expansion(mu)}
-    return GenericProduct(lam, mu, tables, n)
+    return GenericProduct(lam, mu, n)
 
 
 def class_product(lam, mu, n):
@@ -441,16 +429,15 @@ def class_product(lam, mu, n):
     class is near the center (a scalar class has one element)."""
     if lam.size > n or mu.size > n:
         raise ValueError("type size exceeds n")
-    smaller = min(class_size(complete(t, n), n) for t in (lam, mu))
-    if smaller < product_work(lam, mu, n):
+    sizes = [class_size(complete(t, n), n) for t in (lam, mu)]
+    if min(sizes) < product_work(lam, mu, n):
         return completed_product(lam, mu, n)
     out = fh_polynomials(lam, mu, n).at(n)
     if not out.is_integral():
         raise AssertionError("class product is not integral: %r" % out)
     mass = sum(c * class_size(t, n) for t, c in out.terms.items())
-    want = class_size(complete(lam, n), n) * class_size(complete(mu, n), n)
-    if mass != want:
-        raise AssertionError("class product has mass %s, not %d" % (mass, want))
+    if mass != sizes[0] * sizes[1]:
+        raise AssertionError("class product has mass %s, not %d" % (mass, sizes[0] * sizes[1]))
     return out
 
 

@@ -510,10 +510,17 @@ def cmd_verify(args):
 
 # -- argument parsing ----------------------------------------------------------
 
+def _int(s):
+    """Every integer flag's reader: ASCII [+-]?[0-9]+, refused as int is."""
+    if (x := fields.ascii_int(s.strip(), signed=True)) is None:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % s)
+    return x
+
+
 def _add_field_flags(p):
-    p.add_argument("--q", type=int, help="field size (prime power)")
-    p.add_argument("--p", type=int, help="characteristic (with --e)")
-    p.add_argument("--e", type=int, default=1, help="extension degree")
+    p.add_argument("--q", type=_int, help="field size (prime power)")
+    p.add_argument("--p", type=_int, help="characteristic (with --e)")
+    p.add_argument("--e", type=_int, default=1, help="extension degree")
 
 
 def build_parser():
@@ -531,20 +538,20 @@ def build_parser():
 
     p = sub.add_parser("class-size", help="cardinality of a conjugacy class")
     _add_field_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--type", required=True)
     p.set_defaults(fn=cmd_class_size)
 
     p = sub.add_parser("census", help="bucket GL(n, F_q) by type")
     _add_field_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("class-product",
                        help="product of two completed classes at fixed n")
     _add_field_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--a", required=True, help="polypartition")
     p.add_argument("--b", required=True, help="polypartition")
     p.add_argument("--json", action="store_true")
@@ -555,7 +562,7 @@ def build_parser():
     _add_field_flags(p)
     p.add_argument("--a", required=True, help="polypartition")
     p.add_argument("--b", required=True, help="polypartition")
-    p.add_argument("--verify-at", type=int, default=None, metavar="N",
+    p.add_argument("--verify-at", type=_int, default=None, metavar="N",
                    help="cross-check against the brute-force product at n=N")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_generic_product)
@@ -564,7 +571,7 @@ def build_parser():
     _add_field_flags(p)
     p.add_argument("--a", required=True, help="field element")
     p.add_argument("--b", required=True, help="field element")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_int, default=None,
                    help="project to GL(n) class products")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_degree1)
@@ -573,22 +580,22 @@ def build_parser():
     _add_field_flags(p)
     p.add_argument("--what", choices=sorted(_WHAT_FLAGS), required=True)
     for flag in ("n", "k", "kplus", "k1"):
-        p.add_argument("--" + flag, type=int)
+        p.add_argument("--" + flag, type=_int)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("ranklaw", help="exact rank and dimension laws")
     _add_field_flags(p)
     p.add_argument("--law", choices=sorted(_LAW_FLAGS), required=True)
     for flag in ("d", "a", "b", "c", "dd", "n", "j", "k", "l", "m"):
-        p.add_argument("--" + flag, type=int)
+        p.add_argument("--" + flag, type=_int)
     p.set_defaults(fn=cmd_ranklaw)
 
     p = sub.add_parser("verify", help="self-verification suites")
     _add_field_flags(p)
     p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--n", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--samples", type=_int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     return ap

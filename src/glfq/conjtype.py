@@ -65,39 +65,31 @@ class Polypartition:
     """Sorted map {monic irreducible != X  ->  non-empty Partition}.
 
     Keys are ordered by (degree, ascending coefficient vector); this order is
-    the canonical one used for Jordan blocks, printing and equality.
+    the canonical one used for Jordan blocks, printing and equality.  Set
+    once: size = |tau|, unipotent = the (X-1) parts, largest first, and
+    norm = ||tau|| = size - len(unipotent) = rank(g - 1) for g in C_tau.
     """
 
-    __slots__ = ("ctx", "entries", "_hash")
+    __slots__ = ("ctx", "entries", "size", "unipotent", "norm", "_hash")
 
     def __init__(self, ctx, entries):
         items = sorted(entries.items() if isinstance(entries, dict) else entries,
                        key=lambda kv: (pdeg(kv[0]), kv[0]))
+        xm1, size, unipotent = fields.linear_poly(ctx, 1), 0, ()
         for P, mu in items:
             if not fields.is_monic(P) or P == fields.PX:
                 raise ValueError("label %r is not a monic polynomial other than X" % (P,))
             if not (isinstance(mu, Partition) and mu.parts):
                 raise ValueError("label %r needs a non-empty Partition, got %r" % (P, mu))
+            size += pdeg(P) * mu.size
+            if P == xm1:
+                unipotent = mu.parts
         if len({P for P, _ in items}) != len(items):
             raise ValueError("polypartition labels must be distinct")
+        self.size, self.unipotent, self.norm = size, unipotent, size - len(unipotent)
         self.ctx = ctx
         self.entries = tuple(items)
         self._hash = hash(self.entries)
-
-    @property
-    def size(self):
-        return sum(pdeg(P) * mu.size for P, mu in self.entries)
-
-    def partition(self, P):
-        for Q, mu in self.entries:
-            if Q == P:
-                return mu
-        return Partition(())
-
-    @property
-    def unipotent(self):
-        """The parts of the (X-1) partition, largest first."""
-        return self.partition(fields.linear_poly(self.ctx, 1)).parts
 
     @property
     def k1(self):
@@ -143,13 +135,12 @@ def parse_polypartition(ctx, s):
         P = poly_parse(ctx, poly_s)
         if not fields.is_monic(P) or P in ((1,), fields.PX) or not fields.is_irreducible(ctx, P):
             raise ValueError("label %r is not a monic irreducible other than X" % poly_s)
-        digits = part_s[1:-1].split(",")
-        if not all(x.isdecimal() for x in digits):
+        parts = [fields.ascii_int(x) for x in part_s[1:-1].split(",")]
+        if None in parts:
             raise ValueError("bad partition in polypartition entry %r" % chunk)
-        parts = tuple(sorted((int(x) for x in digits), reverse=True))
         if P in entries:
             raise ValueError("duplicate label %r" % poly_s)
-        entries[P] = Partition(parts)
+        entries[P] = Partition(sorted(parts, reverse=True))
     return Polypartition(ctx, entries)
 
 
@@ -308,6 +299,11 @@ def _q_product(q, e, js):
     while len(xs) > 1:
         xs = [xs[i] * xs[i + 1] for i in range(0, len(xs) - 1, 2)] + xs[len(xs) & ~1:]
     return q ** e * (xs[0] if xs else 1)
+
+
+def centralizer_order(mu):
+    """|C(mu)|, the centralizer order of an element of type mu in GL(|mu|, F_q)."""
+    return _q_product(mu.ctx.q, *_centralizer_factors(mu))
 
 
 def class_size(mu, n):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import center
-from .conjtype import Partition, Polypartition, format_polypartition, linear_type
+from .conjtype import Partition, Polypartition, linear_type
 from .fields import check_work, linear_poly
 
 
@@ -97,40 +97,35 @@ def degree1_product(ctx, a, b):
     """Ahat_{X-a} * Ahat_{X-b} as {Polypartition: Fraction}.
 
     Single uniform formula (module docstring); the case dispatch of classify
-    only affects how the terms group, never the result.  All coefficients
-    have denominator dividing 2q^2.  Refused before the first of its q
+    only affects how the terms group, never the result.  The terms add up
+    as integer numerators over 2q^2, so w = (q-1)/q^2 is 2(q-1), and each
+    nonzero sum becomes one Fraction.  Refused before the first of its q
     field elements when q is above the cap."""
     check_work("closed form", ctx.q, "field elements")
     classify(ctx, a, b)  # rejects non-units
     q = ctx.q
-    out = {}
+    nums = {}
 
     def add(pp, c):
-        out[pp] = out.get(pp, Fraction(0)) + c
-        if out[pp] == 0:
-            del out[pp]
+        nums[pp] = nums.get(pp, 0) + c
 
     ab = ctx.mul(a, b)
-    add(linear_type(ctx, ab), Fraction(q - 1))
-    add(_merge(ctx, a, b), Fraction(1, q))
-    w = Fraction(q - 1, q * q)
+    w = 2 * (q - 1)
+    add(linear_type(ctx, ab), q * q * w)
+    add(_merge(ctx, a, b), 2 * q)
     for c in irreducible_quadratics_I(ctx, ab):
         add(Polypartition(ctx, (((ab, c, 1), Partition((1,))),)), w)
     for d in ctx.elements():
         if d == 0:
             continue
-        add(_merge(ctx, ctx.mul(a, ctx.inv(d)), ctx.mul(b, d)), w / 2)
+        add(_merge(ctx, ctx.mul(a, ctx.inv(d)), ctx.mul(b, d)), q - 1)
     for delta in _square_roots(ctx, ab):
         add(linear_type(ctx, delta, (2,)), w)
-        add(linear_type(ctx, delta, (1, 1)), -w / 2)
+        add(linear_type(ctx, delta, (1, 1)), -(q - 1))
     if a == b:
         add(linear_type(ctx, a, (2,)), w)
         add(linear_type(ctx, a, (1, 1)), -w)
-    for pp, coeff in out.items():
-        if (2 * q * q) % coeff.denominator:
-            raise AssertionError("coefficient %s of %s has a denominator not dividing 2q^2"
-                                 % (coeff, format_polypartition(pp)))
-    return out
+    return {pp: Fraction(c, 2 * q * q) for pp, c in nums.items() if c}
 
 
 def _square_roots(ctx, x):

@@ -390,14 +390,13 @@ class FieldCtx:
         coefficients c in [0, p) and powers i < e, and rejects anything else."""
         if self.e == 1:
             lit = strip_spaces(s)
-            if not re.fullmatch(r"[+-]?\d+", lit):
+            if (x := ascii_int(lit, signed=True)) is None:
                 raise ValueError("bad field element %r: %r is not an integer" % (s, lit))
-            return int(lit) % self.p
+            return x % self.p
         digs = [0] * self.e
-        for sign, c, i in _sum_parse(s, "t"):
-            if not c.isdecimal():
-                raise ValueError("bad field element %r: %r is not an integer" % (s, c))
-            c = int(c)
+        for sign, lit, i in _sum_parse(s, "t"):
+            if (c := ascii_int(lit)) is None:
+                raise ValueError("bad field element %r: %r is not an integer" % (s, lit))
             if i >= self.e:
                 raise ValueError("generator power out of range: %r" % s)
             if c >= self.p:
@@ -603,6 +602,13 @@ def poly_str(ctx, P):
     return _sum_str(P, "X", ctx.elem_str)
 
 
+def ascii_int(s, signed=False):
+    """int(s) for s in [0-9]+, or [+-]?[0-9]+ when signed, else None: int()
+    alone also reads the digits of other scripts and '_' between digits."""
+    if re.fullmatch("[+-]?[0-9]+" if signed else "[0-9]+", s):
+        return int(s)
+
+
 def strip_spaces(s):
     """s without its surrounding whitespace and its spaces.  A space between
     two letters or digits raises ValueError naming s, since dropping it would
@@ -640,11 +646,10 @@ def _sum_parse(s, var):
     out = []
     for sign, term in split:
         c, v, power = term.partition(var)
-        if power[:1] == "^" and power[1:].isdecimal():
-            i = int(power[1:])
-        elif power or c == "*":
-            raise ValueError("bad term %r in %r" % (term, s))
-        else:
+        i = ascii_int(power[1:]) if power[:1] == "^" else None
+        if i is None:
+            if power or c == "*":
+                raise ValueError("bad term %r in %r" % (term, s))
             i = 1 if v else 0
         if v and c.endswith("*"):
             c = c[:-1]

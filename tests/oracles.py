@@ -196,7 +196,7 @@ def poly_parse_by_terms(ctx, s):
 
 def k11_of(mu):
     """Number of parts equal to 1 in the (X-1) partition of the type mu."""
-    return mu.partition(fields.linear_poly(mu.ctx, 1)).mult(1)
+    return mu.unipotent.count(1)
 
 
 def class_convolution(lam, mu, n):

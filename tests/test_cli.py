@@ -841,12 +841,34 @@ def test_malformed_term_is_named(capsys, argv, named):
     (["class-size", "--q", "13", "--n", "1", "--type", "{X+1 2:(1)}"], "'{X+1 2:(1)}'"),
     (["class-size", "--q", "13", "--n", "1", "--type", "{X+1_2:(1)}"], "'1_2'"),
     (["class-size", "--q", "13", "--n", "2", "--type", "{X+1:(1 1)}"], "'{X+1:(1 1)}'"),
+    # digits of other scripts, which int() reads as ASCII ones
+    (["type", "--q", "5", "--mat", "\u0663"], "'\u0663'"),
+    (["type", "--q", "5", "--mat", "\uff11,0;0,1"], "'\uff11'"),
+    (["degree1", "--q", "9", "--a", "\u0662t", "--b", "1"], "'\u0662'"),
+    (["class-size", "--q", "3", "--n", "3", "--type", "{X+1:(\u0663)}"], "'X+1:(\u0663)'"),
+    (["class-size", "--q", "5", "--n", "2", "--type", "{X^\u0662+2:(1)}"], "'X^\u0662'"),
 ])
 def test_literal_split_by_a_space_or_underscore_is_named(capsys, argv, named):
     # each of these used to read as the literal with the space or '_' dropped
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: ") and named in err
+
+
+@pytest.mark.parametrize("argv,literal", [
+    (["census", "--q", "2", "--n", "1_0"], "1_0"),
+    (["census", "--q", "\u0663", "--n", "1"], "\u0663"),
+    (["verify", "--q", "2", "--suite", "degree1", "--seed", "\u0661"], "\u0661"),
+    (["count", "--q", "2", "--what", "subspaces", "--n", "2", "--k", "+1_0"], "+1_0"),
+])
+def test_integer_flag_reads_ascii_digits_only(capsys, argv, literal):
+    # int() reads '_' between digits and the digits of other scripts;
+    # argparse refuses such a flag as it refuses any other non-integer
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(": invalid int value: %r\n" % literal)
 
 
 def test_spaces_around_operators_are_read(capsys):

@@ -16,6 +16,7 @@ from glfq.conjtype import (
     Polypartition,
     _conjugation_moves,
     census,
+    centralizer_order,
     class_orbit,
     class_size,
     complete,
@@ -128,6 +129,25 @@ def test_integer_centralizer_order_matches_the_pochhammer_formula(q):
             size = class_size(mu, n)
             assert type(size) is int
             assert size * oracles.centralizer_order_by_pochhammer(mu) == gl_order(q, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_stored_invariants_match_scans_ranks_and_censuses(q):
+    # every type of size <= 4: size and unipotent are the sum and the scan
+    # over the entries, and norm = rank(J(tau) - 1); |C(tau)| is |GL| over
+    # the census count where the census is cheap (size <= 3, or <= 2 at q = 4)
+    ctx = make_field(2, 2) if q == 4 else make_field(q)
+    xm1 = linear_poly(ctx, 1)
+    for n in range(5):
+        counts = census(ctx, n) if n <= (2 if q == 4 else 3) else None
+        for tau in enumerate_polypartitions(ctx, n):
+            assert tau.size == sum(pdeg(P) * sum(mu.parts) for P, mu in tau.entries) == n
+            assert tau.unipotent == next(
+                (mu.parts for P, mu in tau.entries if P == xm1), ())
+            J = linalg.mat_sub(ctx, jordan_matrix(tau), linalg.identity(n))
+            assert tau.norm == linalg.rank(ctx, J)
+            if counts is not None:
+                assert centralizer_order(tau) * counts[tau] == gl_order(q, n)
 
 
 def test_class_size_of_a_large_scalar_class_cancels_before_multiplying():

@@ -39,6 +39,16 @@ def test_library_lines_fit_in_100_columns():
     assert found == []
 
 
+def test_integer_literals_are_read_as_ascii_digits():
+    # isdecimal, isdigit and the regex \d accept the digits of other
+    # scripts; the library reads an integer through fields.ascii_int
+    found = ["%s:%d" % (path.name, i)
+             for path in sorted(SRC.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"isdecimal\(|isdigit\(|\\d", line)]
+    assert found == []
+
+
 def test_every_parameter_is_read():
     # a parameter that no line of its function reads is a dead flag; the
     # verify suites share one dispatch signature and are exempt
