@@ -3,13 +3,14 @@
 The completed class of a polypartition mu with |mu| <= n pads mu(X - 1) with
 parts 1 so the matrices act on all of (F_q)^n.  _transport_poly writes each
 image Pi_n(Ahat_nu) of a generic invariant in the completed classes, with
-coefficients that are Laurent polynomials in X = q^n in closed form (the
-padding law).  This module expands each completed class in those images
-(class_expansion), takes the generic structure constants S^nu of their
-products from generic_S (the degree-1 closed form or the engine), and
-assembles, in GenericProduct, the polynomials p^nu(X) of the expansion
-C_{lam^n} * C_{mu^n} = sum_nu p^nu(q^n) C_nu; GenericProduct.at(n)
-evaluates them, and class_product is their value at one n.
+coefficients that are integer Laurent polynomials in X = q^n in closed form
+(the padding law); a Laurent is an AlgElem keyed by the powers of X.  This
+module expands each completed class in those images (class_expansion), takes
+the generic structure constants S^nu of their products from generic_S (the
+degree-1 closed form or the engine), and assembles, in GenericProduct, the
+polynomials p^nu(X) of the expansion C_{lam^n} * C_{mu^n} =
+sum_nu p^nu(q^n) C_nu; GenericProduct.at(n) evaluates them, and
+class_product is their value at one n.
 completed_product counts the same expansion in the group: it is the oracle
 of verify_fh, and class_product takes it instead where it enumerates fewer
 elements.  transport is Pi_n of one generic invariant at one n, through
@@ -34,7 +35,7 @@ from .conjtype import (
 )
 from .fields import check_work
 from .memo import memo
-from .partial_iso import AlgElem, invariant_product, invariant_product_work
+from .partial_iso import AlgElem, _weighted_sum, invariant_product, invariant_product_work
 
 
 class CentralVector(AlgElem):
@@ -124,54 +125,38 @@ def _table_dim(lam, mu, n):
     return n0 if n is None else min(n, n0)
 
 
-class Laurent:
-    """Laurent polynomial in X = q^n with exact coefficients, held as
-    {exponent: nonzero coefficient}.  Immutable; the polynomial case reads
-    its ascending coefficients from coeffs."""
+class Laurent(AlgElem):
+    """Laurent polynomial in X = q^n: the AlgElem keyed by the powers of X,
+    with no ambient dimension, so terms is {exponent: nonzero Fraction}.
+    Immutable; the polynomial case reads its ascending coefficients from coeffs."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {p: c for p, c in terms.items() if c} if terms else {}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, 0) + c
-        return Laurent(out)
+        AlgElem.__init__(self, None, terms)
 
     def __mul__(self, other):
+        """The convolution, as the weighted sum of other times each c X^p of
+        self; a scalar other is the constant Laurent."""
         if not isinstance(other, Laurent):
-            return Laurent({p: c * other for p, c in self.terms.items()})
-        out = {}
-        for p, c in self.terms.items():
-            for p2, c2 in other.terms.items():
-                out[p + p2] = out.get(p + p2, 0) + c * c2
-        return Laurent(out)
-
-    __rmul__ = __mul__
+            other = Laurent({0: other})
+        return _weighted_sum(Laurent, None, self.den * other.den, [
+            (c, 1, {p + p2: c2 for p2, c2 in other.nums.items()}) for p, c in self.nums.items()])
 
     def __call__(self, x):
-        x = Fraction(x)
-        return sum((c * x ** p for p, c in self.terms.items()), Fraction(0))
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        """The value at the integer X = x as one Fraction, negative powers
+        moved into the denominator."""
+        shift = max(0, -min(self.nums, default=0))
+        return Fraction(sum(c * x ** (p + shift) for p, c in self.nums.items()),
+                        self.den * x ** shift)
 
     @property
     def coeffs(self):
         """Ascending coefficients (c_0, ..., c_degree) of a polynomial."""
-        if min(self.terms, default=0) < 0:
-            raise ValueError("%r has negative powers of X" % self)
-        return tuple(self.terms.get(i, 0) for i in range(max(self.terms, default=-1) + 1))
-
-    def __repr__(self):
-        return " + ".join(
-            "%s*X^%d" % (c, p) if p else str(c)
-            for p, c in sorted(self.terms.items())) or "0"
+        terms = self.terms
+        if min(terms, default=0) < 0:
+            raise ValueError("negative powers of X, down to X^%d" % min(terms))
+        return tuple(terms.get(i, 0) for i in range(max(terms, default=-1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +228,11 @@ def _transport_poly(nu):
     prod_{j<k} (X - q^j) in front; a profile (d, core) of _padding_profiles
     has probability cnt prod_{i<d} (q^(n-k) - q^i) / q^(u (n-k)), so it
     weighs cnt q^(k (u-d)) X^-u prod_{j<k+d} (X - q^j).  Its type tau has
-    card C_{tau^n} = K X^e prod_{j<t} (X - q^j) (_card_shape, t = |tau|),
-    and t = k + f - r_1 <= k + d in _padding_profiles' notation, so the
-    division by card C_{tau^n} is exact and leaves
-    cnt q^(k (u-d)) / K X^(-u-e) prod_{t<=j<k+d} (X - q^j)."""
+    card C_{tau^n} = X^e prod_{j<t} (X - q^j) / Z (t = |tau|,
+    e = 2 ||tau|| - t, Z = _card_shape(tau)), and t = k + f - r_1 <= k + d
+    in _padding_profiles' notation, so the division by card C_{tau^n} is
+    exact and leaves the integer Laurent polynomial
+    cnt q^(k (u-d)) Z X^(-u-e) prod_{t<=j<k+d} (X - q^j)."""
     ctx = nu.ctx
     q, k, u = ctx.q, nu.size, sum(nu.unipotent)
     law = {}
@@ -260,41 +246,42 @@ def _transport_poly(nu):
         for j in range(tau.size, k + d):
             c = c * Laurent({1: 1, 0: -(q ** j)})
         _gather(law, tau, c)
-    out = {}
-    for tau, c in law.items():
-        e, K = _card_shape(tau)
-        out[tau] = c * Laurent({-u - e: 1 / K})
-    return out
+    return {tau: c * Laurent({tau.size - 2 * tau.norm - u: _card_shape(tau)})
+            for tau, c in law.items()}
 
 
 def _card_shape(tau):
-    """(e, K) with card C_{tau^n} = K X^e prod_{j<t} (X - q^j), X = q^n and
-    t = |tau|, for reduced tau (no parts 1 on (X-1)).
+    """The integer Z with card C_{tau^n} = X^e prod_{j<t} (X - q^j) / Z,
+    X = q^n, t = |tau| and e = 2 ||tau|| - t, for reduced tau (no parts 1
+    on (X-1)).
 
     card C = |GL(n, q)| / Z(n), and only the (X-1) factor of the centralizer
-    grows with n, by n - t parts 1.  With s = ||tau|| (tau.norm), card C is
-    the shape X^{2s} prod_{j<t} (1 - q^j/X) = X^e nf(q, n, t), e = 2s - t,
-    times a constant K; at n = t the shape is q^(t e) |GL(t, F_q)| and card
-    C is |GL(t, F_q)| / |C(tau)|, so K = 1 / (q^(t e) |C(tau)|)."""
+    grows with n, by n - t parts 1, so card C is X^{2 ||tau||}
+    prod_{j<t} (1 - q^j/X) = X^e nf(q, n, t) over a constant; at n = t that
+    is q^(t e) |GL(t, F_q)| over |GL(t, F_q)| / |C(tau)|."""
     if 1 in tau.unipotent:
         raise ValueError("type %r is not reduced: it has parts 1 on X - 1" % tau)
     t = tau.size
-    e = 2 * tau.norm - t
-    return e, Fraction(1, tau.ctx.q ** (t * e) * centralizer_order(tau))
+    return tau.ctx.q ** (t * (2 * tau.norm - t)) * centralizer_order(tau)
 
 
 def transport(nu, n):
-    """The exact expansion of Pi_n(Ahat_nu) in completed classes: the
-    coefficients of _transport_poly at X = q^n, over the tau with
-    |tau| <= n (no class C_{tau^n} exists for the others, although
-    c_tau(q^n) need not vanish).  Returns a rational CentralVector.  For nu
-    without parts 1 on (X-1) this is a single class; in general the (X-1)
-    block of the composite spreads over several types."""
+    """The exact expansion of Pi_n(Ahat_nu) in completed classes, a rational
+    CentralVector: _transport_poly at X = q^n (_classes_at).  For nu without
+    parts 1 on (X-1) this is a single class; in general the (X-1) block of
+    the composite spreads over several types."""
     if nu.size > n:
         raise ValueError("type size exceeds n")
-    x = Fraction(nu.ctx.q) ** n
-    return CentralVector(n, {complete(tau, n): c(x)
-                             for tau, c in _transport_poly(nu).items() if tau.size <= n})
+    return _classes_at(nu.ctx, _transport_poly(nu), n)
+
+
+def _classes_at(ctx, polys, n):
+    """The CentralVector sum_tau polys[tau](q^n) C_{tau^n} over reduced tau,
+    dropping every tau with |tau| > n: no class C_{tau^n} exists for it (its
+    card vanishes at X = q^n), although c_tau(q^n) need not."""
+    x = ctx.q ** n
+    return CentralVector(n, {complete(tau, n): c(x) for tau, c in polys.items()
+                             if tau.size <= n})
 
 
 def _gather(acc, key, value):
@@ -322,7 +309,7 @@ def class_expansion(lam):
         raise AssertionError("Pi_n(Ahat) of %s does not lead with one monomial on %s"
                              % (format_polypartition(low), format_polypartition(lam)))
     ((e, c),) = lead.items()
-    inv = Laurent({-e: 1 / Fraction(c)})
+    inv = Laurent({-e: 1 / c})
     out = {low: inv}
     for tau, c_tau in rest.items():
         scale = inv * c_tau * -1
@@ -400,11 +387,7 @@ class GenericProduct:
             raise ValueError("n must be at least max(|lam|, |mu|)")
         if self.top is not None and n > self.top:
             raise ValueError("the tables hold n <= %d only" % self.top)
-        x = Fraction(self.ctx.q) ** n
-        # no class C_{nu^n} exists for |nu| > n: its size vanishes at q^n,
-        # although p^nu(q^n) need not
-        return CentralVector(n, {
-            complete(nu, n): poly(x) for nu, poly in self.rhs.items() if nu.size <= n})
+        return _classes_at(self.ctx, self.rhs, n)
 
 
 def fh_polynomials(lam, mu, n=None):

@@ -110,16 +110,19 @@ def _frac_str(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
+def _coeff_rows(coeffs):
+    """The {"type", "coeff"} rows of {type: coefficient}, sorted by type text."""
+    return [{"type": t, "coeff": _frac_str(c)}
+            for t, c in sorted((format_polypartition(m), c) for m, c in coeffs.items())]
+
+
 def _print_coeffs(coeffs, as_json):
-    items = sorted(
-        ((format_polypartition(m), c) for m, c in coeffs.items()))
+    rows = _coeff_rows(coeffs)
     if as_json:
-        print(json.dumps(
-            [{"type": t, "coeff": _frac_str(c)} for t, c in items],
-            indent=2))
+        print(json.dumps(rows, indent=2))
     else:
-        for t, c in items:
-            print("%s  %s" % (t, c if c.denominator != 1 else c.numerator))
+        for row in rows:
+            print("%s  %s" % (row["type"], Fraction(row["coeff"])))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -248,12 +251,7 @@ def cmd_degree1(args):
                 "b": ctx.elem_str(b),
                 "case": case.tag,
                 "delta": None if case.delta is None else ctx.elem_str(case.delta),
-                "terms": [
-                    {"type": format_polypartition(m), "coeff": _frac_str(c)}
-                    for m, c in sorted(
-                        out.items(),
-                        key=lambda kv: format_polypartition(kv[0]))
-                ],
+                "terms": _coeff_rows(out),
             }, indent=2))
         else:
             print("case: %s" % case.tag)

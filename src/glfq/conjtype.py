@@ -154,15 +154,17 @@ def linear_type(ctx, a, parts=(1,)):
 
 
 def with_unipotent(mu, parts):
-    """mu with its (X-1) partition replaced by parts, in any order; without
-    the (X-1) label when parts is empty.  With Polypartition.unipotent, the
-    one reader and writer of the (X-1) block."""
-    ctx = mu.ctx
-    xm1 = fields.linear_poly(ctx, 1)
+    """mu with its (X-1) partition replaced by parts, in any order: mu itself
+    when they are its own, no (X-1) label when they are empty.  With
+    Polypartition.unipotent, the one reader and writer of the (X-1) block."""
+    parts = tuple(sorted(parts, reverse=True))
+    if parts == mu.unipotent:
+        return mu
+    xm1 = fields.linear_poly(mu.ctx, 1)
     entries = [(P, part) for P, part in mu.entries if P != xm1]
     if parts:
-        entries.append((xm1, Partition(sorted(parts, reverse=True))))
-    return Polypartition(ctx, entries)
+        entries.append((xm1, Partition(parts)))
+    return Polypartition(mu.ctx, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +344,6 @@ def complete(mu, n):
     """mu with n - |mu| extra parts 1 added to the (X-1) partition."""
     if mu.size > n:
         raise ValueError("cannot complete size %d to %d" % (mu.size, n))
-    if mu.size == n:
-        return mu
     return with_unipotent(mu, mu.unipotent + (1,) * (n - mu.size))
 
 

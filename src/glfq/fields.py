@@ -158,7 +158,6 @@ class FieldCtx:
         their logs, and the Zech logs zech[k] = log(1 + g^k), None where
         1 + g^k = 0.  A prime field needs no table."""
         p, q = self.p, self.q
-        self._sqrt = None  # built on the first sqrt call
         if self.e == 1:
             self._bind_prime_rows()
             return
@@ -355,12 +354,7 @@ class FieldCtx:
     def sqrt(self, a):
         """A square root of a, or None when a is not a square; the smaller
         encoding of the two roots."""
-        if self._sqrt is None:
-            roots = [None] * self.q
-            for r in range(self.q - 1, -1, -1):
-                roots[self.mul(r, r)] = r
-            self._sqrt = roots
-        return self._sqrt[a]
+        return _square_roots(self)[a]
 
     def abs_trace(self, a):
         """Absolute trace down to the prime subfield: sum of a^(p^i), i < e.
@@ -428,11 +422,18 @@ def _make_field(p, e):
     top = MAX_TYPE_OF_CALLS.bit_length()
     check_work("field", p ** min(e, top),
                "table elements" if e <= top else "table elements or more")
-    for tail in itertools.product(range(p), repeat=e):
-        cand = tail + (1,)
-        if is_irreducible(fp, cand):
-            return FieldCtx(p, e, modulus=cand)
+    for cand in _irreducible_scan(fp, e):
+        return FieldCtx(p, e, modulus=cand)
     raise AssertionError("unreachable: irreducibles of every degree exist")
+
+
+@memo
+def _square_roots(ctx):
+    """FieldCtx.sqrt's table: a -> the smaller of its square roots, or None."""
+    roots = [None] * ctx.q
+    for r in range(ctx.q - 1, -1, -1):
+        roots[ctx.mul(r, r)] = r
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +518,13 @@ def enumerate_irreducibles(ctx, d):
     if d < 1:
         raise ValueError("degree must be >= 1, got %d" % d)
     check_work("sieve of irreducibles", ctx.q ** d, "candidates")
-    out = []
-    for tail in itertools.product(range(ctx.q), repeat=d):
-        cand = tail + (1,)
-        if is_irreducible(ctx, cand):
-            out.append(cand)
-    return out
+    return list(_irreducible_scan(ctx, d))
+
+
+def _irreducible_scan(ctx, d):
+    """enumerate_irreducibles(ctx, d) lazily: a scan of the monic candidates."""
+    cands = (tail + (1,) for tail in itertools.product(range(ctx.q), repeat=d))
+    return (P for P in cands if is_irreducible(ctx, P))
 
 
 def is_irreducible(ctx, P):

@@ -190,4 +190,10 @@ def apply_poly(ctx, P, A):
 
 
 def mat_parse(ctx, s):
-    return mat([[ctx.elem_parse(x) for x in row.split(",")] for row in s.strip().split(";")])
+    """Rows split by ';' and entries by ','; an empty entry is named by its place."""
+    def entry(i, j, x):
+        if not x.strip():
+            raise ValueError("empty matrix entry '' at row %d, column %d" % (i, j))
+        return ctx.elem_parse(x)
+    return mat([[entry(i, j, x) for j, x in enumerate(row.split(","), 1)]
+                for i, row in enumerate(s.strip().split(";"), 1)])

@@ -264,7 +264,8 @@ class AlgElem:
     Held as integer numerators nums {key: int} over one positive common
     denominator den, in lowest terms: no numerator is 0 and den and the
     numerators have no common factor, so equal vectors have equal fields.
-    terms is the {key: Fraction} view."""
+    terms is the {key: Fraction} view.  n is the ambient dimension where the
+    vector has one, and None for a Laurent polynomial (center.Laurent)."""
 
     __slots__ = ("n", "den", "nums")
 
@@ -294,12 +295,17 @@ class AlgElem:
         den = self.den
         return {t: Fraction(v, den) for t, v in self.nums.items()}
 
+    def __add__(self, other):
+        return _weighted_sum(type(self), self.n, 1, [(1, x.den, x.nums) for x in (self, other)])
+
+    def __bool__(self):
+        return bool(self.nums)
+
     def __eq__(self, other):
         return self.n == other.n and self.den == other.den and self.nums == other.nums
 
     def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda tc: tc[0])
-        return " + ".join("%s*%r" % (c, t) for t, c in items) or "0"
+        return " + ".join("%s*%r" % (c, t) for t, c in sorted(self.terms.items())) or "0"
 
 
 def basis_elem(x):

@@ -15,8 +15,9 @@ matrices by sums of powers, the atoms of the naive search by a scan of
 the subspaces, the algebra's product, restriction operator and projection
 pi_n with a Fraction added per term, the centralizer order, the rank and
 dimension laws, the rescaling of phi and the symbolic class sizes by
-Fraction Pochhammer symbols in 1/q, and extension-field arithmetic and
-tables by one schoolbook product per operation.  They are slow and kept
+Fraction Pochhammer symbols in 1/q, Laurent polynomials in X = q^n by
+{exponent: Fraction} dicts, and extension-field arithmetic and tables by
+one schoolbook product per operation.  They are slow and kept
 simple on purpose.  A few small helpers that only the tests read live here
 too.
 """
@@ -25,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from glfq import fields, linalg, subspaces
-from glfq.center import CentralVector, Laurent
+from glfq.center import CentralVector
 from glfq.conjtype import (
     Partition,
     Polypartition,
@@ -609,10 +610,53 @@ def completed_class_size_poly_by_pochhammer(tau):
     for i in set(pi):
         B *= pochhammer(Fraction(1, q), pi.count(i))
     z_other = centralizer_order_by_pochhammer(with_unipotent(tau, ()))
-    out = Laurent({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
+    out = LaurentByFractions({2 * s: Fraction(q) ** (-s * s - c2) / (B * z_other)})
     for j in range(t):
-        out = out * Laurent({0: 1, -1: -(q ** j)})
+        out = out * LaurentByFractions({0: 1, -1: -(q ** j)})
     return out
+
+
+class LaurentByFractions:
+    """center.Laurent as a dict {exponent: nonzero Fraction coefficient},
+    with every operation in Fractions."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {p: c for p, c in terms.items() if c} if terms else {}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for p, c in other.terms.items():
+            out[p] = out.get(p, 0) + c
+        return LaurentByFractions(out)
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentByFractions):
+            return LaurentByFractions({p: c * other for p, c in self.terms.items()})
+        out = {}
+        for p, c in self.terms.items():
+            for p2, c2 in other.terms.items():
+                out[p + p2] = out.get(p + p2, 0) + c * c2
+        return LaurentByFractions(out)
+
+    __rmul__ = __mul__
+
+    def __call__(self, x):
+        x = Fraction(x)
+        return sum((c * x ** p for p, c in self.terms.items()), Fraction(0))
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @property
+    def coeffs(self):
+        if min(self.terms, default=0) < 0:
+            raise ValueError("negative powers of X")
+        return tuple(self.terms.get(i, 0) for i in range(max(self.terms, default=-1) + 1))
 
 
 def centralizer_order_by_pochhammer(mu):

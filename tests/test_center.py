@@ -2,6 +2,8 @@
 Laurent polynomials in X = q^n and the symbolic structure polynomials."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -212,10 +214,12 @@ def test_pi_scalar_of_empty_type_is_one():
 
 
 def card_shape_poly(tau, n):
-    """card C_{tau^n} read from center._card_shape: K q^(n e) nf(q, n, |tau|)."""
-    e, K = center._card_shape(tau)
-    q = tau.ctx.q
-    return K * Fraction(q) ** (n * e) * num_free_families(q, n, tau.size)
+    """card C_{tau^n} read from center._card_shape:
+    q^(n e) nf(q, n, |tau|) / Z, e = 2 ||tau|| - |tau|."""
+    Z = center._card_shape(tau)
+    assert isinstance(Z, int)
+    q, e = tau.ctx.q, 2 * tau.norm - tau.size
+    return Fraction(q) ** (n * e) * num_free_families(q, n, tau.size) / Z
 
 
 @pytest.mark.parametrize("q,tau_s", [
@@ -443,6 +447,37 @@ def test_laurent_basics():
     assert r(2) == Fraction(5, 4) + Fraction(1, 3) - 32
     with pytest.raises(ValueError, match="negative powers"):
         r.coeffs
+
+
+def random_laurents(rng):
+    """A center.Laurent and its LaurentByFractions over the powers -4..4,
+    with zero coefficients among the terms."""
+    terms = {p: Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+             for p in rng.sample(range(-4, 5), rng.randint(0, 5))}
+    return center.Laurent(terms), oracles.LaurentByFractions(terms)
+
+
+def test_laurent_matches_the_fraction_oracle():
+    rng = random.Random(32)
+    for _ in range(150):
+        (a, fa), (b, fb) = random_laurents(rng), random_laurents(rng)
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+        pairs = [(a + b, fa + fb), (a * b, fa * fb), (a * s, fa * s),
+                 (a * 3, fa * 3), (a + a * -1, fa + fa * -1)]
+        for got, want in pairs:
+            assert isinstance(got, center.Laurent) and got.terms == want.terms
+            assert got.den > 0 and 0 not in got.nums.values()
+            assert math.gcd(got.den, *got.nums.values()) == 1
+        assert (a == b) == (fa == fb) and bool(a) == bool(fa) and bool(b) == bool(fb)
+        assert a == center.Laurent({**fa.terms, 5: 0})
+        if min(fa.terms, default=0) < 0:
+            for p in (a, fa):
+                with pytest.raises(ValueError, match="negative powers"):
+                    p.coeffs
+        else:
+            assert a.coeffs == fa.coeffs
+        for q, n in itertools.product((2, 3, 4093), range(4)):
+            assert a(q ** n) == fa(q ** n)
 
 
 def test_central_vector_algebra():

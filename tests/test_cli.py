@@ -924,6 +924,9 @@ def test_degree1_zero_is_a_usage_error(capsys, q, a, b, named, n):
 @pytest.mark.parametrize("q,mat,literal", [
     ("3", "1,;0,1", "''"),
     ("4", "t,1;0,x", "'x'"),
+    ("5", "1,2;3,4;", "'' at row 3, column 1"),
+    ("4", "", "'' at row 1, column 1"),
+    ("4", "t,1; ,1", "'' at row 2, column 1"),
 ])
 def test_malformed_matrix_entry_is_named(capsys, q, mat, literal):
     code, _, err = run(capsys, "type", "--q", q, "--mat", mat)

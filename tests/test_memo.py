@@ -76,6 +76,7 @@ def test_wrapped_bypasses_the_store():
     (fields, "_make_field"),
     (fields, "enumerate_irreducibles"),
     (fields, "factor"),
+    (fields, "_square_roots"),
     (conjtype, "enumerate_gl"),
     (conjtype, "census"),
     (conjtype, "class_orbit"),

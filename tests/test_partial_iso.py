@@ -371,6 +371,21 @@ def test_integer_form_matches_the_fraction_oracles(n, q):
             assert_lowest_terms(got)
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])
+def test_sum_matches_the_fraction_sum(n, q):
+    # seeded three-term vectors over shared terms, so sums merge and cancel
+    ctx = make_field(q)
+    rng = random.Random(10 * n + q)
+    basis = rng.sample(pi.all_pisos(ctx, n), 4)
+    for _ in range(40):
+        x, y = (random_elem(rng, rng.sample(basis, 3)) for _ in range(2))
+        want = {t: x.terms.get(t, 0) + y.terms.get(t, 0) for t in basis}
+        for got in (x + y, y + x):
+            assert got == pi.AlgElem(n, want) and got.terms == {t: c for t, c in want.items() if c}
+            assert_lowest_terms(got)
+        assert not x + pi.AlgElem(n, {t: -c for t, c in x.terms.items()})
+
+
 def test_zero_coefficients_are_dropped():
     ctx = make_field(2)
     e, ident = pi.all_pisos(ctx, 1)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from glfq import cli
+from glfq import center, cli, partial_iso
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "glfq"
@@ -192,6 +192,25 @@ def test_only_fh_polynomials_builds_a_generic_product():
                       and getattr(node.func, "id", getattr(node.func, "attr", None))
                       == "GenericProduct"]
     assert found == ["center.fh_polynomials"]
+
+
+def test_one_sparse_rational_vector_type():
+    # AlgElem alone stores integer numerators over one denominator; the
+    # Laurent polynomials, central vectors and pair-algebra vectors are it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef) or node.name == "AlgElem":
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__" for t in item.targets)):
+                    slots = {getattr(e, "value", None) for e in ast.walk(item.value)}
+                    found += ["%s.%s %s" % (path.stem, node.name, name)
+                              for name in sorted(slots & {"den", "nums", "terms"})]
+    assert found == []
+    for cls in (center.Laurent, center.CentralVector, partial_iso.PairAlgElem):
+        assert issubclass(cls, partial_iso.AlgElem)
 
 
 @pytest.mark.parametrize("module", ["glfq.center", "glfq.degree1"])
